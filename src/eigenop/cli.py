@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, hatw_field
-from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
+from .eigenoperator import DimensionMismatchError, continuous_eigenoperator, discrete_eigenoperator_spectrum
 from .generator import (
     assemble_fiber_koopman,
     assemble_generator,
@@ -437,7 +437,7 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
 
             try:
                 agg = discrete_eigenoperator_spectrum(ctx.system, ys, i, family_fn, transfer)
-            except Exception as exc:  # dimension drift across samples is reported, not fatal
+            except DimensionMismatchError as exc:  # dimension drift across samples is reported, not fatal
                 agg = {"i": i, "error": str(exc)}
             else:
                 agg["eigenvalues"] = [
@@ -558,8 +558,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all" else "run every stage")
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="thread budget (recorded; BLAS-dependent)")
-        p.add_argument("--seed", type=int, default=None, help="seed override for randomized diagnostics")
     pv = sub.add_parser("validate", help="run the full closed-form acceptance suite")
     pv.add_argument("--out", default=None, help="directory for the JSON summary")
     args = parser.parse_args(argv)

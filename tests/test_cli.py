@@ -169,3 +169,22 @@ def test_main_runs_single_stage(tmp_path, capsys):
     assert code == 0
     assert (out / "generator.matrix.json").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_main_rejects_removed_threads_flag(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_rotation_config()))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert info.value.code == 2
+
+
+def test_eigenop_stage_surfaces_numerical_failures(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(cli, "discrete_eigenoperator_spectrum", fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_discrete_config()))
+    code = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERICAL

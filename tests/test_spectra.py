@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from eigenop.basis import TruncatedBasis
-from eigenop.generator import OperatorMatrix
+from eigenop.basis import TruncatedBasis, default_grid
+from eigenop.generator import OperatorMatrix, assemble_generator, smoothed_generator, smoothing_weights
 from eigenop.spectra import (
     EigensolveError,
     eig,
@@ -14,6 +14,18 @@ from eigenop.spectra import (
     matrix_norm_estimate,
     sort_by_target,
 )
+from eigenop.systems import make_gaussian_vortex, make_rotation
+
+
+def _rotation_generator():
+    basis = TruncatedBasis((8, 8), ("base", "fiber"))
+    return assemble_generator(make_rotation(0.7, 0.5), basis, default_grid(basis))
+
+
+def _smoothed_vortex_generator(symmetric):
+    basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
+    V = assemble_generator(make_gaussian_vortex(0.5), basis, default_grid(basis))
+    return smoothed_generator(V, smoothing_weights(basis, 0.1, 0.1), symmetric)
 
 
 def test_matrix_norm_estimate_matches_svd():
@@ -121,3 +133,41 @@ def test_spectrum_report_json_round_trip():
     doc = report.to_json_dict()
     assert doc["eigenvalues"] == [[1.0, 2.0]]
     assert doc["tolerance"] == report.tolerance
+
+
+@pytest.mark.parametrize(
+    "make_op",
+    [_rotation_generator, lambda: _smoothed_vortex_generator(False), lambda: _smoothed_vortex_generator(True)],
+    ids=["rotation", "vortex", "vortex-symmetric"],
+)
+def test_real_velocity_generators_take_real_form_path(make_op):
+    op = make_op()
+    report = eig(op, tol=1e-8)
+    reference = eig_matrix(op.entries, tol=1e-8)
+    assert report.meta["solver"] == "real-form"
+    assert reference.meta["solver"] == "complex"
+    matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
+    assert matched, worst
+    assert np.all(report.residuals <= report.tolerance)
+
+
+def test_random_complex_operator_takes_complex_path():
+    rng = np.random.default_rng(4)
+    basis = TruncatedBasis((2, 1), ("base", "fiber"))
+    n = basis.size
+    op = OperatorMatrix(basis, basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), "generator")
+    report = eig(op)
+    assert report.meta["solver"] == "complex"
+    assert np.all(report.residuals <= report.tolerance)
+
+
+def test_real_form_path_keeps_residual_contract():
+    with pytest.raises(EigensolveError) as info:
+        eig(_rotation_generator(), tol=1e-300)
+    assert info.value.residuals is not None
+
+
+def test_solver_is_recorded_in_json():
+    doc = eig(_rotation_generator()).to_json_dict()
+    assert doc["meta"]["solver"] == "real-form"
+    assert len(doc["eigenvalues"]) == len(doc["residuals"]) == 17 * 17
