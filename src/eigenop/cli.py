@@ -20,20 +20,15 @@ if os.environ.get("EIGENOP_THREADS") and "OMP_NUM_THREADS" not in os.environ:
 from functools import cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, hatw_field
-from .eigenoperator import DimensionMismatchError, continuous_eigenoperator, discrete_eigenoperator_spectrum
-from .generator import (
-    assemble_fiber_koopman,
-    assemble_generator,
-    cyclic_fiber_koopman,
-    smoothed_generator,
-    smoothing_weights,
-)
+from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
+from .generator import assemble_generator, smoothed_generator, smoothing_weights
 from .ioformats import (
     canonical_json,
     complex_list,
@@ -45,13 +40,7 @@ from .ioformats import (
     write_json,
     write_matrix,
 )
-from .oseledets import (
-    cyclic_block_matrix,
-    equivariance_residual,
-    isolating_bins,
-    periodic_subspaces,
-    restrict_at_base,
-)
+from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
 from .spectra import EigensolveError, eig, sort_by_target
 from .systems import (
     ContinuousSkewSystem,
@@ -151,16 +140,20 @@ SCHEMA = {
 }
 
 
+# SCHEMA is a constant, so it is checked against its metaschema by the
+# tests rather than on every resolve.
+SCHEMA_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
 def resolve_config(raw: dict) -> dict:
     """Validate against the schema and fill in every default."""
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = best_match(SCHEMA_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     cfg = {
         "system": {"name": raw["system"]["name"], "params": dict(raw["system"].get("params", {}))},
         "truncation": {"cutoffs": list(raw["truncation"]["cutoffs"])},
@@ -291,6 +284,20 @@ class PipelineContext:
         n = min(self.config["decomposition"]["n_leading"], self.sorted_spectrum.size)
         return self.sorted_spectrum.eigenvectors[:, :n]
 
+    def periodic_setup_at(self, y: float) -> PeriodicSetup:
+        map_ = self.system
+        if map_.base_period is None:
+            raise ConfigError("periodic decomposition needs a declared base period")
+        if map_.fiber_kind not in ("torus", "cyclic"):
+            raise ConfigError(f"pipeline does not decompose fiber kind '{map_.fiber_kind}'")
+        fib = self.basis.fiber_subbasis()
+        return periodic_setup(map_, y, fib, default_grid(fib, self.config["grid"]["multiplier"]))
+
+    @cached_property
+    def periodic_setup(self) -> PeriodicSetup:
+        """Discrete decomposition at the evaluation base point."""
+        return self.periodic_setup_at(float(self.config["evaluation"]["y"]))
+
     def _load_cached(self, filename: str, provenance: str):
         """Reuse an on-disk matrix if its manifest hash matches this config."""
         path = self.out / filename
@@ -337,28 +344,6 @@ def stage_eig(ctx: PipelineContext) -> list[str]:
     return ["spectrum.json", "leading_vectors.matrix.json"]
 
 
-def _discrete_setup(ctx: PipelineContext):
-    map_ = ctx.system
-    if map_.base_period is None:
-        raise ConfigError("periodic decomposition needs a declared base period")
-    y0 = float(ctx.config["evaluation"]["y"])
-    orbit = map_.base_orbit(y0)
-    if map_.fiber_kind == "torus":
-        fib = ctx.basis.fiber_subbasis()
-        fgrid = default_grid(fib, ctx.config["grid"]["multiplier"])
-        transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
-    elif map_.fiber_kind == "cyclic":
-        fib = None
-        transfer = lambda w: cyclic_fiber_koopman(map_, w)
-    else:
-        raise ConfigError(f"pipeline does not decompose fiber kind '{map_.fiber_kind}'")
-    transfers = [transfer(w) for w in orbit]
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
-    bins = isolating_bins(values, map_.base_period)
-    families = periodic_subspaces(map_, y0, transfers, bins)
-    return y0, orbit, transfer, transfers, bins, families
-
-
 def stage_oseledets(ctx: PipelineContext) -> list[str]:
     written = []
     if ctx.is_continuous:
@@ -374,18 +359,18 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
             )
             written.append(fname)
         return written
-    y0, orbit, transfer, transfers, bins, families = _discrete_setup(ctx)
+    setup = ctx.periodic_setup
     n = ctx.system.base_period
     report = {
-        "y": y0,
-        "orbit": [float(w) for w in orbit],
-        "bins": [b.describe() for b in bins],
+        "y": setup.y,
+        "orbit": [float(w) for w in setup.orbit],
+        "bins": [b.describe() for b in setup.bins],
         "equivariance_residuals": [],
     }
-    for bi, family in enumerate(families):
+    for bi, family in enumerate(setup.families):
         worst = 0.0
         for m in range(n):
-            worst = max(worst, equivariance_residual(family[(m + 1) % n], family[m], transfers[m]))
+            worst = max(worst, equivariance_residual(family[(m + 1) % n], family[m], setup.transfers[m]))
         report["equivariance_residuals"].append(worst)
         for m, sub in enumerate(family):
             fname = f"subspace_bin{bi}_orbit{m}.matrix.json"
@@ -424,22 +409,12 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
             "residual_tolerance": spec.tolerance,
         }
     else:
-        y0, orbit, transfer, transfers, bins, families = _discrete_setup(ctx)
-        i = int(ev["i"])
-        count = int(ev["y_sample_count"])
-        ys = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-
-        aggregated = []
-        for bi in range(len(bins)):
-            def family_fn(yv, _bi=bi):
-                fams = _discrete_setup_at(ctx, yv)[4]
-                return fams[min(_bi, len(fams) - 1)]
-
-            try:
-                agg = discrete_eigenoperator_spectrum(ctx.system, ys, i, family_fn, transfer)
-            except DimensionMismatchError as exc:  # dimension drift across samples is reported, not fatal
-                agg = {"i": i, "error": str(exc)}
-            else:
+        bins = ctx.periodic_setup.bins
+        ys = np.linspace(0.0, 2 * np.pi, int(ev["y_sample_count"]), endpoint=False)
+        # Dimension drift across samples comes back as a per-bin error entry.
+        aggregated = discrete_eigenoperator_spectrum(ctx.system, ys, int(ev["i"]), ctx.periodic_setup_at, len(bins))
+        for agg in aggregated:
+            if "eigenvalues" in agg:
                 agg["eigenvalues"] = [
                     {
                         "value": [c["value"].real, c["value"].imag],
@@ -448,26 +423,9 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
                     }
                     for c in agg["eigenvalues"]
                 ]
-            aggregated.append(agg)
         doc = {"kind": "discrete_M", "bins": [b.describe() for b in bins], "aggregated": aggregated}
     write_json(ctx.out / "eigenoperator_spectrum.json", doc)
     return ["eigenoperator_spectrum.json"]
-
-
-def _discrete_setup_at(ctx: PipelineContext, y0: float):
-    map_ = ctx.system
-    orbit = map_.base_orbit(y0)
-    if map_.fiber_kind == "torus":
-        fib = ctx.basis.fiber_subbasis()
-        fgrid = default_grid(fib, ctx.config["grid"]["multiplier"])
-        transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
-    else:
-        transfer = lambda w: cyclic_fiber_koopman(map_, w)
-    transfers = [transfer(w) for w in orbit]
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
-    bins = isolating_bins(values, map_.base_period)
-    families = periodic_subspaces(map_, y0, transfers, bins)
-    return orbit, transfer, transfers, bins, families
 
 
 def stage_cocycle_field(ctx: PipelineContext) -> list[str]:

@@ -2,7 +2,9 @@
 
 Discrete side: at base point y and step offset i, the multiplier is the
 fiber transfer matrix at h^i(y) composed with the subspace projection
-there; its frame compression carries the spectrum. Continuous side: the
+there; its frame compression carries the spectrum. The aggregate over
+y-samples builds one periodic setup per sample and serves every bin
+from it. Continuous side: the
 advection operator with the fiber velocity frozen at the advanced base
 point h_s(y), compressed to sections of the subspace over the base
 modes; for the closed-form benchmark this reproduces the analytic
@@ -32,10 +34,6 @@ class MissingSubspaceError(KeyError):
 
 class DegenerateEigenvectorError(ValueError):
     """Restricted eigenvector has vanishing fiber norm."""
-
-
-class DimensionMismatchError(ValueError):
-    """Subspace dimension varies across base samples."""
 
 
 @dataclass(frozen=True)
@@ -261,40 +259,53 @@ def discrete_eigenoperator_spectrum(
     map_: DiscreteSkewMap,
     y_samples,
     i: int,
-    family_fn,
-    transfer_fn,
+    setup_fn,
+    bin_count: int,
     tol: float = 1e-8,
-) -> dict:
-    """Aggregated spectrum of the frame-compressed multipliers over y samples.
+) -> list[dict]:
+    """Per-bin aggregated spectra of the frame-compressed multipliers over y samples.
 
-    family_fn(y) returns the period-length subspace family of one bin at
-    base point y; transfer_fn(base_point) the fiber transfer matrix. The
-    compression maps the subspace at h^{i+1}(y) into the one at h^i(y).
-    Subspace dimension must not vary across samples.
+    setup_fn(y) returns the PeriodicSetup at base point y. Each sample
+    builds one setup and one transfer at h^i(y), then updates every
+    bin's aggregate; bin b takes the setup's family min(b, count - 1).
+    The compression maps the subspace at h^{i+1}(y) into the one at
+    h^i(y). A bin whose subspace dimension drifts across samples gets an
+    {"i", "error"} entry and stops aggregating; sampling ends once every
+    bin has one.
     """
     n = map_.base_period
     if n is None:
         raise ValueError("aggregation requires a periodic base")
-    per_sample = []
-    dim = None
+    per_sample: list[list[np.ndarray]] = [[] for _ in range(bin_count)]
+    dims: list = [None] * bin_count
+    errors: dict[int, str] = {}
     for y in np.asarray(y_samples, dtype=float):
-        family = family_fn(float(y))
-        sub_w = family[i % n]
-        sub_hw = family[(i + 1) % n]
-        if dim is None:
-            dim = sub_w.dim
-        if sub_w.dim != dim or sub_hw.dim != dim:
-            raise DimensionMismatchError(
-                f"subspace dimension varies across samples ({sub_w.dim} vs {dim})"
-            )
-        w = map_.base_iterate(float(y), i)
-        U = np.asarray(transfer_fn(w), dtype=complex)
-        C = sub_w.frame.conj().T @ U @ sub_hw.frame
-        per_sample.append(np.linalg.eigvals(C))
-    clusters = _tolerance_union(per_sample, tol)
-    return {
-        "i": int(i),
-        "dimension": int(dim or 0),
-        "y_samples": [float(y) for y in y_samples],
-        "eigenvalues": clusters,
-    }
+        if len(errors) == bin_count:
+            break
+        setup = setup_fn(float(y))
+        U = np.asarray(setup.transfer(map_.base_iterate(float(y), i)), dtype=complex)
+        fams = setup.families
+        for b in range(bin_count):
+            if b in errors:
+                continue
+            family = fams[min(b, len(fams) - 1)]
+            sub_w = family[i % n]
+            sub_hw = family[(i + 1) % n]
+            if dims[b] is None:
+                dims[b] = sub_w.dim
+            if sub_w.dim != dims[b] or sub_hw.dim != dims[b]:
+                errors[b] = f"subspace dimension varies across samples ({sub_w.dim} vs {dims[b]})"
+                continue
+            C = sub_w.frame.conj().T @ U @ sub_hw.frame
+            per_sample[b].append(np.linalg.eigvals(C))
+    return [
+        {"i": int(i), "error": errors[b]}
+        if b in errors
+        else {
+            "i": int(i),
+            "dimension": int(dims[b] or 0),
+            "y_samples": [float(y) for y in y_samples],
+            "eigenvalues": _tolerance_union(per_sample[b], tol),
+        }
+        for b in range(bin_count)
+    ]

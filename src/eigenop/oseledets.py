@@ -7,18 +7,21 @@ frame in fiber-coefficient space. For discrete maps with a periodic
 base, the block-cyclic operator built from the per-step fiber transfer
 matrices is diagonalized and its eigenvectors are grouped by eigenvalue
 phase into spectral bins; the block components of each group give an
-equivariant subspace family along the whole base orbit.
+equivariant subspace family along the whole base orbit. periodic_setup
+is the one place that builds this decomposition at a base point: orbit,
+transfers, isolating bins and families, which depend on that point only.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import TruncatedBasis
-from .generator import PROJECTION, OperatorMatrix
+from .basis import Grid, TruncatedBasis
+from .generator import PROJECTION, OperatorMatrix, assemble_fiber_koopman, cyclic_fiber_koopman
 from .systems import DiscreteSkewMap
 
 TWO_PI = 2.0 * np.pi
@@ -32,6 +35,16 @@ BOUNDARY_TOL = 1e-10
 
 class BinBoundaryWarning(UserWarning):
     """Eigen-phase within tolerance of a spectral bin boundary."""
+
+
+def _phase(values):
+    """Eigenvalue phases in [0, 2pi).
+
+    np.mod maps angles in about (-4e-16, 0) to exactly 2pi, a phase that
+    no half-open bin contains; those fold to 0.
+    """
+    phases = np.mod(np.angle(values), TWO_PI)
+    return np.where(phases == TWO_PI, 0.0, phases)
 
 
 @dataclass(frozen=True)
@@ -49,13 +62,23 @@ class SpectralBin:
                 raise ValueError("each arc must satisfy 0 <= lo < hi <= 2pi")
         object.__setattr__(self, "arcs", arcs)
 
-    def contains(self, phase: float) -> bool:
-        return any(a <= phase < b for a, b in self.arcs)
+    def contains(self, phase):
+        """Membership of one phase, or elementwise for an array of phases."""
+        p = np.asarray(phase, dtype=float)[..., None]
+        lo, hi = np.array(self.arcs).T
+        return np.any((lo <= p) & (p < hi), axis=-1)
 
-    def boundary_distance(self, phase: float) -> float:
-        edges = np.array([e for arc in self.arcs for e in arc])
-        d = np.abs(phase - edges)
-        return float(np.minimum(d, TWO_PI - d).min())
+    def boundary_distance(self, phase):
+        """Circular distance to the nearest edge, elementwise for arrays.
+
+        The 0/2pi seam is an edge only when the bin owns one side of it;
+        a bin holding arcs on both sides is continuous across it.
+        """
+        edges = [e for arc in self.arcs for e in arc]
+        if 0.0 in edges and TWO_PI in edges:
+            edges = [e for e in edges if e not in (0.0, TWO_PI)]
+        d = np.abs(np.asarray(phase, dtype=float)[..., None] - np.array(edges))
+        return np.minimum(d, TWO_PI - d).min(axis=-1, initial=np.inf)
 
     @property
     def width(self) -> float:
@@ -113,7 +136,7 @@ def isolating_bins(eigenvalues: np.ndarray, n: int, cluster_tol: float = 1e-6) -
     if len(reps) == 1:
         return [arc_bin(0.0, TWO_PI)]
 
-    phases = np.mod(np.angle(lam), TWO_PI)
+    phases = _phase(lam)
     order = np.argsort(phases, kind="stable")
     ph = phases[order]
     gr = labels[order]
@@ -284,20 +307,19 @@ def periodic_subspaces(
     N = fiber_koopmans[0].shape[0]
     big = cyclic_block_matrix(fiber_koopmans)
     values, vectors = np.linalg.eig(big)
-    phases = np.mod(np.angle(values), TWO_PI)
+    phases = _phase(values)
+    live = np.abs(values) > 0.5
 
     orbit = map_.base_orbit(y)
     families: list[list[FiberSubspace]] = []
     for b in bins:
-        near = np.array([b.boundary_distance(p) for p in phases])
-        if np.any((near < BOUNDARY_TOL) & (np.abs(values) > 0.5)):
+        if np.any((b.boundary_distance(phases) < BOUNDARY_TOL) & live):
             warnings.warn(
                 f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {b.describe()}",
                 BinBoundaryWarning,
                 stacklevel=2,
             )
-        sel = np.array([b.contains(p) for p in phases])
-        group = vectors[:, sel]
+        group = vectors[:, b.contains(phases)]
         family = []
         # Block j of an eigenvector stacks the subspace at h^{j+1}(y):
         # row j reads (transfer at h^{j+1}(y)) block_{j+1} = lambda block_j.
@@ -316,6 +338,50 @@ def periodic_subspaces(
             )
         families.append(family)
     return families
+
+
+@dataclass(frozen=True)
+class PeriodicSetup:
+    """Discrete decomposition along the periodic base orbit of one base point.
+
+    transfers[m] is the fiber transfer matrix at orbit[m] = h^m(y);
+    transfer(w) gives it at any base point w. families[b][m] is bin b's
+    subspace at orbit[m].
+    """
+
+    y: float
+    orbit: list
+    transfers: list
+    transfer: Callable[[float], np.ndarray]
+    bins: list
+    families: list
+
+
+def periodic_setup(
+    map_: DiscreteSkewMap,
+    y: float,
+    fiber_basis: Optional[TruncatedBasis] = None,
+    fiber_grid: Optional[Grid] = None,
+) -> PeriodicSetup:
+    """Transfers, isolating bins and equivariant families at base point y.
+
+    A torus fiber needs fiber_basis and fiber_grid for its transfer
+    matrices; a cyclic fiber uses the delta basis and ignores them.
+    """
+    if map_.fiber_kind == "torus":
+        if fiber_basis is None or fiber_grid is None:
+            raise ValueError("a torus fiber needs a fiber basis and grid")
+        transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fiber_basis, fiber_grid).entries
+    elif map_.fiber_kind == "cyclic":
+        transfer = lambda w: cyclic_fiber_koopman(map_, w)
+    else:
+        raise ValueError(f"no periodic decomposition for fiber kind '{map_.fiber_kind}'")
+    orbit = map_.base_orbit(y)
+    transfers = [transfer(w) for w in orbit]
+    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
+    bins = isolating_bins(values, map_.base_period)
+    families = periodic_subspaces(map_, y, transfers, bins)
+    return PeriodicSetup(float(y), orbit, transfers, transfer, bins, families)
 
 
 def equivariance_residual(

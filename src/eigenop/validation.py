@@ -1,8 +1,9 @@
 """Closed-form acceptance checks for the whole pipeline.
 
 Each check returns a dict with an id, a name, a passed flag, and a
-human-readable detail string. run_all executes every check, prints one
-line per check, and returns a machine-readable summary.
+human-readable detail string. run_all executes every check, adds its
+wall time as `seconds`, prints one line per check, and returns a
+machine-readable summary.
 """
 
 from __future__ import annotations
@@ -24,22 +25,14 @@ from .eigenoperator import (
     rank_one_spectrum,
     shift_invariance_check,
 )
-from .generator import (
-    assemble_fiber_koopman,
-    assemble_generator,
-    cyclic_fiber_koopman,
-    skew_symmetry_residual,
-    smoothing_weights,
-)
+from .generator import assemble_generator, skew_symmetry_residual, smoothing_weights
 from .oracles import peter_weyl_blockdiag, rotation_oracle, s3_table
 from .oseledets import (
     RESTRICTED_EIGVECS,
     FiberSubspace,
     completeness_defect,
-    cyclic_block_matrix,
     equivariance_residual,
-    isolating_bins,
-    periodic_subspaces,
+    periodic_setup,
 )
 from .spectra import eig, match_multisets
 from .systems import ContinuousSkewSystem, make_cyclic_group, make_rotation, make_torus_translation
@@ -198,36 +191,25 @@ def check_shift_invariance():
     )
 
 
-def _periodic_setup(map_, y0):
-    n = map_.base_period
-    orbit = map_.base_orbit(y0)
-    if map_.fiber_kind == "torus":
-        fib = TruncatedBasis((4,), ("fiber",))
-        fgrid = default_grid(fib)
-        transfers = [assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries for w in orbit]
-        transfer_fn = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
-    else:
-        transfers = [cyclic_fiber_koopman(map_, w) for w in orbit]
-        transfer_fn = lambda w: cyclic_fiber_koopman(map_, w)
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
-    bins = isolating_bins(values, n)
-    families = periodic_subspaces(map_, y0, transfers, bins)
-    return orbit, transfers, transfer_fn, bins, families
+def _periodic_cases():
+    """The two discrete systems, each with its setup at a fixed base point."""
+    fib = TruncatedBasis((4,), ("fiber",))
+    torus, cyclic = make_torus_translation(4), make_cyclic_group(6, 3)
+    return (torus, periodic_setup(torus, 0.3, fib, default_grid(fib))), (cyclic, periodic_setup(cyclic, 0.9))
 
 
 def check_periodic_oseledets():
     """Equivariance and completeness of the periodic-base construction."""
     worst_eq = 0.0
     worst_sum = 0.0
-    for map_, y0 in ((make_torus_translation(4), 0.3), (make_cyclic_group(6, 3), 0.9)):
+    for map_, setup in _periodic_cases():
         n = map_.base_period
-        orbit, transfers, _, bins, families = _periodic_setup(map_, y0)
-        for family in families:
+        for family in setup.families:
             for m in range(n):
-                res = equivariance_residual(family[(m + 1) % n], family[m], transfers[m])
+                res = equivariance_residual(family[(m + 1) % n], family[m], setup.transfers[m])
                 worst_eq = max(worst_eq, res)
         for m in range(n):
-            worst_sum = max(worst_sum, completeness_defect([f[m] for f in families]))
+            worst_sum = max(worst_sum, completeness_defect([f[m] for f in setup.families]))
     passed = worst_eq <= 1e-10 and worst_sum <= 1e-10
     return _result(
         6,
@@ -240,11 +222,11 @@ def check_periodic_oseledets():
 def check_decomposition_identity():
     """Projected cocycle times multiplier advances the step index."""
     worst = 0.0
-    for map_, y0 in ((make_torus_translation(4), 0.3), (make_cyclic_group(6, 3), 0.9)):
+    for map_, setup in _periodic_cases():
         n = map_.base_period
-        _, transfers, transfer_fn, bins, families = _periodic_setup(map_, y0)
-        dim = transfers[0].shape[0]
-        for family in families:
+        y0, transfer_fn = setup.y, setup.transfer
+        dim = setup.transfers[0].shape[0]
+        for family in setup.families:
             for i in range(-2, 3):
                 w_i = discrete_w(map_, y0, i, transfer_fn, dim).matrix
                 w_next = discrete_w(map_, y0, i + 1, transfer_fn, dim).matrix
@@ -389,8 +371,10 @@ ALL_CHECKS = (
 def run_all(printer=print) -> dict:
     results = []
     for fn in ALL_CHECKS:
+        start = time.perf_counter()
         res = fn()
+        res["seconds"] = time.perf_counter() - start
         results.append(res)
         tag = "PASS" if res["passed"] else "FAIL"
-        printer(f"{tag} criterion {res['id']}: {res['name']}: {res['detail']}")
+        printer(f"{tag} criterion {res['id']}: {res['name']}: {res['detail']} [{res['seconds']:.2f}s]")
     return {"results": results, "all_passed": all(r["passed"] for r in results)}

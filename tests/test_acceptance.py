@@ -28,3 +28,8 @@ def test_criterion(summary, cid):
 
 def test_all_criteria_pass(summary):
     assert summary["all_passed"]
+
+
+def test_every_check_reports_seconds(summary):
+    for res in summary["results"]:
+        assert isinstance(res["seconds"], float) and res["seconds"] >= 0.0, res["id"]

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
-from eigenop import cli
+from eigenop import cli, oseledets
 from eigenop.ioformats import read_matrix, sha256_of
 
 
@@ -41,6 +42,10 @@ def test_resolve_config_n_leading_defaults_to_max_rank():
     raw["decomposition"] = {"d_values": [1, 5], "subspace_rank": 2}
     cfg = cli.resolve_config(raw)
     assert cfg["decomposition"]["n_leading"] == 5
+
+
+def test_schema_is_a_valid_schema():
+    validator_for(cli.SCHEMA).check_schema(cli.SCHEMA)
 
 
 def test_schema_rejects_unknown_keys():
@@ -159,6 +164,22 @@ def test_discrete_pipeline_stages(tmp_path):
     assert max(bins["equivariance_residuals"]) < 1e-10
     assert (out / "eigenoperator_spectrum.json").exists()
     assert any("assemble skipped" in note for note in manifest["notes"])
+
+
+def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
+    calls = []
+    original = oseledets.periodic_subspaces
+
+    def counting(map_, y, fiber_koopmans, bins):
+        calls.append(y)
+        return original(map_, y, fiber_koopmans, bins)
+
+    monkeypatch.setattr(oseledets, "periodic_subspaces", counting)
+    raw = _small_discrete_config()
+    raw["evaluation"]["y_sample_count"] = 8
+    cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
+    # The evaluation point once, shared by two stages, plus one per sample.
+    assert 0 < len(calls) <= 9
 
 
 def test_main_runs_single_stage(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.eigenoperator import (
     DegenerateEigenvectorError,
-    DimensionMismatchError,
     EigenoperatorSample,
     MissingSubspaceError,
     continuous_eigenoperator,
@@ -17,11 +16,12 @@ from eigenop.eigenoperator import (
     norm_constancy,
     rank_one_spectrum,
     shift_invariance_check,
+    _tolerance_union,
 )
 from eigenop.generator import assemble_fiber_koopman
-from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace
+from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace, PeriodicSetup, periodic_setup
 from eigenop.spectra import match_multisets
-from eigenop.systems import make_rotation, make_torus_translation
+from eigenop.systems import make_cyclic_group, make_rotation, make_torus_translation
 
 ALPHA = 0.7
 BETA = 0.5
@@ -166,14 +166,25 @@ def test_discrete_multiplier_needs_full_family():
         discrete_multiplier(map_, family, transfer, 0.3, 1)
 
 
+def _family_setup(map_, fib, fgrid, family_fn):
+    """setup_fn whose setups carry the given families, one per bin."""
+    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
+    calls = []
+
+    def setup_fn(y):
+        calls.append(y)
+        return PeriodicSetup(y, map_.base_orbit(y), [], transfer, [], family_fn(y))
+
+    return setup_fn, calls
+
+
 def test_discrete_eigenoperator_spectrum_constant_shift():
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
-    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
-    family_fn = lambda y: _family(map_, y, fib, fgrid)
+    setup_fn, _ = _family_setup(map_, fib, fgrid, lambda y: [_family(map_, y, fib, fgrid)])
     ys = np.linspace(0.0, TWO_PI, 6, endpoint=False)
-    out = discrete_eigenoperator_spectrum(map_, ys, 1, family_fn, transfer)
+    (out,) = discrete_eigenoperator_spectrum(map_, ys, 1, setup_fn, 1)
     assert out["dimension"] == 1
     # A constant shift gives the same compressed phase at every sample.
     assert len(out["eigenvalues"]) == 1
@@ -186,7 +197,6 @@ def test_discrete_eigenoperator_spectrum_dimension_guard():
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
-    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
 
     def jittery_family(y):
         family = _family(map_, y, fib, fgrid)
@@ -197,6 +207,61 @@ def test_discrete_eigenoperator_spectrum_dimension_guard():
             family = [FiberSubspace(s.y, wide, "spectral_bin", 2) for s in family]
         return family
 
+    families = lambda y: [_family(map_, y, fib, fgrid), jittery_family(y)]
+    setup_fn, _ = _family_setup(map_, fib, fgrid, families)
     ys = np.array([0.5, 4.0])
-    with pytest.raises(DimensionMismatchError):
-        discrete_eigenoperator_spectrum(map_, ys, 1, jittery_family, transfer)
+    stable, drifting = discrete_eigenoperator_spectrum(map_, ys, 1, setup_fn, 2)
+    assert drifting == {"i": 1, "error": "subspace dimension varies across samples (2 vs 1)"}
+    assert stable["dimension"] == 1
+    assert sum(c["support"] for c in stable["eigenvalues"]) == len(ys)
+
+    # Once every bin has drifted, no further sample is set up.
+    setup_fn, calls = _family_setup(map_, fib, fgrid, lambda y: [jittery_family(y)])
+    (only,) = discrete_eigenoperator_spectrum(map_, [0.5, 4.0, 4.5, 5.0], 1, setup_fn, 1)
+    assert "error" in only
+    assert calls == [0.5, 4.0]
+
+
+def _per_bin_reference(map_, ys, i, setup_at, bin_count, tol=1e-8):
+    """Bin-outer aggregation straight from periodic setups; None marks drift."""
+    n = map_.base_period
+    out = []
+    for b in range(bin_count):
+        dim, samples = None, []
+        for y in ys:
+            setup = setup_at(float(y))
+            family = setup.families[min(b, len(setup.families) - 1)]
+            sub_w, sub_hw = family[i % n], family[(i + 1) % n]
+            dim = sub_w.dim if dim is None else dim
+            if sub_w.dim != dim or sub_hw.dim != dim:
+                samples = None
+                break
+            U = setup.transfer(map_.base_iterate(float(y), i))
+            samples.append(np.linalg.eigvals(sub_w.frame.conj().T @ U @ sub_hw.frame))
+        out.append(None if samples is None else _tolerance_union(samples, tol))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["torus", "cyclic"])
+def test_discrete_eigenoperator_spectrum_matches_per_bin_reference(kind):
+    if kind == "torus":
+        map_ = make_torus_translation(4, gtilde=0.7)
+        fib = TruncatedBasis((3,), ("fiber",))
+        setup_at = lambda y: periodic_setup(map_, y, fib, default_grid(fib))
+        y0 = 0.3
+    else:
+        map_ = make_cyclic_group(6, 3)
+        setup_at = lambda y: periodic_setup(map_, y)
+        y0 = 0.5
+    ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    bin_count = len(setup_at(y0).bins)
+    got = discrete_eigenoperator_spectrum(map_, ys, 1, setup_at, bin_count)
+    ref = _per_bin_reference(map_, ys, 1, setup_at, bin_count)
+    assert len(got) == bin_count
+    for entry, expected in zip(got, ref):
+        if expected is None:
+            assert set(entry) == {"i", "error"}
+        else:
+            assert entry["eigenvalues"] == expected
+    if kind == "torus":
+        assert all(expected is not None for expected in ref)

@@ -21,6 +21,8 @@ from eigenop.oseledets import (
     full_bin_family,
     isolating_bins,
     orthonormalize,
+    _phase,
+    periodic_setup,
     periodic_subspaces,
     principal_angle_distance,
     projection_defect,
@@ -48,6 +50,42 @@ def test_spectral_bin_rejects_bad_arcs():
 def test_boundary_distance_wraps_the_circle():
     b = arc_bin(0.1, 1.0)
     assert b.boundary_distance(TWO_PI - 0.05) == pytest.approx(0.15)
+
+
+def test_boundary_distance_skips_the_seam_inside_a_bin():
+    wrap = SpectralBin(((0.0, 1.0), (5.0, TWO_PI)))
+    assert wrap.boundary_distance(0.0) == pytest.approx(1.0)
+    # A bin on one side of the seam has a real edge there.
+    assert arc_bin(0.0, 1.0).boundary_distance(0.0) == 0.0
+    assert arc_bin(0.0, TWO_PI).boundary_distance(1.0) == np.inf
+
+
+def test_bin_tests_are_elementwise_on_arrays():
+    b = SpectralBin(((0.0, 1.0), (3.0, 4.0)))
+    phases = np.array([0.5, 1.0, 2.0, 3.0, TWO_PI - 0.05])
+    assert b.contains(phases).tolist() == [b.contains(float(p)) for p in phases]
+    assert b.boundary_distance(phases).tolist() == [b.boundary_distance(float(p)) for p in phases]
+
+
+def test_phase_folds_the_seam_to_zero():
+    assert np.mod(np.angle(np.exp(-1e-17j)), TWO_PI) == TWO_PI
+    assert _phase(np.exp(-1e-17j)) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["torus", "cyclic"])
+def test_every_block_eigenvector_lands_in_one_bin(kind):
+    # Over these y-samples the cyclic map has 32 block eigenvalues whose
+    # unfolded phase is exactly 2pi.
+    fib = TruncatedBasis((4,), ("fiber",))
+    if kind == "torus":
+        map_, args = make_torus_translation(4, gtilde=0.7), (fib, default_grid(fib))
+    else:
+        map_, args = make_cyclic_group(6, 3), ()
+    for y in np.linspace(0.0, TWO_PI, 64, endpoint=False):
+        setup = periodic_setup(map_, y, *args)
+        values = np.linalg.eig(cyclic_block_matrix(setup.transfers))[0]
+        hits = sum(b.contains(_phase(values)).astype(int) for b in setup.bins)
+        assert np.all(hits == 1), y
 
 
 def test_full_bin_family_covers_and_checks():
@@ -190,6 +228,38 @@ def test_periodic_subspaces_cyclic_fiber():
         families = periodic_subspaces(map_, y0, transfers, bins)
     for m in range(3):
         assert completeness_defect([f[m] for f in families]) < 1e-10
+
+
+def test_wraparound_bin_does_not_warn_at_phase_zero():
+    # The constant mode gives block eigenvalue 1, phase 0, inside the
+    # wrap-around bin and far from its real edges.
+    map_, transfers = _torus_setup()
+    bins = [SpectralBin(((0.0, 0.25), (TWO_PI - 0.25, TWO_PI))), arc_bin(0.25, TWO_PI - 0.25)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BinBoundaryWarning)
+        periodic_subspaces(map_, 0.3, transfers, bins)
+
+
+def test_phase_near_an_interior_edge_warns():
+    # Block eigenvalue i has phase pi/2; put an edge 5e-11 above it.
+    map_, transfers = _torus_setup()
+    edge = np.pi / 2 + 5e-11
+    with pytest.warns(BinBoundaryWarning):
+        periodic_subspaces(map_, 0.3, transfers, [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
+
+
+def test_periodic_setup_matches_its_parts():
+    map_, transfers = _torus_setup()
+    fib = TruncatedBasis((3,), ("fiber",))
+    setup = periodic_setup(map_, 0.3, fib, default_grid(fib))
+    assert setup.orbit == map_.base_orbit(0.3)
+    for got, ref in zip(setup.transfers, transfers):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(setup.transfer(setup.orbit[2]), transfers[2])
+    assert len(setup.families) == len(setup.bins)
+    assert all(len(family) == 4 for family in setup.families)
+    with pytest.raises(ValueError):
+        periodic_setup(map_, 0.3)
 
 
 def test_periodic_subspaces_requires_full_orbit():
