@@ -8,7 +8,7 @@ ascending from -K to K), which fixes a reproducible matrix layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +86,11 @@ class TruncatedBasis:
         axes = self.base_axes()
         return TruncatedBasis(tuple(self.cutoffs[d] for d in axes), (BASE,) * len(axes))
 
+    def check_base_then_fibers(self):
+        """Raise unless the layout is one base factor followed by fiber factors."""
+        if self.roles[0] != BASE or any(r != FIBER for r in self.roles[1:]):
+            raise ValueError("basis must be one base factor followed by fiber factors")
+
     def describe(self) -> dict:
         """JSON-serializable identity of the basis (used in reports)."""
         return {
@@ -94,16 +99,6 @@ class TruncatedBasis:
             "ordering": "lex-msf",
             "size": self.size,
         }
-
-
-def enumerate_modes(basis: TruncatedBasis) -> np.ndarray:
-    """Ordered (N, D) array of mode index tuples."""
-    return basis.modes
-
-
-def mode_derivative(mode, factor: int) -> complex:
-    """Derivative symbol of a single mode along one factor: i * component."""
-    return 1j * float(mode[factor])
 
 
 @dataclass(frozen=True)
@@ -206,12 +201,13 @@ def synthesize(coeffs: np.ndarray, basis: TruncatedBasis, grid: Grid) -> FieldSa
     return FieldSample(grid, values)
 
 
-def evaluate_at(coeffs: np.ndarray, basis: TruncatedBasis, points: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated series at arbitrary points (npts, D)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
+def evaluation_matrix(basis: TruncatedBasis, points: np.ndarray) -> np.ndarray:
+    """(npts, N) values of every mode at arbitrary points (npts, D).
+
+    Its product with a coefficient vector evaluates that series there.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    phases = points @ basis.modes.T.astype(float)
-    return np.exp(1j * phases) @ coeffs
+    return np.exp(1j * (points @ basis.modes.T.astype(float)))
 
 
 def sample_function(fn, grid: Grid) -> FieldSample:

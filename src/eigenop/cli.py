@@ -26,28 +26,21 @@ from jsonschema.validators import validator_for
 
 from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
-from .cocycle import build_test_vector, hatw_field
+from .cocycle import build_test_vector, continuous_w, hatw_field
 from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
-from .generator import assemble_generator, smoothed_generator, smoothing_weights
+from .generator import GENERATOR, OperatorMatrix, assemble_generator, smoothed_generator, smoothing_weights
 from .ioformats import (
-    canonical_json,
     complex_list,
     read_matrix,
     sha256_of,
     write_field_csv,
-    write_frame,
     write_heatmap_ppm,
     write_json,
     write_matrix,
 )
 from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
 from .spectra import EigensolveError, eig, sort_by_target
-from .systems import (
-    ContinuousSkewSystem,
-    DiscreteSkewMap,
-    IntegrationError,
-    make_system,
-)
+from .systems import ContinuousSkewSystem, IntegrationError, make_system
 
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
@@ -258,11 +251,9 @@ class PipelineContext:
 
     @cached_property
     def generator_matrix(self):
-        cached = self._load_cached("generator.matrix.json", "generator")
+        cached = self._load_cached("generator.matrix.json", GENERATOR)
         if cached is not None:
-            from .generator import GENERATOR, OperatorMatrix
-
-            return OperatorMatrix(self.basis, self.basis, cached, GENERATOR, {"cached": True})
+            return OperatorMatrix(self.basis, self.basis, cached["entries"], GENERATOR, cached["meta"])
         return assemble_generator(self.system, self.basis, self.grid)
 
     @cached_property
@@ -299,7 +290,7 @@ class PipelineContext:
         return self.periodic_setup_at(float(self.config["evaluation"]["y"]))
 
     def _load_cached(self, filename: str, provenance: str):
-        """Reuse an on-disk matrix if its manifest hash matches this config."""
+        """The on-disk matrix document, if its manifest hash matches this config."""
         path = self.out / filename
         manifest = self.out / "manifest.json"
         if not (path.exists() and manifest.exists()):
@@ -311,7 +302,7 @@ class PipelineContext:
             doc = read_matrix(path)
             if doc.get("provenance") != provenance:
                 return None
-            return doc["entries"]
+            return doc
         except (ValueError, KeyError, OSError):
             return None
 
@@ -320,13 +311,12 @@ def stage_assemble(ctx: PipelineContext) -> list[str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("assemble skipped: discrete map has no flow generator")
         return []
-    written = []
-    write_matrix(ctx.out / "generator.matrix.json", ctx.generator_matrix)
-    written.append("generator.matrix.json")
+    operators = {"generator.matrix.json": ctx.generator_matrix}
     if ctx.config["smoothing"] is not None:
-        write_matrix(ctx.out / "smoothed_generator.matrix.json", ctx.operator_for_spectra)
-        written.append("smoothed_generator.matrix.json")
-    return written
+        operators["smoothed_generator.matrix.json"] = ctx.operator_for_spectra
+    for fname, op in operators.items():
+        write_matrix(ctx.out / fname, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+    return list(operators)
 
 
 def stage_eig(ctx: PipelineContext) -> list[str]:
@@ -335,11 +325,14 @@ def stage_eig(ctx: PipelineContext) -> list[str]:
         return []
     report = ctx.sorted_spectrum
     write_json(ctx.out / "spectrum.json", report.to_json_dict())
-    write_frame(
+    count = int(ctx.leading_vectors.shape[1])
+    write_matrix(
         ctx.out / "leading_vectors.matrix.json",
         ctx.leading_vectors,
         ctx.basis.describe(),
-        {"count": int(ctx.leading_vectors.shape[1]), "sort_rule": report.sort_rule},
+        {"columns": count},
+        "projection",
+        {"count": count, "sort_rule": report.sort_rule},
     )
     return ["spectrum.json", "leading_vectors.matrix.json"]
 
@@ -351,10 +344,12 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
         for d in ctx.config["decomposition"]["d_values"]:
             sub = restrict_at_base(ctx.leading_vectors, ctx.basis, y, d)
             fname = f"subspace_d{d}.matrix.json"
-            write_frame(
+            write_matrix(
                 ctx.out / fname,
                 sub.frame,
                 ctx.basis.fiber_subbasis().describe(),
+                {"columns": sub.dim},
+                "projection",
                 {"y": y, "effective_rank": sub.effective_rank, "requested": d},
             )
             written.append(fname)
@@ -378,10 +373,12 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
                 desc = ctx.basis.fiber_subbasis().describe()
             else:
                 desc = {"kind": "cyclic-delta", "size": int(sub.frame.shape[0])}
-            write_frame(
+            write_matrix(
                 ctx.out / fname,
                 sub.frame,
                 desc,
+                {"columns": sub.dim},
+                "projection",
                 {"y": sub.y, "bin": sub.meta.get("bin"), "orbit_index": m},
             )
             written.append(fname)
@@ -442,12 +439,12 @@ def stage_cocycle_field(ctx: PipelineContext) -> list[str]:
     fgrid = Grid(tuple(ev["field_grid"]))
     formats = ctx.config["output"]["formats"]
     written = []
+    # The time-s flow from y is the same for every d.
+    w = continuous_w(ctx.system, y, s, fib, fgrid, ev["steps_per_unit_time"])
     for d in ctx.config["decomposition"]["d_values"]:
         q = build_test_vector(ctx.leading_vectors, ctx.basis, y, d)
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
-        field = hatw_field(
-            ctx.system, sub, y, s, q.coeffs, fib, fgrid, steps_per_unit_time=ev["steps_per_unit_time"]
-        )
+        field = hatw_field(sub, q.coeffs, w)
         if "csv" in formats:
             write_field_csv(ctx.out / f"field_d{d}.csv", field)
             written.append(f"field_d{d}.csv")

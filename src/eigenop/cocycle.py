@@ -3,21 +3,25 @@
 The discrete cocycle at step i is the product of per-step fiber transfer
 matrices along the orbit of y (adjoints for negative steps). The
 continuous analogue applies the time-s fiber flow by pointwise
-composition, which avoids a second truncation. Projected cocycle fields
-drive the coherent-pattern figures, and a product-space consistency
-check ties the per-fiber route to the direct composition operator.
+composition, which avoids a second truncation: continuous_w flows the
+fiber grid once and builds the evaluation matrix at the flowed points
+once, so each field it transports costs one matrix-vector product.
+Projected cocycle fields drive the coherent-pattern figures, and a
+product-space consistency check ties the per-fiber route to the direct
+composition operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .basis import FieldSample, Grid, TruncatedBasis, analyze, evaluate_at, sample_function, synthesize
-from .generator import FIBER_KOOPMAN, OperatorMatrix, assemble_fiber_koopman
-from .oseledets import FiberSubspace
-from .systems import ContinuousSkewSystem, DiscreteSkewMap, flow_fiber
+from .basis import FieldSample, Grid, TruncatedBasis, evaluation_matrix, synthesize
+from .generator import assemble_fiber_koopman
+from .oseledets import FiberSubspace, restrict_coefficients
+from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,10 @@ class TestVector:
 
 def build_test_vector(sorted_eigvecs: np.ndarray, basis: TruncatedBasis, y: float, d: int) -> TestVector:
     """Mean of the first d eigenvector fields restricted at base point y."""
-    from .eigenoperator import fiber_restriction
-
     if d < 1 or d > sorted_eigvecs.shape[1]:
         raise ValueError("d out of range for the supplied eigenvectors")
-    acc = np.zeros(basis.fiber_subbasis().size, dtype=complex)
-    for r in range(d):
-        acc += fiber_restriction(sorted_eigvecs[:, r], basis, y)
-    return TestVector(y=float(y), d=int(d), coeffs=acc / d)
+    restricted = restrict_coefficients(sorted_eigvecs[:, :d], basis, y)
+    return TestVector(y=float(y), d=int(d), coeffs=restricted.mean(axis=1))
 
 
 def discrete_w(
@@ -82,44 +82,39 @@ def discrete_w(
     return CocycleMatrix(y=float(y), index=float(i), matrix=out)
 
 
-def continuous_w_apply(
+def continuous_w(
     system: ContinuousSkewSystem,
     y: float,
     s: float,
-    u_coeffs: np.ndarray,
     fiber_basis: TruncatedBasis,
     fiber_grid: Grid,
     steps_per_unit_time: int = 200,
-) -> FieldSample:
-    """(w_s u)(y, .) on the fiber grid: evaluate u at the flowed points."""
-    u_coeffs = np.asarray(u_coeffs, dtype=complex)
+) -> Callable[[np.ndarray], FieldSample]:
+    """The map u -> (w_s u)(y, .) on the fiber grid: u evaluated at the flowed points.
+
+    The flow and the evaluation matrix are built once, here. At s = 0 the
+    map is synthesis on the grid.
+    """
     if s == 0.0:
-        return synthesize(u_coeffs, fiber_basis, fiber_grid)
-    if system.closed_form_fiber_flow is not None:
-        targets = np.atleast_2d(system.closed_form_fiber_flow(float(s), float(y), fiber_grid.nodes))
-    else:
-        steps = max(1, int(round(abs(s) * steps_per_unit_time)))
-        targets = np.atleast_2d(flow_fiber(system, float(y), fiber_grid.nodes, float(s), steps=steps))
-    values = evaluate_at(u_coeffs, fiber_basis, targets)
-    return FieldSample(fiber_grid, values.reshape(fiber_grid.shape))
+        return lambda u_coeffs: synthesize(u_coeffs, fiber_basis, fiber_grid)
+    targets = system.fiber_flow(s, y, fiber_grid.nodes, steps_per_unit_time)
+    evaluation = evaluation_matrix(fiber_basis, targets)
+
+    def apply(u_coeffs: np.ndarray) -> FieldSample:
+        values = evaluation @ np.asarray(u_coeffs, dtype=complex)
+        return FieldSample(fiber_grid, values.reshape(fiber_grid.shape))
+
+    return apply
 
 
 def hatw_field(
-    system: ContinuousSkewSystem,
     subspace: FiberSubspace,
-    y: float,
-    s: float,
     u_coeffs: np.ndarray,
-    fiber_basis: TruncatedBasis,
-    fiber_grid: Grid,
-    steps_per_unit_time: int = 200,
+    w: Callable[[np.ndarray], FieldSample],
 ) -> FieldSample:
     """Projected cocycle field: project u onto the subspace at h_s(y),
-    then transport with the time-s fiber flow."""
-    projected = subspace.projection @ np.asarray(u_coeffs, dtype=complex)
-    return continuous_w_apply(
-        system, y, s, projected, fiber_basis, fiber_grid, steps_per_unit_time
-    )
+    then transport with w = continuous_w(system, y, s, ...)."""
+    return w(subspace.projection @ np.asarray(u_coeffs, dtype=complex))
 
 
 def koopman_correspondence_check(
@@ -139,8 +134,7 @@ def koopman_correspondence_check(
     """
     if map_.fiber_kind != "torus":
         raise ValueError("product-space check requires a torus fiber")
-    if basis.roles[0] != "base" or any(r != "fiber" for r in basis.roles[1:]):
-        raise ValueError("basis must be one base factor followed by fiber factors")
+    basis.check_base_then_fibers()
     grid.check_no_aliasing(basis)
 
     # Route A: full composition matrix via quadrature on the product grid.
@@ -152,7 +146,7 @@ def koopman_correspondence_check(
     for r in range(nodes.shape[0]):
         gz[r] = map_.fiber_map(float(ynodes[r]), znodes[r])
     targets = np.concatenate([hy[:, None], gz], axis=1)
-    phases = np.exp(1j * (targets @ basis.modes.T.astype(float)))
+    phases = evaluation_matrix(basis, targets)
     conj_rows = np.exp(-1j * (nodes @ basis.modes.T.astype(float)))
     UT = (conj_rows.T @ phases) * grid.weight
 
@@ -183,10 +177,3 @@ def koopman_correspondence_check(
 
         worst = max(worst, float(np.max(np.abs(via_matrix - via_module))))
     return {"max_discrepancy": worst, "tests": test_count, "grid": list(grid.points)}
-
-
-def unitarity_discrepancy(U: OperatorMatrix, interior_index: np.ndarray) -> float:
-    """Max deviation of <Uw, Uw> from <w, w> over interior coordinate vectors."""
-    gram = U.entries.conj().T @ U.entries
-    diag = np.real(np.diag(gram)[interior_index])
-    return float(np.max(np.abs(diag - 1.0)))

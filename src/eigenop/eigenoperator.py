@@ -4,12 +4,13 @@ Discrete side: at base point y and step offset i, the multiplier is the
 fiber transfer matrix at h^i(y) composed with the subspace projection
 there; its frame compression carries the spectrum. The aggregate over
 y-samples builds one periodic setup per sample and serves every bin
-from it. Continuous side: the
-advection operator with the fiber velocity frozen at the advanced base
-point h_s(y), compressed to sections of the subspace over the base
-modes; for the closed-form benchmark this reproduces the analytic
-frequency ladder exactly. A rank-one closed form and a flow-shift
-invariance check round out the module.
+from it. Continuous side: the advection operator with the fiber velocity
+frozen at the advanced base point h_s(y), compressed to sections of the
+subspace over the base modes; for the closed-form benchmark this
+reproduces the analytic frequency ladder exactly. A rank-one closed
+form, which restricts the eigenvector field with
+oseledets.restrict_coefficients, and a flow-shift invariance check round
+out the module.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .basis import Grid, TruncatedBasis, synthesize
 from .generator import assemble_generator
-from .oseledets import FiberSubspace
+from .oseledets import FiberSubspace, restrict_coefficients
 from .spectra import SpectrumReport, eig_matrix, hausdorff_distance
 from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
@@ -58,18 +59,6 @@ class EigenoperatorSample:
 
     def spectrum(self, tol: float = 1e-8) -> SpectrumReport:
         return eig_matrix(self.matrix, tol=tol, source=self.kind, meta=dict(self.indices))
-
-
-def fiber_restriction(coeffs: np.ndarray, basis: TruncatedBasis, y: float) -> np.ndarray:
-    """Fiber coefficients of a product-basis coefficient vector at base y."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if basis.roles[0] != "base" or any(r != "fiber" for r in basis.roles[1:]):
-        raise ValueError("basis must be one base factor followed by fiber factors")
-    kbase = basis.cutoffs[0]
-    fib = basis.fiber_subbasis()
-    tensor = coeffs.reshape(2 * kbase + 1, fib.size)
-    phases = np.exp(1j * np.arange(-kbase, kbase + 1) * y)
-    return phases @ tensor
 
 
 def frozen_fiber_system(system: ContinuousSkewSystem, ystar: float) -> ContinuousSkewSystem:
@@ -136,7 +125,7 @@ def rank_one_spectrum(
     measure-preserving fiber dynamics.
     """
     fib = basis.fiber_subbasis()
-    c = fiber_restriction(v_coeffs, basis, y)
+    c = restrict_coefficients(v_coeffs, basis, y)
     nrm = float(np.linalg.norm(c))
     if nrm < 1e-8:
         raise DegenerateEigenvectorError(f"fiber norm {nrm:.3e} below 1e-8 at y={y:.6f}")
@@ -155,7 +144,7 @@ def rank_one_spectrum(
 def norm_constancy(v_coeffs: np.ndarray, basis: TruncatedBasis, y_samples: np.ndarray) -> float:
     """Max relative deviation of the restricted fiber norm across y."""
     norms = np.array(
-        [np.linalg.norm(fiber_restriction(v_coeffs, basis, y)) for y in y_samples]
+        [np.linalg.norm(restrict_coefficients(v_coeffs, basis, y)) for y in y_samples]
     )
     mean = norms.mean()
     if mean == 0.0:

@@ -14,23 +14,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import FieldSample, Grid, TruncatedBasis, analyze, sample_function
-from .systems import ContinuousSkewSystem, DiscreteSkewMap, flow_fiber
+from .basis import Grid, TruncatedBasis, evaluation_matrix
+from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
 GENERATOR = "generator"
 SMOOTHED_GENERATOR = "smoothed_generator"
 FIBER_KOOPMAN = "fiber_koopman"
 MULTIPLICATION = "multiplication"
-PROJECTION = "projection"
-COMPOSED = "composed"
 
 _PROVENANCE_TAGS = (
     GENERATOR,
     SMOOTHED_GENERATOR,
     FIBER_KOOPMAN,
     MULTIPLICATION,
-    PROJECTION,
-    COMPOSED,
 )
 
 
@@ -62,11 +58,6 @@ class OperatorMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows.size == self.cols.size
-
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.cols.size != other.rows.size:
-            raise ValueError("composition dimension mismatch")
-        return OperatorMatrix(self.rows, other.cols, self.entries @ other.entries, COMPOSED)
 
 
 def _difference_index(rows: TruncatedBasis, cols: TruncatedBasis, shape) -> np.ndarray:
@@ -103,8 +94,7 @@ def assemble_generator(
     factors. Entry (m', m) is the quadrature inner product of mode m'
     with the generator applied to mode m.
     """
-    if basis.roles[0] != "base" or any(r != "fiber" for r in basis.roles[1:]):
-        raise ValueError("basis must be one base factor followed by fiber factors")
+    basis.check_base_then_fibers()
     if basis.ndim != 1 + system.fiber_dim:
         raise ValueError("basis dimensionality does not match the system")
     grid.check_no_aliasing(basis)
@@ -175,12 +165,6 @@ def smoothed_generator(V: OperatorMatrix, w: SmoothingWeights, symmetric: bool =
     return OperatorMatrix(V.rows, V.cols, entries, SMOOTHED_GENERATOR, meta)
 
 
-def _fiber_flow_targets(system: ContinuousSkewSystem, y: float, nodes: np.ndarray, s: float, steps: int):
-    if system.closed_form_fiber_flow is not None:
-        return np.atleast_2d(system.closed_form_fiber_flow(s, y, nodes))
-    return np.atleast_2d(flow_fiber(system, y, nodes, s, steps=steps))
-
-
 def assemble_fiber_koopman(
     system,
     y: float,
@@ -200,11 +184,7 @@ def assemble_fiber_koopman(
 
     if isinstance(system, ContinuousSkewSystem):
         s = float(s)
-        if s == 0.0:
-            targets = nodes
-        else:
-            steps = max(1, int(round(abs(s) * steps_per_unit_time)))
-            targets = _fiber_flow_targets(system, y, nodes, s, steps)
+        targets = nodes if s == 0.0 else system.fiber_flow(s, y, nodes, steps_per_unit_time)
     elif isinstance(system, DiscreteSkewMap):
         if system.fiber_kind != "torus":
             raise ValueError("grid-based fiber Koopman requires a torus fiber")
@@ -219,7 +199,7 @@ def assemble_fiber_koopman(
         raise TypeError("unsupported system type")
 
     # Row m': quadrature of conj(mode_m') * e^{i m.targets} over nodes.
-    phases = np.exp(1j * (targets @ fiber_basis.modes.T.astype(float)))  # (nodes, N)
+    phases = evaluation_matrix(fiber_basis, targets)  # (nodes, N)
     conj_rows = np.exp(-1j * (nodes @ fiber_basis.modes.T.astype(float)))  # (nodes, N)
     entries = (conj_rows.T @ phases) * fiber_grid.weight
     meta = {"y": float(y), "s": float(s)}

@@ -2,8 +2,9 @@
 
 Matrix format: a single JSON document with a "payload" field holding the
 base64 encoding of the entries as little-endian float64 pairs (re, im),
-row-major. Field CSV: header `z1,z2,re,im`, row-major node order, 17
-significant digits. Heatmaps: binary PPM (P6) with a symmetric diverging
+row-major; write_matrix writes operators and subspace frames alike.
+Field CSV: header `z1,z2,re,im`, row-major node order, 17 significant
+digits. Heatmaps: binary PPM (P6) with a symmetric diverging
 scale about zero; the normalization constant lands in a sidecar JSON.
 All writers are deterministic: identical inputs give identical bytes.
 """
@@ -17,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import FieldSample, TruncatedBasis
-from .generator import OperatorMatrix
+from .basis import FieldSample
 
 MATRIX_FORMAT = "complex-matrix/base64-le-f64-interleaved/v1"
 
@@ -46,15 +46,20 @@ def decode_matrix(payload: str, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def write_matrix(path, matrix: OperatorMatrix):
+def write_matrix(path, entries: np.ndarray, rows: dict, cols: dict, provenance: str, meta: dict):
+    """One matrix document; rows and cols describe its two index sets.
+
+    An operator gives its bases' descriptions and its provenance tag. A
+    subspace frame gives its row basis, {"columns": k} and "projection".
+    """
     doc = {
         "format": MATRIX_FORMAT,
-        "rows": matrix.rows.describe(),
-        "cols": matrix.cols.describe(),
-        "shape": [matrix.rows.size, matrix.cols.size],
-        "provenance": matrix.provenance,
-        "meta": matrix.meta,
-        "payload": encode_matrix(matrix.entries),
+        "rows": rows,
+        "cols": cols,
+        "shape": list(np.shape(entries)),
+        "provenance": provenance,
+        "meta": meta,
+        "payload": encode_matrix(entries),
     }
     Path(path).write_text(canonical_json(doc) + "\n")
 
@@ -65,19 +70,6 @@ def read_matrix(path) -> dict:
         raise ValueError(f"unrecognized matrix format in {path}")
     doc["entries"] = decode_matrix(doc["payload"], tuple(doc["shape"]))
     return doc
-
-
-def write_frame(path, frame: np.ndarray, basis_desc: dict, meta: dict):
-    doc = {
-        "format": MATRIX_FORMAT,
-        "rows": basis_desc,
-        "cols": {"columns": int(frame.shape[1])},
-        "shape": [int(frame.shape[0]), int(frame.shape[1])],
-        "provenance": "projection",
-        "meta": meta,
-        "payload": encode_matrix(frame),
-    }
-    Path(path).write_text(canonical_json(doc) + "\n")
 
 
 def write_field_csv(path, sample: FieldSample):

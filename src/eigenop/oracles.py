@@ -85,11 +85,8 @@ def s3_table() -> GroupTable:
     """Symmetric group on {0,1,2}: trivial, sign, and the real 2-dim irrep."""
     elements = tuple(itertools.permutations(range(3)))
 
-    def compose(p, q):
-        # (p*q)(x) = p(q(x)), matching left-to-right application of maps.
-        return tuple(p[q[x]] for x in range(3))
-
-    product = {(p, q): compose(p, q) for p in elements for q in elements}
+    # (p*q)(x) = p(q(x)), matching left-to-right application of maps.
+    product = {(p, q): tuple(p[q[x]] for x in range(3)) for p in elements for q in elements}
     inverse = {}
     for p in elements:
         inv = [0, 0, 0]

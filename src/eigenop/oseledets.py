@@ -3,11 +3,12 @@
 Two constructions are provided. For continuous systems, eigenvectors of
 the (smoothed) generator over the product basis are restricted at a base
 point, which contracts the base frequencies against e^{iky} and leaves a
-frame in fiber-coefficient space. For discrete maps with a periodic
-base, the block-cyclic operator built from the per-step fiber transfer
-matrices is diagonalized and its eigenvectors are grouped by eigenvalue
-phase into spectral bins; the block components of each group give an
-equivariant subspace family along the whole base orbit. periodic_setup
+frame in fiber-coefficient space; restrict_coefficients is the one place
+that contraction is done. For discrete maps with a periodic base, the
+block-cyclic operator built from the per-step fiber transfer matrices is
+diagonalized and its eigenvectors are grouped by eigenvalue phase into
+spectral bins; the block components of each group give an equivariant
+subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
 transfers, isolating bins and families, which depend on that point only.
 """
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import Grid, TruncatedBasis
-from .generator import PROJECTION, OperatorMatrix, assemble_fiber_koopman, cyclic_fiber_koopman
+from .generator import assemble_fiber_koopman, cyclic_fiber_koopman
 from .systems import DiscreteSkewMap
 
 TWO_PI = 2.0 * np.pi
@@ -90,12 +91,6 @@ class SpectralBin:
 
 def arc_bin(lo: float, hi: float) -> SpectralBin:
     return SpectralBin(((lo, hi),))
-
-
-def full_bin_family(count: int) -> list[SpectralBin]:
-    """count equal half-open arcs covering [0, 2pi)."""
-    edges = np.linspace(0.0, TWO_PI, count + 1)
-    return [arc_bin(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def check_bin_family(bins: list[SpectralBin]):
@@ -194,9 +189,6 @@ class FiberSubspace:
     def projection(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def projection_matrix(self, basis: TruncatedBasis) -> OperatorMatrix:
-        return OperatorMatrix(basis, basis, self.projection, PROJECTION, {"y": self.y})
-
 
 def orthonormalize(columns: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
     """Modified Gram-Schmidt with one reorthogonalization pass.
@@ -222,6 +214,25 @@ def orthonormalize(columns: np.ndarray, threshold: float = RANK_THRESHOLD) -> np
     return np.stack(kept, axis=1)
 
 
+def restrict_coefficients(coeffs: np.ndarray, basis: TruncatedBasis, y: float) -> np.ndarray:
+    """Fiber coefficients of product-basis coefficients at base point y.
+
+    coeffs is one vector or a column array over the product basis. Each
+    column's coefficient tensor c_{k, j} contracts against e^{iky},
+    leaving the fiber coefficients sum_k c_{k, j} e^{iky}.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape[0] != basis.size:
+        raise ValueError("coefficient length does not match the basis")
+    basis.check_base_then_fibers()
+    kbase = basis.cutoffs[0]
+    # Lexicographic order with the base factor most significant means the
+    # coefficient vector reshapes to (base_modes, fiber_modes).
+    tensors = coeffs.reshape((2 * kbase + 1, basis.fiber_subbasis().size) + coeffs.shape[1:])
+    phases = np.exp(1j * np.arange(-kbase, kbase + 1) * y)
+    return np.einsum("k,kf...->f...", phases, tensors)
+
+
 def restrict_at_base(
     eigvecs: np.ndarray,
     basis: TruncatedBasis,
@@ -230,29 +241,12 @@ def restrict_at_base(
 ) -> FiberSubspace:
     """Evaluate product-space eigenvector columns at base point y.
 
-    Each column's coefficient tensor c_{k, j} contracts against e^{iky},
-    leaving fiber coefficients; the first d columns form the frame after
+    The first d columns, restricted at y, form the frame after
     orthonormalization.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    eigvecs = np.asarray(eigvecs, dtype=complex)
-    if eigvecs.shape[0] != basis.size:
-        raise ValueError("eigenvector length does not match the basis")
-    if basis.roles[0] != "base" or any(r != "fiber" for r in basis.roles[1:]):
-        raise ValueError("basis must be one base factor followed by fiber factors")
-    cols = eigvecs[:, :d]
-
-    kbase = basis.cutoffs[0]
-    nbase = 2 * kbase + 1
-    fib = basis.fiber_subbasis()
-    # Lexicographic order with the base factor most significant means the
-    # coefficient vector reshapes to (base_modes, fiber_modes).
-    tensors = cols.reshape(nbase, fib.size, cols.shape[1])
-    phases = np.exp(1j * np.arange(-kbase, kbase + 1) * y)
-    restricted = np.einsum("k,kfc->fc", phases, tensors)
-
-    frame = orthonormalize(restricted)
+    frame = orthonormalize(restrict_coefficients(np.asarray(eigvecs, dtype=complex)[:, :d], basis, y))
     if frame.shape[1] < d:
         warnings.warn(
             f"restriction at y={y:.6f} is rank deficient: kept {frame.shape[1]} of {d}",
@@ -394,12 +388,6 @@ def equivariance_residual(
     p_y = V_at_y.projection
     I = np.eye(p_y.shape[0])
     return float(np.linalg.norm((I - p_y) @ U @ p_hy, ord=2))
-
-
-def projection_defect(sub: FiberSubspace) -> float:
-    """max(||p^2 - p||, ||p* - p||) for the subspace projection."""
-    p = sub.projection
-    return float(max(np.linalg.norm(p @ p - p, ord=2), np.linalg.norm(p.conj().T - p, ord=2)))
 
 
 def completeness_defect(subs_at_y: list[FiberSubspace]) -> float:

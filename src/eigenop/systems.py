@@ -49,6 +49,17 @@ class ContinuousSkewSystem:
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return y
 
+    def fiber_flow(self, s: float, y: float, z, steps_per_unit_time: int = 200) -> np.ndarray:
+        """Fiber points z, shape (n, fiber_dim), moved by the time-s flow from base point y.
+
+        Closed form when available, else RK4 with round(|s| * steps_per_unit_time)
+        steps, at least one.
+        """
+        if self.closed_form_fiber_flow is not None:
+            return np.atleast_2d(self.closed_form_fiber_flow(float(s), float(y), z))
+        steps = max(1, int(round(abs(s) * steps_per_unit_time)))
+        return np.atleast_2d(flow_fiber(self, float(y), z, float(s), steps=steps))
+
 
 @dataclass(frozen=True)
 class DiscreteSkewMap:
@@ -175,7 +186,7 @@ def make_gaussian_vortex(kappa: float = 0.5) -> ContinuousSkewSystem:
     def base_velocity(y):
         return np.ones_like(np.asarray(y, dtype=float))
 
-    sys_ = ContinuousSkewSystem(
+    return ContinuousSkewSystem(
         name="gaussian_vortex",
         fiber_dim=2,
         base_velocity=base_velocity,
@@ -183,8 +194,6 @@ def make_gaussian_vortex(kappa: float = 0.5) -> ContinuousSkewSystem:
         closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
         parameters={"kappa": kappa},
     )
-    object.__setattr__(sys_, "parameters", {"kappa": kappa})
-    return sys_
 
 
 STRATOSPHERIC_DEFAULTS = {

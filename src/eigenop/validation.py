@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import Grid, TruncatedBasis, default_grid
-from .cocycle import continuous_w_apply, discrete_w, koopman_correspondence_check
+from .basis import TruncatedBasis, default_grid
+from .cocycle import continuous_w, discrete_w, koopman_correspondence_check
 from .eigenoperator import (
     continuous_eigenoperator,
     discrete_multiplier,
@@ -35,7 +35,7 @@ from .oseledets import (
     periodic_setup,
 )
 from .spectra import eig, match_multisets
-from .systems import ContinuousSkewSystem, make_cyclic_group, make_rotation, make_torus_translation
+from .systems import make_cyclic_group, make_rotation, make_torus_translation
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,7 +117,7 @@ def check_cocycle_closed_form():
         j = int(rng.integers(1, 4))
         u = np.zeros(fib.size, dtype=complex)
         u[fib.index_of((j,))] = 1.0
-        field = continuous_w_apply(numeric, y, s, u, fib, grid, steps_per_unit_time=200)
+        field = continuous_w(numeric, y, s, fib, grid, steps_per_unit_time=200)(u)
         _, phase = rotation_oracle(ALPHA, BETA, 0, j, y, s)
         expected = np.exp(1j * j * grid.nodes[:, 0]) * phase
         worst = max(worst, float(np.max(np.abs(field.values.ravel() - expected))))

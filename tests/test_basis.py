@@ -12,8 +12,7 @@ from eigenop.basis import (
     TruncatedBasis,
     analyze,
     default_grid,
-    evaluate_at,
-    mode_derivative,
+    evaluation_matrix,
     sample_function,
     synthesize,
 )
@@ -55,11 +54,6 @@ def test_size_and_subbases():
 def test_invalid_role_rejected():
     with pytest.raises(ValueError):
         TruncatedBasis((2,), ("driver",))
-
-
-def test_mode_derivative_symbol():
-    assert mode_derivative((3, -2), 0) == 3j
-    assert mode_derivative((3, -2), 1) == -2j
 
 
 def test_grid_weights_sum_to_one():
@@ -118,7 +112,7 @@ def test_evaluate_at_agrees_with_synthesize_on_nodes():
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     on_grid = synthesize(coeffs, basis, grid).values.ravel()
-    direct = evaluate_at(coeffs, basis, grid.nodes)
+    direct = evaluation_matrix(basis, grid.nodes) @ coeffs
     assert np.max(np.abs(on_grid - direct)) < 1e-12
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from eigenop import cli, oseledets
+from eigenop import cli, oseledets, systems
+from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
+from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of
 
 
@@ -132,26 +134,106 @@ def test_manifest_has_no_timestamps(tmp_path):
     assert "timestamp" not in text and "created" not in text and "date" not in text
 
 
-def test_cached_generator_is_reused(tmp_path):
+def _count_assembly(monkeypatch) -> list:
+    calls = []
+    original = cli.assemble_generator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "assemble_generator", counting)
+    return calls
+
+
+def test_cached_generator_is_reused(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
     cli.run_pipeline(cfg, out, ("assemble",))
-    first = read_matrix(out / "generator.matrix.json")["entries"]
-    # A second context over the same directory must load the matrix from
-    # disk instead of reassembling it.
+    first = read_matrix(out / "generator.matrix.json")
+    # A second context over the same directory must load the matrix, and
+    # its meta, from disk instead of reassembling it.
+    calls = _count_assembly(monkeypatch)
     ctx = cli.PipelineContext(cfg, out)
-    assert ctx.generator_matrix.meta.get("cached") is True
-    assert np.array_equal(ctx.generator_matrix.entries, first)
+    assert ctx.generator_matrix.meta == first["meta"]
+    assert np.array_equal(ctx.generator_matrix.entries, first["entries"])
+    assert calls == []
 
 
-def test_cache_ignored_when_config_changes(tmp_path):
+def test_cache_ignored_when_config_changes(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
     cli.run_pipeline(cfg, out, ("assemble",))
     other = cli.resolve_config(_small_rotation_config())
     other["evaluation"]["y"] = 1.0
+    calls = _count_assembly(monkeypatch)
     ctx = cli.PipelineContext(other, out)
     assert ctx.generator_matrix.meta.get("cached") is None
+    assert len(calls) == 1
+
+
+def test_rerun_into_same_directory_reproduces_every_artifact(tmp_path):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    first = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    second = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert "generator.matrix.json" in first["outputs"]
+    assert second["outputs"] == first["outputs"]
+
+
+def _small_vortex_config():
+    return {
+        "system": {"name": "gaussian_vortex", "params": {"kappa": 0.5}},
+        "truncation": {"cutoffs": [2, 2, 2]},
+        "smoothing": {"tau": 0.1, "p": 0.1},
+        "decomposition": {"d_values": [1, 2], "subspace_rank": 1, "n_leading": 4},
+        "evaluation": {"y": 0.4, "s": 0.1, "field_grid": [16, 16], "steps_per_unit_time": 200},
+    }
+
+
+def _count_flows(monkeypatch) -> list:
+    calls = []
+    original = systems.flow_fiber
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "flow_fiber", counting)
+    return calls
+
+
+def test_cocycle_fields_match_a_flow_per_d(tmp_path):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    # Reference: flow the grid and evaluate the projected test vector
+    # separately for each d.
+    system = systems.make_system("gaussian_vortex", kappa=0.5)
+    basis = TruncatedBasis((2, 2, 2), ("base", "fiber", "fiber"))
+    fib = basis.fiber_subbasis()
+    vecs = read_matrix(out / "leading_vectors.matrix.json")["entries"]
+    y, s = 0.4, 0.1
+    ystar = float(np.mod(system.base_flow(s, np.asarray(y)), 2 * np.pi))
+    nodes = Grid((16, 16)).nodes
+    for d in (1, 2):
+        q = build_test_vector(vecs, basis, y, d).coeffs
+        sub = oseledets.restrict_at_base(vecs, basis, ystar, d)
+        targets = systems.flow_fiber(system, y, nodes, s, steps=20)  # round(s * steps_per_unit_time)
+        expected = evaluation_matrix(fib, targets) @ (sub.projection @ q)
+        table = np.loadtxt(out / f"field_d{d}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, :2], nodes)
+        assert np.max(np.abs(table[:, 2] + 1j * table[:, 3] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_cocycle_field_stage_flows_once(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    calls = _count_flows(monkeypatch)
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert len(calls) == 1
+    cli.run_pipeline(cfg, out, ("cocycle-field",))
+    assert len(calls) == 2
 
 
 def test_discrete_pipeline_stages(tmp_path):

@@ -11,7 +11,6 @@ from eigenop.eigenoperator import (
     continuous_eigenoperator,
     discrete_eigenoperator_spectrum,
     discrete_multiplier,
-    fiber_restriction,
     frozen_fiber_system,
     norm_constancy,
     rank_one_spectrum,
@@ -19,7 +18,7 @@ from eigenop.eigenoperator import (
     _tolerance_union,
 )
 from eigenop.generator import assemble_fiber_koopman
-from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace, PeriodicSetup, periodic_setup
+from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
 from eigenop.spectra import match_multisets
 from eigenop.systems import make_cyclic_group, make_rotation, make_torus_translation
 
@@ -41,9 +40,12 @@ def test_fiber_restriction_contracts_base_modes():
     vb = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     uf = rng.standard_normal(fib.size) + 1j * rng.standard_normal(fib.size)
     y = 1.3
-    restricted = fiber_restriction(np.kron(vb, uf), basis, y)
+    restricted = restrict_coefficients(np.kron(vb, uf), basis, y)
     scalar = np.exp(1j * np.arange(-2, 3) * y) @ vb
     assert np.max(np.abs(restricted - scalar * uf)) < 1e-12
+    # Columns contract one by one.
+    cols = restrict_coefficients(np.stack([np.kron(vb, uf), np.kron(vb, 2 * uf)], axis=1), basis, y)
+    assert np.max(np.abs(cols - scalar * np.stack([uf, 2 * uf], axis=1))) < 1e-12
 
 
 def test_frozen_fiber_system_pins_base_point():

@@ -192,13 +192,3 @@ def test_interior_band_slice_half_cutoffs():
     assert np.all(np.abs(kept[:, 0]) <= 2)
     assert np.all(np.abs(kept[:, 1]) <= 3)
     assert len(idx) == 5 * 7
-
-
-def test_compose_dimension_guard():
-    b1 = TruncatedBasis((1,), ("fiber",))
-    b2 = TruncatedBasis((2,), ("fiber",))
-    a = OperatorMatrix(b1, b1, np.eye(3, dtype=complex), "generator")
-    b = OperatorMatrix(b2, b2, np.eye(5, dtype=complex), "generator")
-    with pytest.raises(ValueError):
-        a.compose(b)
-    assert a.compose(a).provenance == "composed"

@@ -16,7 +16,6 @@ from eigenop.ioformats import (
     read_matrix,
     sha256_of,
     write_field_csv,
-    write_frame,
     write_heatmap_ppm,
     write_json,
     write_matrix,
@@ -42,7 +41,7 @@ def test_write_read_matrix_round_trip(tmp_path):
     entries = np.arange(9, dtype=float).reshape(3, 3) + 1j
     op = OperatorMatrix(basis, basis, entries, "generator", {"note": "x"})
     path = tmp_path / "m.matrix.json"
-    write_matrix(path, op)
+    write_matrix(path, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
     doc = read_matrix(path)
     assert doc["format"] == MATRIX_FORMAT
     assert doc["provenance"] == "generator"
@@ -61,18 +60,20 @@ def test_write_matrix_deterministic_bytes(tmp_path):
     basis = TruncatedBasis((1,), ("fiber",))
     op = OperatorMatrix(basis, basis, np.eye(3, dtype=complex), "generator")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_matrix(p1, op)
-    write_matrix(p2, op)
+    for path in (p1, p2):
+        write_matrix(path, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_write_frame_records_shape(tmp_path):
     frame = np.eye(4, dtype=complex)[:, :2]
     path = tmp_path / "frame.matrix.json"
-    write_frame(path, frame, {"kind": "cyclic-delta", "size": 4}, {"y": 0.5})
+    write_matrix(path, frame, {"kind": "cyclic-delta", "size": 4}, {"columns": 2}, "projection", {"y": 0.5})
     doc = read_matrix(path)
     assert doc["shape"] == [4, 2]
     assert doc["rows"]["kind"] == "cyclic-delta"
+    assert doc["cols"] == {"columns": 2}
+    assert doc["provenance"] == "projection"
     assert np.array_equal(doc["entries"], frame)
 
 
