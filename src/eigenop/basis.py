@@ -72,19 +72,12 @@ class TruncatedBasis:
             idx = idx * (2 * k + 1) + (m + k)
         return idx
 
-    def base_axes(self) -> tuple[int, ...]:
-        return tuple(d for d, r in enumerate(self.roles) if r == BASE)
-
     def fiber_axes(self) -> tuple[int, ...]:
         return tuple(d for d, r in enumerate(self.roles) if r == FIBER)
 
     def fiber_subbasis(self) -> "TruncatedBasis":
         axes = self.fiber_axes()
         return TruncatedBasis(tuple(self.cutoffs[d] for d in axes), (FIBER,) * len(axes))
-
-    def base_subbasis(self) -> "TruncatedBasis":
-        axes = self.base_axes()
-        return TruncatedBasis(tuple(self.cutoffs[d] for d in axes), (BASE,) * len(axes))
 
     def check_base_then_fibers(self):
         """Raise unless the layout is one base factor followed by fiber factors."""

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-if os.environ.get("EIGENOP_THREADS") and "OMP_NUM_THREADS" not in os.environ:
-    os.environ["OMP_NUM_THREADS"] = os.environ["EIGENOP_THREADS"]
 from functools import cached_property
 from pathlib import Path
 
@@ -279,8 +275,6 @@ class PipelineContext:
         map_ = self.system
         if map_.base_period is None:
             raise ConfigError("periodic decomposition needs a declared base period")
-        if map_.fiber_kind not in ("torus", "cyclic"):
-            raise ConfigError(f"pipeline does not decompose fiber kind '{map_.fiber_kind}'")
         fib = self.basis.fiber_subbasis()
         return periodic_setup(map_, y, fib, default_grid(fib, self.config["grid"]["multiplier"]))
 
@@ -444,12 +438,12 @@ def stage_cocycle_field(ctx: PipelineContext) -> list[str]:
     for d in ctx.config["decomposition"]["d_values"]:
         q = build_test_vector(ctx.leading_vectors, ctx.basis, y, d)
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
-        field = hatw_field(sub, q.coeffs, w)
+        field = hatw_field(sub, q, w)
         if "csv" in formats:
             write_field_csv(ctx.out / f"field_d{d}.csv", field)
             written.append(f"field_d{d}.csv")
         if "ppm" in formats:
-            write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field, component="re")
+            write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
             written.extend([f"field_d{d}.ppm", f"field_d{d}.ppm.json"])
     return written
 

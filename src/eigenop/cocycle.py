@@ -13,7 +13,6 @@ composition operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,39 +23,11 @@ from .oseledets import FiberSubspace, restrict_coefficients
 from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
 
-@dataclass(frozen=True)
-class CocycleMatrix:
-    """Cocycle product matrix at one base point and time index."""
-
-    y: float
-    index: float
-    matrix: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TestVector:
-    """Average of the d leading eigenvector fields, as fiber coefficients."""
-
-    y: float
-    d: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("test-vector coefficients must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def build_test_vector(sorted_eigvecs: np.ndarray, basis: TruncatedBasis, y: float, d: int) -> TestVector:
-    """Mean of the first d eigenvector fields restricted at base point y."""
+def build_test_vector(sorted_eigvecs: np.ndarray, basis: TruncatedBasis, y: float, d: int) -> np.ndarray:
+    """Mean of the first d eigenvector fields restricted at base point y, as fiber coefficients."""
     if d < 1 or d > sorted_eigvecs.shape[1]:
         raise ValueError("d out of range for the supplied eigenvectors")
-    restricted = restrict_coefficients(sorted_eigvecs[:, :d], basis, y)
-    return TestVector(y=float(y), d=int(d), coeffs=restricted.mean(axis=1))
+    return restrict_coefficients(sorted_eigvecs[:, :d], basis, y).mean(axis=1)
 
 
 def discrete_w(
@@ -65,7 +36,7 @@ def discrete_w(
     i: int,
     transfer_fn,
     dim: int,
-) -> CocycleMatrix:
+) -> np.ndarray:
     """Cocycle product at integer step i; i=0 gives the identity.
 
     transfer_fn(base_point) returns the fiber transfer matrix there.
@@ -79,7 +50,7 @@ def discrete_w(
     else:
         for k in range(-1, i - 1, -1):
             out = out @ np.asarray(transfer_fn(map_.base_iterate(y, k)), dtype=complex).conj().T
-    return CocycleMatrix(y=float(y), index=float(i), matrix=out)
+    return out
 
 
 def continuous_w(

@@ -180,20 +180,19 @@ def shift_invariance_check(
     basis: TruncatedBasis,
     grid: Grid,
     y_count: int = 64,
-    pullback: bool = True,
 ) -> dict:
     """Hausdorff distance between y-aggregated spectra at shift s and at 0.
 
     A positive-measure union over base points is surrogate-sampled on an
-    equispaced y-grid. With pullback enabled the shifted aggregation
-    evaluates at the backward-flowed grid, so both unions sample the
-    same base set and the distances isolate genuine spectral drift.
+    equispaced y-grid. The shifted aggregation evaluates at the
+    backward-flowed grid, so both unions sample the same base set and
+    the distances isolate genuine spectral drift.
     """
     ygrid = np.linspace(0.0, 2 * np.pi, y_count, endpoint=False)
     ref = aggregated_continuous_spectrum(system, subspace_factory, ygrid, 0.0, basis, grid)
     distances = {}
     for s in s_values:
-        pts = system.base_flow(-float(s), ygrid) if pullback else ygrid
+        pts = system.base_flow(-float(s), ygrid)
         spec = aggregated_continuous_spectrum(system, subspace_factory, pts, float(s), basis, grid)
         distances[float(s)] = hausdorff_distance(spec, ref)
     return distances
@@ -250,7 +249,6 @@ def discrete_eigenoperator_spectrum(
     i: int,
     setup_fn,
     bin_count: int,
-    tol: float = 1e-8,
 ) -> list[dict]:
     """Per-bin aggregated spectra of the frame-compressed multipliers over y samples.
 
@@ -294,7 +292,7 @@ def discrete_eigenoperator_spectrum(
             "i": int(i),
             "dimension": int(dims[b] or 0),
             "y_samples": [float(y) for y in y_samples],
-            "eigenvalues": _tolerance_union(per_sample[b], tol),
+            "eigenvalues": _tolerance_union(per_sample[b], 1e-8),
         }
         for b in range(bin_count)
     ]

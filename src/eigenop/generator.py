@@ -20,13 +20,11 @@ from .systems import ContinuousSkewSystem, DiscreteSkewMap
 GENERATOR = "generator"
 SMOOTHED_GENERATOR = "smoothed_generator"
 FIBER_KOOPMAN = "fiber_koopman"
-MULTIPLICATION = "multiplication"
 
 _PROVENANCE_TAGS = (
     GENERATOR,
     SMOOTHED_GENERATOR,
     FIBER_KOOPMAN,
-    MULTIPLICATION,
 )
 
 
@@ -73,14 +71,6 @@ def _difference_index(rows: TruncatedBasis, cols: TruncatedBasis, shape) -> np.n
         idx += diff * stride
         stride *= shape[d]
     return idx
-
-
-def _mode_difference_gather(rows: TruncatedBasis, cols: TruncatedBasis, spectrum: np.ndarray) -> np.ndarray:
-    """Matrix G[m', m] = spectrum[(modes[m'] - modes[m]) mod gridshape].
-
-    spectrum is an FFT-normalized coefficient array over the sampling grid.
-    """
-    return spectrum.ravel()[_difference_index(rows, cols, spectrum.shape)]
 
 
 def assemble_generator(
@@ -217,26 +207,6 @@ def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:
         # (U f)(w) = f(g(y, w)) in the delta basis.
         U[w, target] = 1.0
     return U
-
-
-def integer_fiber_koopman(map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis, fiber_grid: Grid) -> OperatorMatrix:
-    """Fourier-conjugate matrix of a lattice translation: multiplication by
-    e^{i gtilde(y) omega} on the circle of frequencies omega."""
-    if map_.fiber_kind != "integer_lattice":
-        raise ValueError("integer lattice fiber required")
-    shift = int(map_.gtilde(y))
-    return assemble_multiplication(
-        lambda om: np.exp(1j * shift * om[:, 0]), fiber_basis, fiber_grid
-    )
-
-
-def assemble_multiplication(symbol, fiber_basis: TruncatedBasis, fiber_grid: Grid) -> OperatorMatrix:
-    """Matrix of u -> symbol * u; Toeplitz in the mode difference."""
-    fiber_grid.check_no_aliasing(fiber_basis)
-    vals = np.asarray(symbol(fiber_grid.nodes), dtype=complex).reshape(fiber_grid.shape)
-    spec = np.fft.fftn(vals) / fiber_grid.size
-    entries = _mode_difference_gather(fiber_basis, fiber_basis, spec)
-    return OperatorMatrix(fiber_basis, fiber_basis, entries, MULTIPLICATION)
 
 
 def interior_band_slice(basis: TruncatedBasis) -> np.ndarray:

@@ -94,15 +94,15 @@ def _diverging_rgb(t: np.ndarray) -> np.ndarray:
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
-def write_heatmap_ppm(path, sample: FieldSample, component: str = "re"):
-    """Binary PPM of one field component, symmetric scale about zero.
+def write_heatmap_ppm(path, sample: FieldSample):
+    """Binary PPM of the field's real part, symmetric scale about zero.
 
     Writes a sidecar JSON next to the image with the normalization
     constant and the component tag.
     """
     if sample.grid.ndim != 2:
         raise ValueError("heatmap export requires a 2-d fiber grid")
-    data = sample.values.real if component == "re" else sample.values.imag
+    data = sample.values.real
     vmax = float(np.max(np.abs(data)))
     scale = vmax if vmax > 0 else 1.0
     img = _diverging_rgb(data / scale)
@@ -111,7 +111,7 @@ def write_heatmap_ppm(path, sample: FieldSample, component: str = "re"):
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
     sidecar = {
-        "component": component,
+        "component": "re",
         "normalization_max_abs": vmax,
         "width": w,
         "height": h,

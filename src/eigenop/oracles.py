@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -187,23 +185,3 @@ def peter_weyl_blockdiag(group: GroupTable, gtilde) -> dict:
         "unitarity_residual": float(np.linalg.norm(gamma.conj().T @ gamma - np.eye(n))),
         "block_residual": float(np.max(np.abs(transformed - expected))),
     }
-
-
-def z_fiber_symbol(gtilde: int, lo: float, hi: float) -> dict:
-    """Range of e^{i*gtilde*omega} over the phase arc [lo, hi).
-
-    This is the continuous spectrum of the lattice translation compressed
-    by the spectral window [lo, hi).
-    """
-    gtilde = int(gtilde)
-    if not (0.0 <= lo < hi <= TWO_PI):
-        raise ValueError("arc must satisfy 0 <= lo < hi <= 2pi")
-    if gtilde == 0:
-        return {"type": "point", "values": [1.0 + 0.0j]}
-    width = abs(gtilde) * (hi - lo)
-    if width >= TWO_PI:
-        return {"type": "full_circle"}
-    a, b = gtilde * lo, gtilde * hi
-    if a > b:
-        a, b = b, a
-    return {"type": "arc", "phase_lo": float(np.mod(a, TWO_PI)), "phase_width": float(b - a)}

@@ -6,11 +6,12 @@ point, which contracts the base frequencies against e^{iky} and leaves a
 frame in fiber-coefficient space; restrict_coefficients is the one place
 that contraction is done. For discrete maps with a periodic base, the
 block-cyclic operator built from the per-step fiber transfer matrices is
-diagonalized and its eigenvectors are grouped by eigenvalue phase into
-spectral bins; the block components of each group give an equivariant
+diagonalized once: its eigen-phases give the isolating bins, and the
+block components of each bin's eigenvectors give an equivariant
 subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
-transfers, isolating bins and families, which depend on that point only.
+transfers, the one block eigensolve, isolating bins and families, which
+depend on that point only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ SPECTRAL_BIN = "spectral_bin"
 
 RANK_THRESHOLD = 1e-8
 BOUNDARY_TOL = 1e-10
+CLUSTER_TOL = 1e-6
 
 
 class BinBoundaryWarning(UserWarning):
@@ -103,7 +105,7 @@ def check_bin_family(bins: list[SpectralBin]):
             raise ValueError("bin family must be disjoint and gap-free")
 
 
-def isolating_bins(eigenvalues: np.ndarray, n: int, cluster_tol: float = 1e-6) -> list[SpectralBin]:
+def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
     """Bin family separating the invariant mode groups of a period-n cocycle.
 
     Eigenvalues of the block-cyclic operator come in n-th-root ladders:
@@ -122,7 +124,7 @@ def isolating_bins(eigenvalues: np.ndarray, n: int, cluster_tol: float = 1e-6) -
     reps: list[complex] = []
     for idx in np.lexsort((lam.imag, lam.real)):
         for gi, rep in enumerate(reps):
-            if abs(powers[idx] - rep) <= cluster_tol:
+            if abs(powers[idx] - rep) <= CLUSTER_TOL:
                 labels[idx] = gi
                 break
         else:
@@ -190,11 +192,11 @@ class FiberSubspace:
         return self.frame @ self.frame.conj().T
 
 
-def orthonormalize(columns: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
+def orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with one reorthogonalization pass.
 
-    Columns falling below threshold (relative to the largest incoming
-    column norm) are dropped; the result has orthonormal columns.
+    Columns falling below RANK_THRESHOLD (relative to the largest
+    incoming column norm) are dropped; the result has orthonormal columns.
     """
     cols = np.asarray(columns, dtype=complex)
     if cols.ndim != 2 or cols.shape[1] == 0:
@@ -207,7 +209,7 @@ def orthonormalize(columns: np.ndarray, threshold: float = RANK_THRESHOLD) -> np
             for q in kept:
                 v -= q * (q.conj() @ v)
         nv = np.linalg.norm(v)
-        if nv > threshold * scale:
+        if nv > RANK_THRESHOLD * scale:
             kept.append(v / nv)
     if not kept:
         return np.zeros((cols.shape[0], 0), dtype=complex)
@@ -279,14 +281,17 @@ def cyclic_block_matrix(fiber_koopmans: list[np.ndarray]) -> np.ndarray:
 def periodic_subspaces(
     map_: DiscreteSkewMap,
     y: float,
-    fiber_koopmans: list[np.ndarray],
+    values: np.ndarray,
+    vectors: np.ndarray,
     bins: list[SpectralBin],
 ) -> list[list[FiberSubspace]]:
     """Equivariant subspace families along a periodic base orbit.
 
-    fiber_koopmans[k] must be the fiber transfer matrix at base point
-    h^k(y), k = 0..n-1. Returns one family per bin; family[m] lives at
-    h^m(y), so family[0] is the subspace at y itself.
+    values and vectors are the eigendecomposition of the block-cyclic
+    operator cyclic_block_matrix(transfers), where transfers[k] is the
+    fiber transfer matrix at h^k(y), k = 0..n-1. Returns one family per
+    bin; family[m] lives at h^m(y), so family[0] is the subspace at y
+    itself.
 
     The block matrix has row k mapping block k+1 (mod n): blocks
     1..n-1 carry the transfer matrices at h(y)..h^{n-1}(y) and the
@@ -295,12 +300,10 @@ def periodic_subspaces(
     families with transfer-equivariant members.
     """
     n = map_.base_period
-    if n is None or len(fiber_koopmans) != n:
-        raise ValueError("need one fiber transfer matrix per orbit point")
+    if n is None or vectors.shape[0] % n != 0:
+        raise ValueError("the decomposition must split into one block per orbit point")
     check_bin_family(bins)
-    N = fiber_koopmans[0].shape[0]
-    big = cyclic_block_matrix(fiber_koopmans)
-    values, vectors = np.linalg.eig(big)
+    N = vectors.shape[0] // n
     phases = _phase(values)
     live = np.abs(values) > 0.5
 
@@ -372,9 +375,9 @@ def periodic_setup(
         raise ValueError(f"no periodic decomposition for fiber kind '{map_.fiber_kind}'")
     orbit = map_.base_orbit(y)
     transfers = [transfer(w) for w in orbit]
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
+    values, vectors = np.linalg.eig(cyclic_block_matrix(transfers))
     bins = isolating_bins(values, map_.base_period)
-    families = periodic_subspaces(map_, y, transfers, bins)
+    families = periodic_subspaces(map_, y, values, vectors, bins)
     return PeriodicSetup(float(y), orbit, transfers, transfer, bins, families)
 
 

@@ -58,8 +58,8 @@ class SpectrumReport:
         }
 
 
-def matrix_norm_estimate(A: np.ndarray, iterations: int = 50) -> float:
-    """Deterministic power-iteration estimate of the spectral norm."""
+def matrix_norm_estimate(A: np.ndarray) -> float:
+    """Deterministic 50-step power-iteration estimate of the spectral norm."""
     n = A.shape[0]
     if n == 0:
         return 0.0
@@ -68,7 +68,7 @@ def matrix_norm_estimate(A: np.ndarray, iterations: int = 50) -> float:
     v /= np.linalg.norm(v)
     sigma = 0.0
     AH = A.conj().T
-    for _ in range(iterations):
+    for _ in range(50):
         w = AH @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:

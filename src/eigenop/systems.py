@@ -1,8 +1,7 @@
 """Skew-product system registry: continuous flows and discrete maps.
 
 The base coordinate y lives on a single circle and drives the fiber z,
-which is either a torus (one or two circles), a finite cyclic group, or
-the integer lattice realized through its Fourier conjugate on the circle.
+which is either a torus (one or two circles) or a finite cyclic group.
 Continuous systems carry analytic velocity fields; discrete maps carry a
 base rotation of finite period and a fiber translation.
 """
@@ -66,11 +65,10 @@ class DiscreteSkewMap:
     """Skew map T(y, z) = (h(y), g(y, z)) with periodic base rotation."""
 
     name: str
-    fiber_kind: str  # "torus" | "cyclic" | "integer_lattice"
+    fiber_kind: str  # "torus" | "cyclic"
     base_map: Callable[[np.ndarray], np.ndarray]
     fiber_map: Callable[[float, np.ndarray], np.ndarray]
     base_period: Optional[int] = None
-    gtilde: Optional[Callable[[float], float]] = None
     fiber_size: Optional[int] = None  # cyclic only
     parameters: dict = field(default_factory=dict)
 
@@ -294,7 +292,6 @@ def make_torus_translation(n: int = 4, gtilde=None) -> DiscreteSkewMap:
         base_map=h,
         fiber_map=g,
         base_period=n,
-        gtilde=gtilde,
         parameters={"n": n},
     )
 
@@ -322,35 +319,8 @@ def make_cyclic_group(m: int = 6, n: int = 3, gtilde=None) -> DiscreteSkewMap:
         base_map=h,
         fiber_map=g,
         base_period=n,
-        gtilde=gtilde,
         fiber_size=m,
         parameters={"m": m, "n": n},
-    )
-
-
-def make_z_translation(n: int = 4, gtilde=None) -> DiscreteSkewMap:
-    """Fiber Z, g(y, z) = z + gtilde(y) with integer gtilde, realized through
-    the Fourier conjugate multiplication operator on the circle."""
-    if gtilde is None:
-        gtilde = _step_gtilde([1, 2], [0.0, np.pi])
-    elif np.isscalar(gtilde):
-        val = int(gtilde)
-        gtilde = lambda y: val
-
-    def h(y):
-        return np.mod(np.asarray(y, dtype=float) + TWO_PI / n, TWO_PI)
-
-    def g(y, z):
-        return np.asarray(z) + int(gtilde(y))
-
-    return DiscreteSkewMap(
-        name="z_translation",
-        fiber_kind="integer_lattice",
-        base_map=h,
-        fiber_map=g,
-        base_period=n,
-        gtilde=gtilde,
-        parameters={"n": n},
     )
 
 
@@ -363,7 +333,6 @@ CONTINUOUS_BUILTINS = {
 DISCRETE_BUILTINS = {
     "torus_translation": make_torus_translation,
     "cyclic_group": make_cyclic_group,
-    "z_translation": make_z_translation,
 }
 
 
@@ -393,9 +362,9 @@ def _divergence_residual(system: ContinuousSkewSystem, y, z, eps=1e-5) -> float:
     return abs(float(div))
 
 
-def validate_system(system, rng_seed: int = 0) -> dict:
+def validate_system(system) -> dict:
     """Report-only consistency checks; never raises on failure."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     checks = []
 
     def record(name, residual, tol):

@@ -228,8 +228,8 @@ def check_decomposition_identity():
         dim = setup.transfers[0].shape[0]
         for family in setup.families:
             for i in range(-2, 3):
-                w_i = discrete_w(map_, y0, i, transfer_fn, dim).matrix
-                w_next = discrete_w(map_, y0, i + 1, transfer_fn, dim).matrix
+                w_i = discrete_w(map_, y0, i, transfer_fn, dim)
+                w_next = discrete_w(map_, y0, i + 1, transfer_fn, dim)
                 hatw_i = w_i @ family[i % n].projection
                 hatw_next = w_next @ family[(i + 1) % n].projection
                 mult = discrete_multiplier(map_, family, transfer_fn, y0, i).matrix

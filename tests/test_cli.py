@@ -217,7 +217,7 @@ def test_cocycle_fields_match_a_flow_per_d(tmp_path):
     ystar = float(np.mod(system.base_flow(s, np.asarray(y)), 2 * np.pi))
     nodes = Grid((16, 16)).nodes
     for d in (1, 2):
-        q = build_test_vector(vecs, basis, y, d).coeffs
+        q = build_test_vector(vecs, basis, y, d)
         sub = oseledets.restrict_at_base(vecs, basis, ystar, d)
         targets = systems.flow_fiber(system, y, nodes, s, steps=20)  # round(s * steps_per_unit_time)
         expected = evaluation_matrix(fib, targets) @ (sub.projection @ q)
@@ -252,9 +252,9 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
     calls = []
     original = oseledets.periodic_subspaces
 
-    def counting(map_, y, fiber_koopmans, bins):
+    def counting(map_, y, values, vectors, bins):
         calls.append(y)
-        return original(map_, y, fiber_koopmans, bins)
+        return original(map_, y, values, vectors, bins)
 
     monkeypatch.setattr(oseledets, "periodic_subspaces", counting)
     raw = _small_discrete_config()
@@ -262,6 +262,19 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
     cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
     # The evaluation point once, shared by two stages, plus one per sample.
     assert 0 < len(calls) <= 9
+
+
+@pytest.mark.parametrize("name", sorted({**systems.CONTINUOUS_BUILTINS, **systems.DISCRETE_BUILTINS}))
+def test_every_registered_system_runs_the_pipeline(name, tmp_path):
+    fiber_dim = getattr(systems.make_system(name), "fiber_dim", 1)
+    path = tmp_path / "cfg.json"
+    raw = {
+        "system": {"name": name},
+        "truncation": {"cutoffs": [2] * (1 + fiber_dim)},
+        "evaluation": {"y_sample_count": 4, "field_grid": [8, 8]},
+    }
+    path.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_main_runs_single_stage(tmp_path, capsys):

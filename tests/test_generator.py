@@ -9,16 +9,14 @@ from eigenop.generator import (
     OperatorMatrix,
     assemble_fiber_koopman,
     assemble_generator,
-    assemble_multiplication,
     cyclic_fiber_koopman,
-    integer_fiber_koopman,
     interior_band_slice,
     skew_symmetry_residual,
     smoothed_generator,
     smoothing_weights,
     unitarity_residual,
 )
-from eigenop.systems import make_cyclic_group, make_gaussian_vortex, make_rotation, make_torus_translation, make_z_translation
+from eigenop.systems import make_cyclic_group, make_gaussian_vortex, make_rotation, make_torus_translation
 
 ALPHA = 0.7
 BETA = 0.5
@@ -160,29 +158,6 @@ def test_cyclic_fiber_koopman_is_permutation():
     assert np.all(np.isin(U.real, (0.0, 1.0)))
     # Shift below pi is 1: delta at w maps to the function value at w+1.
     assert U[0, 1] == 1.0
-
-
-def test_integer_fiber_koopman_is_phase_multiplication():
-    map_ = make_z_translation(4, gtilde=2)
-    fib = TruncatedBasis((3,), ("fiber",))
-    fgrid = default_grid(fib)
-    U = integer_fiber_koopman(map_, 0.1, fib, fgrid)
-    # Multiplication by e^{2i omega} shifts frequencies by two.
-    col = fib.index_of((0,))
-    row = fib.index_of((2,))
-    assert abs(U.entries[row, col] - 1.0) < 1e-12
-    assert abs(U.entries[col, col]) < 1e-12
-
-
-def test_multiplication_operator_is_toeplitz_shift():
-    fib = TruncatedBasis((3,), ("fiber",))
-    fgrid = default_grid(fib)
-    M = assemble_multiplication(lambda pts: np.exp(1j * pts[:, 0]), fib, fgrid)
-    expected = np.zeros((fib.size, fib.size), dtype=complex)
-    for col, (m,) in enumerate(fib.modes):
-        if abs(m + 1) <= 3:
-            expected[fib.index_of((m + 1,)), col] = 1.0
-    assert np.max(np.abs(M.entries - expected)) < 1e-13
 
 
 def test_interior_band_slice_half_cutoffs():

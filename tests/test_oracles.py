@@ -9,10 +9,7 @@ from eigenop.oracles import (
     right_translation_koopman,
     rotation_oracle,
     s3_table,
-    z_fiber_symbol,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 def test_cyclic_group_table_axioms():
@@ -95,13 +92,3 @@ def test_peter_weyl_rejects_incomplete_irreps():
     with pytest.raises(ValueError):
         peter_weyl_blockdiag(partial, 1)
 
-
-def test_z_fiber_symbol_cases():
-    assert z_fiber_symbol(0, 0.0, 1.0)["type"] == "point"
-    assert z_fiber_symbol(2, 0.0, 4.0)["type"] == "full_circle"
-    arc = z_fiber_symbol(2, 0.5, 1.0)
-    assert arc["type"] == "arc"
-    assert arc["phase_lo"] == pytest.approx(1.0)
-    assert arc["phase_width"] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        z_fiber_symbol(1, -0.1, 1.0)

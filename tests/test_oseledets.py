@@ -82,7 +82,7 @@ def test_every_block_eigenvector_lands_in_one_bin(kind):
         map_, args = make_cyclic_group(6, 3), ()
     for y in np.linspace(0.0, TWO_PI, 64, endpoint=False):
         setup = periodic_setup(map_, y, *args)
-        values = np.linalg.eig(cyclic_block_matrix(setup.transfers))[0]
+        values = _decomposition(setup.transfers).eigenvalues
         hits = sum(b.contains(_phase(values)).astype(int) for b in setup.bins)
         assert np.all(hits == 1), y
 
@@ -205,6 +205,11 @@ def test_cyclic_block_matrix_layout():
     assert np.allclose(big[4:6, 0:2], mats[0])
 
 
+def _decomposition(transfers):
+    """Eigenvalues and eigenvectors of the block-cyclic operator, solved once."""
+    return np.linalg.eig(cyclic_block_matrix(transfers))
+
+
 def _torus_setup(y0=0.3):
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((3,), ("fiber",))
@@ -218,11 +223,11 @@ def _torus_setup(y0=0.3):
 def test_periodic_subspaces_equivariant_and_complete():
     y0 = 0.3
     map_, transfers = _torus_setup(y0)
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
+    values, vectors = _decomposition(transfers)
     bins = isolating_bins(values, map_.base_period)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, transfers, bins)
+        families = periodic_subspaces(map_, y0, values, vectors, bins)
     n = map_.base_period
     for family in families:
         assert family[0].y == pytest.approx(y0)
@@ -236,11 +241,11 @@ def test_periodic_subspaces_cyclic_fiber():
     map_ = make_cyclic_group(6, 3)
     y0 = 0.9
     transfers = [cyclic_fiber_koopman(map_, w) for w in map_.base_orbit(y0)]
-    values = np.linalg.eigvals(cyclic_block_matrix(transfers))
+    values, vectors = _decomposition(transfers)
     bins = isolating_bins(values, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, transfers, bins)
+        families = periodic_subspaces(map_, y0, values, vectors, bins)
     for m in range(3):
         assert completeness_defect([f[m] for f in families]) < 1e-10
 
@@ -252,7 +257,7 @@ def test_wraparound_bin_does_not_warn_at_phase_zero():
     bins = [SpectralBin(((0.0, 0.25), (TWO_PI - 0.25, TWO_PI))), arc_bin(0.25, TWO_PI - 0.25)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", BinBoundaryWarning)
-        periodic_subspaces(map_, 0.3, transfers, bins)
+        periodic_subspaces(map_, 0.3, *_decomposition(transfers), bins)
 
 
 def test_phase_near_an_interior_edge_warns():
@@ -260,7 +265,7 @@ def test_phase_near_an_interior_edge_warns():
     map_, transfers = _torus_setup()
     edge = np.pi / 2 + 5e-11
     with pytest.warns(BinBoundaryWarning):
-        periodic_subspaces(map_, 0.3, transfers, [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
+        periodic_subspaces(map_, 0.3, *_decomposition(transfers), [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
 
 
 def test_periodic_setup_matches_its_parts():
@@ -277,10 +282,27 @@ def test_periodic_setup_matches_its_parts():
         periodic_setup(map_, 0.3)
 
 
+def test_periodic_setup_solves_the_block_matrix_once(monkeypatch):
+    calls = {"eig": [], "eigvals": []}
+    for name in calls:
+
+        def counting(a, _original=getattr(np.linalg, name), _name=name):
+            calls[_name].append(np.shape(a))
+            return _original(a)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    map_ = make_torus_translation(4)
+    fib = TruncatedBasis((3,), ("fiber",))
+    periodic_setup(map_, 0.3, fib, default_grid(fib))
+    assert calls == {"eig": [(4 * fib.size, 4 * fib.size)], "eigvals": []}
+
+
 def test_periodic_subspaces_requires_full_orbit():
+    # Two 7x7 transfers make a 14-row decomposition, which does not split
+    # into four orbit blocks.
     map_, transfers = _torus_setup()
     with pytest.raises(ValueError):
-        periodic_subspaces(map_, 0.3, transfers[:2], [arc_bin(0.0, TWO_PI)])
+        periodic_subspaces(map_, 0.3, *_decomposition(transfers[:2]), [arc_bin(0.0, TWO_PI)])
 
 
 def test_principal_angle_distance():

@@ -16,7 +16,6 @@ from eigenop.systems import (
     make_stratospheric,
     make_system,
     make_torus_translation,
-    make_z_translation,
     validate_system,
 )
 
@@ -137,11 +136,6 @@ def test_cyclic_group_fiber_map_is_mod_m():
     # Default step function: shift 1 below pi, shift 2 at and above pi.
     assert int(map_.fiber_map(0.5, 5)) == 0
     assert int(map_.fiber_map(4.0, 5)) == 1
-
-
-def test_z_translation_shifts_integers():
-    map_ = make_z_translation(4, gtilde=3)
-    assert int(map_.fiber_map(0.0, 2)) == 5
 
 
 def test_make_system_registry():
