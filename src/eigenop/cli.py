@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -226,11 +227,12 @@ class PipelineContext:
     @cached_property
     def basis(self) -> TruncatedBasis:
         cutoffs = tuple(self.config["truncation"]["cutoffs"])
-        if self.is_continuous:
-            if len(cutoffs) != 1 + self.system.fiber_dim:
-                raise ConfigError(
-                    f"system '{self.system.name}' needs {1 + self.system.fiber_dim} cutoffs, got {len(cutoffs)}"
-                )
+        # A discrete torus map acts on one circle; a cyclic fiber is finite,
+        # and its delta basis reads no cutoff.
+        if self.is_continuous or self.system.fiber_kind == "torus":
+            fiber_dim = self.system.fiber_dim if self.is_continuous else 1
+            if len(cutoffs) != 1 + fiber_dim:
+                raise ConfigError(f"system '{self.system.name}' needs {1 + fiber_dim} cutoffs, got {len(cutoffs)}")
         roles = ("base",) + ("fiber",) * (len(cutoffs) - 1)
         return TruncatedBasis(cutoffs, roles)
 
@@ -253,23 +255,30 @@ class PipelineContext:
         return assemble_generator(self.system, self.basis, self.grid)
 
     @cached_property
-    def operator_for_spectra(self):
+    def weights(self):
         sm = self.config["smoothing"]
-        if sm is None:
+        return None if sm is None else smoothing_weights(self.basis, sm["tau"], sm["p"], sm["rule"])
+
+    @cached_property
+    def operator_for_spectra(self):
+        if self.weights is None:
             return self.generator_matrix
-        w = smoothing_weights(self.basis, sm["tau"], sm["p"], sm["rule"])
-        return smoothed_generator(self.generator_matrix, w, sm["symmetric"])
+        return smoothed_generator(self.generator_matrix, self.weights, self.config["smoothing"]["symmetric"])
 
     @cached_property
     def sorted_spectrum(self):
+        """Every eigenvalue, target-sorted, with only the n_leading eigenvector columns any stage reads."""
         target = complex(*self.config["spectra"]["sort_target"])
-        report = eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"])
-        return sort_by_target(report, target)
+        # diag(w) V is similar to a skew-adjoint matrix by diag(sqrt(w)); the
+        # symmetric form sqrt(w) V sqrt(w) needs no scaling.
+        left = None if self.weights is None or self.config["smoothing"]["symmetric"] else self.weights.values
+        report = sort_by_target(eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"], weights=left), target)
+        n = min(self.config["decomposition"]["n_leading"], report.size)
+        return replace(report, eigenvectors=report.eigenvectors[:, :n].copy())
 
-    @cached_property
+    @property
     def leading_vectors(self) -> np.ndarray:
-        n = min(self.config["decomposition"]["n_leading"], self.sorted_spectrum.size)
-        return self.sorted_spectrum.eigenvectors[:, :n]
+        return self.sorted_spectrum.eigenvectors
 
     def periodic_setup_at(self, y: float) -> PeriodicSetup:
         map_ = self.system

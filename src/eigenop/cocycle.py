@@ -4,8 +4,9 @@ The discrete cocycle at step i is the product of per-step fiber transfer
 matrices along the orbit of y (adjoints for negative steps). The
 continuous analogue applies the time-s fiber flow by pointwise
 composition, which avoids a second truncation: continuous_w flows the
-fiber grid once and builds the evaluation matrix at the flowed points
-once, so each field it transports costs one matrix-vector product.
+fiber grid once and builds the per-axis mode factors at the flowed
+points once, so each field it transports costs one contraction per
+fiber axis.
 Projected cocycle fields drive the coherent-pattern figures, and a
 product-space consistency check ties the per-fiber route to the direct
 composition operator.
@@ -63,17 +64,26 @@ def continuous_w(
 ) -> Callable[[np.ndarray], FieldSample]:
     """The map u -> (w_s u)(y, .) on the fiber grid: u evaluated at the flowed points.
 
-    The flow and the evaluation matrix are built once, here. At s = 0 the
-    map is synthesis on the grid.
+    The flow is computed once, here. A tensor mode is the product of its
+    per-axis factors e^{i k z_d}, so the points-by-modes evaluation matrix
+    is never formed: the per-axis factors are built once, and each field
+    contracts the coefficients one axis at a time. At s = 0 the map is
+    synthesis on the grid.
     """
     if s == 0.0:
         return lambda u_coeffs: synthesize(u_coeffs, fiber_basis, fiber_grid)
     targets = system.fiber_flow(s, y, fiber_grid.nodes, steps_per_unit_time)
-    evaluation = evaluation_matrix(fiber_basis, targets)
+    # factors[d][k + K_d, p] = e^{i k z_d} at flowed point p.
+    factors = [np.exp(1j * np.outer(np.arange(-k, k + 1), targets[:, d])) for d, k in enumerate(fiber_basis.cutoffs)]
+    shape = tuple(2 * k + 1 for k in fiber_basis.cutoffs)
 
     def apply(u_coeffs: np.ndarray) -> FieldSample:
-        values = evaluation @ np.asarray(u_coeffs, dtype=complex)
-        return FieldSample(fiber_grid, values.reshape(fiber_grid.shape))
+        # Lexicographic mode order, most significant axis first: the last
+        # axis is contracted first.
+        t = np.asarray(u_coeffs, dtype=complex).reshape(shape) @ factors[-1]
+        for f in reversed(factors[:-1]):
+            t = np.einsum("...ap,ap->...p", t, f)
+        return FieldSample(fiber_grid, t.reshape(fiber_grid.shape))
 
     return apply
 

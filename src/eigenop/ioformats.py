@@ -32,12 +32,14 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+# Entries base64-encoded per write. A multiple of 3 entries is a multiple
+# of 3 bytes, so the chunks' encodings concatenate to the whole encoding.
+_PAYLOAD_CHUNK = 3 << 16
+
+
 def encode_matrix(entries: np.ndarray) -> str:
-    entries = np.asarray(entries, dtype=complex)
-    inter = np.empty(entries.size * 2, dtype="<f8")
-    inter[0::2] = entries.real.ravel()
-    inter[1::2] = entries.imag.ravel()
-    return base64.b64encode(inter.tobytes()).decode("ascii")
+    """base64 of the entries as little-endian (re, im) float64 pairs, row-major."""
+    return base64.b64encode(np.ascontiguousarray(entries, dtype="<c16").tobytes()).decode("ascii")
 
 
 def decode_matrix(payload: str, shape) -> np.ndarray:
@@ -59,9 +61,18 @@ def write_matrix(path, entries: np.ndarray, rows: dict, cols: dict, provenance: 
         "shape": list(np.shape(entries)),
         "provenance": provenance,
         "meta": meta,
-        "payload": encode_matrix(entries),
     }
-    Path(path).write_text(canonical_json(doc) + "\n")
+    # canonical_json sorts keys, so the document is the keys before
+    # "payload", the payload, then the keys after it; the payload is
+    # streamed so that its full string never exists in memory.
+    head = canonical_json({k: v for k, v in doc.items() if k < "payload"})[:-1] + ',"payload":"'
+    tail = '",' + canonical_json({k: v for k, v in doc.items() if k > "payload"})[1:] + "\n"
+    flat = np.ascontiguousarray(entries, dtype=complex).ravel()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(head)
+        for start in range(0, flat.size, _PAYLOAD_CHUNK):
+            fh.write(encode_matrix(flat[start : start + _PAYLOAD_CHUNK]))
+        fh.write(tail)
 
 
 def read_matrix(path) -> dict:
@@ -78,10 +89,9 @@ def write_field_csv(path, sample: FieldSample):
         raise ValueError("field CSV export requires a 2-d fiber grid")
     nodes = sample.grid.nodes
     vals = sample.values.ravel()
-    lines = ["z1,z2,re,im"]
-    for (z1, z2), v in zip(nodes, vals):
-        lines.append(f"{z1:.17g},{z2:.17g},{v.real:.17g},{v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = "{:.17g},{:.17g},{:.17g},{:.17g}".format
+    columns = (nodes[:, 0].tolist(), nodes[:, 1].tolist(), vals.real.tolist(), vals.imag.tolist())
+    Path(path).write_text("z1,z2,re,im\n" + "\n".join(map(row, *columns)) + "\n")
 
 
 def _diverging_rgb(t: np.ndarray) -> np.ndarray:

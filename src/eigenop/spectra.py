@@ -1,17 +1,24 @@
 """Dense eigensolution with independent residual certification.
 
-Eigenpairs come from a standard dense nonsymmetric solver. Operators on
-a Fourier basis whose index N-1-i holds the mirror mode -m of index i
-are first tried in real form: the unitary pairing of each mode with its
-mirror (the cos/sin basis) turns an operator that commutes with
-f -> conj(f) into a real matrix, which the real solver handles at about
-half the cost of the complex one. The structure is measured, not
-assumed: the real path is taken only when the imaginary part of the
-paired matrix is at rounding level, and otherwise the complex solver
-runs. Either way residuals are recomputed from scratch on the original
-complex matrix afterwards, and the matrix norm entering the relative
-residual is estimated by a deterministic power iteration, so the
-certificate does not trust solver internals.
+Operators on a Fourier basis whose index N-1-i holds the mirror mode -m
+of index i are first tried in real form: the unitary pairing of each
+mode with its mirror (the cos/sin basis) turns an operator that commutes
+with f -> conj(f) into a real matrix R. Generators of measure-preserving
+flows are skew-adjoint, and a left-smoothed generator diag(w) V is
+similar to the skew-adjoint D V D with D = diag(sqrt(w)). When the real
+form of D^-1 A D is skew-symmetric, an orthogonal Hessenberg reduction
+takes it to a skew tridiagonal, which diag(i^k) turns into a real
+symmetric tridiagonal with zero diagonal (Ward & Gray 1978); its
+symmetric eigensolve gives every eigenpair on the imaginary axis. A
+real form that is not skew goes to the real nonsymmetric solver, and an
+operator with no real form to the complex one.
+
+Every structure is measured, not assumed: each path is taken only when
+its defect is at rounding level. Whichever solver ran, residuals are
+recomputed from scratch on the original complex matrix afterwards, and
+the matrix norm entering the relative residual is estimated by a
+deterministic power iteration, so the certificate does not trust solver
+internals.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ def matrix_norm_estimate(A: np.ndarray) -> float:
     v = np.cos(np.arange(1, n + 1, dtype=float)) + 1j * np.sin(np.arange(1, n + 1, dtype=float) / 3.0)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    AH = A.conj().T
     for _ in range(50):
-        w = AH @ (A @ v)
+        # A^H (A v) without a transposed copy of A.
+        w = ((A @ v).conj() @ A).conj()
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -78,12 +85,17 @@ def matrix_norm_estimate(A: np.ndarray) -> float:
     return float(sigma)
 
 
-def eig(A: OperatorMatrix, tol: float = 1e-8) -> SpectrumReport:
-    """Full eigenpair set of a square operator with certified residuals."""
+def eig(A: OperatorMatrix, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:
+    """Full eigenpair set of a square operator with certified residuals.
+
+    weights: the positive w of an operator built as diag(w) V; see eig_matrix.
+    """
     if not A.is_square:
         raise ValueError("eigensolve requires a square operator")
     mirrored = A.rows == A.cols and np.array_equal(A.rows.modes[::-1], -A.rows.modes)
-    return eig_matrix(A.entries, tol=tol, source=A.provenance, meta=dict(A.meta), mirror_pairs=mirrored)
+    return eig_matrix(
+        A.entries, tol=tol, source=A.provenance, meta=dict(A.meta), mirror_pairs=mirrored, weights=weights
+    )
 
 
 def _pair_rows(X: np.ndarray, sign: complex) -> np.ndarray:
@@ -118,42 +130,101 @@ def _from_real_form(Y: np.ndarray) -> np.ndarray:
     return np.concatenate([(cos + 1j * sin) * s, Y[h : len(Y) - h], ((cos - 1j * sin) * s)[::-1]])
 
 
+def _skew_scaled(R: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
+    """The real form of D^-1 M D for D = diag(d) if it is skew-symmetric, else None.
+
+    R is the real form of M. A positive, mirror-symmetric d (d[i] ==
+    d[N-1-i]) commutes with the pairing and acts on the paired rows as
+    the cos/middle/sin arrangement of d; any other d gives None. d None
+    means D = I.
+    """
+    if d is not None:
+        if not (np.all(d > 0) and np.array_equal(d, d[::-1])):
+            return None
+        h = len(d) // 2
+        dp = np.concatenate([d[:h], d[h : len(d) - h], d[:h]])
+        R = R * dp[None, :]
+        R /= dp[:, None]
+    defect = np.max(np.abs(R + R.T), initial=0.0)
+    if not defect <= 1e3 * np.finfo(float).eps * np.max(np.abs(R), initial=0.0):
+        return None
+    return R
+
+
+def _skew_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real skew-symmetric matrix through a symmetric tridiagonal.
+
+    Q^T S Q = H is skew tridiagonal with subdiagonal e. With E = diag(i^k),
+    E^-1 H E = -i T for the symmetric tridiagonal T with zero diagonal and
+    off-diagonal e, so T z = mu z gives S (Q E z) = -i mu (Q E z).
+    """
+    import scipy.linalg  # deferred: its import cost would land on every CLI start
+
+    H, Q = scipy.linalg.hessenberg(S, calc_q=True, overwrite_a=True, check_finite=False)
+    e = np.diag(H, -1).copy()
+    del H
+    mu, Z = scipy.linalg.eigh_tridiagonal(np.zeros(len(S)), e, check_finite=False)
+    values = np.zeros(len(mu), dtype=complex)
+    values.imag = -mu
+    # i^k is real on even rows and imaginary on odd rows, with sign (-1)^(k//2).
+    vectors = np.empty(Z.shape, dtype=complex)
+    sign = (-1.0) ** np.arange((len(S) + 1) // 2)
+    vectors.real = Q[:, 0::2] @ (sign[:, None] * Z[0::2])
+    vectors.imag = Q[:, 1::2] @ (sign[: len(S) // 2, None] * Z[1::2])
+    return values, vectors
+
+
 def eig_matrix(
     M: np.ndarray,
     tol: float = 1e-8,
     source: str = "matrix",
     meta: dict | None = None,
     mirror_pairs: bool = False,
+    weights: np.ndarray | None = None,
 ) -> SpectrumReport:
     """eig on a raw square array; same residual contract.
 
     mirror_pairs declares that index N-1-i holds the mirror mode of
-    index i, which lets the real-form solver be tried; meta["solver"]
-    records which solver ran.
+    index i, which lets the real-form solvers be tried. weights, when
+    given, declares M = diag(weights) V with mirror-symmetric weights, so
+    that the skew test runs on D^-1 M D with D = diag(sqrt(weights));
+    without it D = I. meta["solver"] records which solver ran:
+    "skew-tridiagonal", "real-form" or "complex".
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("eigensolve requires a square matrix")
     R = _real_form(M) if mirror_pairs else None
-    solver = "complex" if R is None else "real-form"
+    d = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+    S = None if R is None else _skew_scaled(R, d)
+    solver = "complex" if R is None else "real-form" if S is None else "skew-tridiagonal"
     try:
-        if R is None:
-            values, vectors = np.linalg.eig(M)
-        else:
+        if S is not None:
+            del R
+            values, vectors = _skew_eig(S)
+            vectors = _from_real_form(vectors)
+            if d is not None:
+                vectors *= d[:, None]
+        elif R is not None:
             values, vectors = np.linalg.eig(R)
             values, vectors = values.astype(complex), _from_real_form(vectors)
+        else:
+            values, vectors = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"dense eigensolve failed: {exc}") from exc
 
     norms = np.linalg.norm(vectors, axis=0)
     if np.any(norms == 0):
         raise EigensolveError("eigensolver returned a zero vector")
-    vectors = vectors / norms[None, :]
+    vectors /= norms[None, :]
 
     scale = matrix_norm_estimate(M)
     if scale == 0.0:
         scale = 1.0
-    residuals = np.linalg.norm(M @ vectors - vectors * values[None, :], axis=0) / scale
+    defect = M @ vectors
+    defect -= vectors * values[None, :]
+    residuals = np.linalg.norm(defect, axis=0) / scale
+    del defect
     if np.any(residuals > tol):
         raise EigensolveError(
             f"residual contract violated: max {residuals.max():.3e} > {tol:.3e}",

@@ -1,6 +1,9 @@
 """Tests for the configuration schema, pipeline stages, and CLI entry."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +102,33 @@ def test_main_exit_code_on_wrong_cutoff_count(tmp_path):
     path.write_text(json.dumps(raw))
     code = cli.main(["assemble", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_SCHEMA
+
+
+def test_main_exit_code_on_torus_translation_cutoff_count(tmp_path, capsys):
+    # The torus translation's fiber is one circle: base plus one fiber cutoff.
+    raw = _small_discrete_config()
+    raw["truncation"] = {"cutoffs": [2, 2, 2]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SCHEMA
+    assert "needs 2 cutoffs" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    code = "import sys, eigenop.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_spectrum_keeps_every_value_and_the_leading_vectors():
+    cfg = cli.resolve_config(_small_rotation_config())
+    ctx = cli.PipelineContext(cfg, Path("unused"))
+    spec = ctx.sorted_spectrum
+    assert spec.size == len(spec.residuals) == ctx.basis.size
+    assert spec.eigenvectors.shape == (ctx.basis.size, cfg["decomposition"]["n_leading"])
+    assert spec.meta["solver"] == "skew-tridiagonal"
 
 
 def test_full_continuous_pipeline(tmp_path):

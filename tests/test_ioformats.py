@@ -1,6 +1,8 @@
 """Tests for on-disk formats: matrices, CSV fields, PPM heatmaps."""
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,58 @@ def test_field_csv_layout(tmp_path):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 1.0
+
+
+def _reference_write_matrix(path, entries, rows, cols, provenance, meta):
+    """The whole-document writer write_matrix streams: one canonical JSON string."""
+    entries = np.asarray(entries, dtype=complex)
+    inter = np.empty(entries.size * 2, dtype="<f8")
+    inter[0::2] = entries.real.ravel()
+    inter[1::2] = entries.imag.ravel()
+    doc = {
+        "format": MATRIX_FORMAT,
+        "rows": rows,
+        "cols": cols,
+        "shape": list(np.shape(entries)),
+        "provenance": provenance,
+        "meta": meta,
+        "payload": base64.b64encode(inter.tobytes()).decode("ascii"),
+    }
+    Path(path).write_text(canonical_json(doc) + "\n")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (7, 5), (500, 401), (0, 4)])
+def test_write_matrix_streams_the_reference_bytes(tmp_path, shape):
+    # (500, 401) spans two payload chunks and ends mid-chunk.
+    rng = np.random.default_rng(sum(shape))
+    entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if entries.size:
+        entries.flat[0] = complex(-0.0, 1e-310)
+    args = ({"cutoffs": [1], "note": "\u00e9\"payload\":\"\""}, {"columns": shape[1]}, "projection", {"payload": "", "y": 0.5})
+    write_matrix(tmp_path / "new.json", np.asfortranarray(entries), *args)
+    _reference_write_matrix(tmp_path / "old.json", entries, *args)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    assert np.array_equal(read_matrix(tmp_path / "new.json")["entries"], entries)
+
+
+def _reference_write_field_csv(path, sample):
+    """Row-at-a-time CSV writer that write_field_csv must match byte for byte."""
+    lines = ["z1,z2,re,im"]
+    for (z1, z2), v in zip(sample.grid.nodes, sample.values.ravel()):
+        lines.append(f"{z1:.17g},{z2:.17g},{v.real:.17g},{v.imag:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_field_csv_matches_the_row_at_a_time_reference(tmp_path):
+    grid = Grid((9, 6))
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
+    vals = vals + 1j * rng.standard_normal(grid.shape)
+    vals.flat[:4] = [-0.0, 1e-320, 0.1 + 0.2j, 1.0 / 3.0 - 0.0j]
+    sample = FieldSample(grid, vals)
+    write_field_csv(tmp_path / "new.csv", sample)
+    _reference_write_field_csv(tmp_path / "old.csv", sample)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_field_csv_requires_two_dims(tmp_path):

@@ -14,7 +14,7 @@ from eigenop.spectra import (
     matrix_norm_estimate,
     sort_by_target,
 )
-from eigenop.systems import make_gaussian_vortex, make_rotation
+from eigenop.systems import make_gaussian_vortex, make_rotation, make_stratospheric
 
 
 def _rotation_generator():
@@ -22,10 +22,16 @@ def _rotation_generator():
     return assemble_generator(make_rotation(0.7, 0.5), basis, default_grid(basis))
 
 
-def _smoothed_vortex_generator(symmetric):
+def _smoothed_generator(system, symmetric, multiplier=4):
+    """(diag(w) V or sqrt(w) V sqrt(w), w) at cutoffs 3; w is None for the symmetric form."""
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
-    V = assemble_generator(make_gaussian_vortex(0.5), basis, default_grid(basis))
-    return smoothed_generator(V, smoothing_weights(basis, 0.1, 0.1), symmetric)
+    V = assemble_generator(system, basis, default_grid(basis, multiplier))
+    w = smoothing_weights(basis, 0.1, 0.1)
+    return smoothed_generator(V, w, symmetric), None if symmetric else w.values
+
+
+def _smoothed_vortex_generator(symmetric):
+    return _smoothed_generator(make_gaussian_vortex(0.5), symmetric)[0]
 
 
 def test_matrix_norm_estimate_matches_svd():
@@ -136,15 +142,20 @@ def test_spectrum_report_json_round_trip():
 
 
 @pytest.mark.parametrize(
-    "make_op",
-    [_rotation_generator, lambda: _smoothed_vortex_generator(False), lambda: _smoothed_vortex_generator(True)],
+    "make_op, solver",
+    [
+        # The rotation generator is diagonal with imaginary entries, so its real form is skew.
+        (_rotation_generator, "skew-tridiagonal"),
+        (lambda: _smoothed_vortex_generator(False), "real-form"),
+        (lambda: _smoothed_vortex_generator(True), "real-form"),
+    ],
     ids=["rotation", "vortex", "vortex-symmetric"],
 )
-def test_real_velocity_generators_take_real_form_path(make_op):
+def test_real_velocity_generators_take_real_form_path(make_op, solver):
     op = make_op()
     report = eig(op, tol=1e-8)
     reference = eig_matrix(op.entries, tol=1e-8)
-    assert report.meta["solver"] == "real-form"
+    assert report.meta["solver"] == solver
     assert reference.meta["solver"] == "complex"
     matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
     assert matched, worst
@@ -169,5 +180,46 @@ def test_real_form_path_keeps_residual_contract():
 
 def test_solver_is_recorded_in_json():
     doc = eig(_rotation_generator()).to_json_dict()
-    assert doc["meta"]["solver"] == "real-form"
+    assert doc["meta"]["solver"] == "skew-tridiagonal"
     assert len(doc["eigenvalues"]) == len(doc["residuals"]) == 17 * 17
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["left", "symmetric"])
+def test_skew_similar_generator_takes_skew_tridiagonal_path(symmetric):
+    # At grid multiplier 8 the smoothed vortex generator's real form, scaled
+    # by sqrt(w), is skew to ~1e-16; the dense complex solver is the oracle.
+    op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
+    report = eig(op, tol=1e-8, weights=w)
+    reference = eig_matrix(op.entries, tol=1e-8)
+    assert report.meta["solver"] == "skew-tridiagonal"
+    assert reference.meta["solver"] == "complex"
+    assert report.size == reference.size == op.rows.size
+    matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
+    assert matched, worst
+    assert np.all(report.eigenvalues.real == 0.0)
+    assert np.all(report.residuals <= 1e-13)
+    scale = np.linalg.norm(op.entries, ord=2)
+    direct = np.linalg.norm(op.entries @ report.eigenvectors - report.eigenvectors * report.eigenvalues, axis=0)
+    assert np.max(direct) / scale < 1e-13
+
+
+@pytest.mark.parametrize(
+    "system", [make_stratospheric(), make_gaussian_vortex(0.5)], ids=["stratospheric", "vortex-coarse-grid"]
+)
+def test_generator_off_skew_falls_back_to_real_form(system):
+    # Skew defects of the scaled real form at grid multiplier 4: about 1e-2
+    # (stratospheric) and 3e-7 (vortex, whose coarse quadrature breaks the
+    # exact skew symmetry).
+    op, w = _smoothed_generator(system, False)
+    report = eig(op, tol=1e-8, weights=w)
+    assert report.meta["solver"] == "real-form"
+    matched, worst = match_multisets(report.eigenvalues, eig_matrix(op.entries, tol=1e-8).eigenvalues, 1e-10)
+    assert matched, worst
+
+
+def test_skew_path_needs_positive_mirror_symmetric_weights():
+    op, w = _smoothed_generator(make_gaussian_vortex(0.5), False, multiplier=8)
+    underflowed = w.copy()
+    underflowed[[0, -1]] = 0.0
+    for bad in (underflowed, w * np.linspace(1.0, 2.0, len(w))):
+        assert eig(op, tol=1e-8, weights=bad).meta["solver"] == "real-form"
