@@ -11,8 +11,10 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+from copy import deepcopy
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -56,7 +58,7 @@ SCHEMA = {
             "required": ["name"],
             "properties": {
                 "name": {"type": "string"},
-                "params": {"type": "object"},
+                "params": {"type": "object", "default": {}},
             },
         },
         "truncation": {
@@ -71,59 +73,72 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "multiplier": {"type": "integer", "minimum": 1},
-                "points": {"type": "array", "items": {"type": "integer", "minimum": 3}},
+                "multiplier": {"type": "integer", "minimum": 1, "default": 4},
+                "points": {"type": "array", "items": {"type": "integer", "minimum": 3}, "default": None},
             },
         },
         "smoothing": {
             "type": "object",
             "additionalProperties": False,
             "required": ["tau", "p"],
+            "default": None,
             "properties": {
                 "tau": {"type": "number", "exclusiveMinimum": 0},
                 "p": {"type": "number", "exclusiveMinimum": 0},
-                "rule": {"enum": ["power_law", "heat_kernel"]},
-                "symmetric": {"type": "boolean"},
+                "rule": {"enum": ["power_law", "heat_kernel"], "default": "power_law"},
+                "symmetric": {"type": "boolean", "default": False},
             },
         },
         "spectra": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "sort_target": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+                "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
+                "sort_target": {
+                    "type": "array",
+                    "items": {"type": "number"},
+                    "minItems": 2,
+                    "maxItems": 2,
+                    "default": [1e-10, 0.0],
+                },
             },
         },
         "decomposition": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "d_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "subspace_rank": {"type": "integer", "minimum": 1},
-                "n_leading": {"type": "integer", "minimum": 1},
-                "bin_count": {"type": "integer", "minimum": 1},
+                "d_values": {"type": "array", "items": {"type": "integer", "minimum": 1}, "default": [1]},
+                "subspace_rank": {"type": "integer", "minimum": 1, "default": 1},
+                "n_leading": {
+                    "type": "integer",
+                    "minimum": 1,
+                    "description": "default and minimum: max(d_values + [subspace_rank])",
+                },
             },
         },
         "evaluation": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "y": {"type": "number"},
-                "s": {"type": "number"},
-                "i": {"type": "integer"},
-                "y_sample_count": {"type": "integer", "minimum": 1},
-                "steps_per_unit_time": {"type": "integer", "minimum": 1},
-                "field_grid": {"type": "array", "items": {"type": "integer", "minimum": 4}, "minItems": 2, "maxItems": 2},
+                "y": {"type": "number", "default": 0.0},
+                "s": {"type": "number", "default": 0.0},
+                "i": {"type": "integer", "default": 1},
+                "y_sample_count": {"type": "integer", "minimum": 1, "default": 64},
+                "steps_per_unit_time": {"type": "integer", "minimum": 1, "default": 200},
+                "field_grid": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 4},
+                    "minItems": 2,
+                    "maxItems": 2,
+                    "default": [128, 128],
+                },
             },
         },
         "output": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "formats": {
-                    "type": "array",
-                    "items": {"enum": ["csv", "ppm", "json", "matrix"]},
-                },
+                "formats": {"type": "array", "items": {"enum": ["csv", "ppm"]}, "default": ["csv", "ppm"]},
             },
         },
     },
@@ -139,51 +154,35 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _fill_defaults(schema: dict, value):
+    """A deep copy of value with every absent property set to its schema default.
+
+    An absent key without a "default" resolves to None, except a section,
+    which is filled from {}.
+    """
+    if "properties" not in schema:
+        return deepcopy(value)
+    filled = {}
+    for key, sub in schema["properties"].items():
+        if key in value or ("properties" in sub and "default" not in sub):
+            filled[key] = _fill_defaults(sub, value.get(key, {}))
+        else:
+            filled[key] = deepcopy(sub.get("default"))
+    return filled
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate against the schema and fill in every default."""
     error = best_match(SCHEMA_VALIDATOR.iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config schema violation: {error.message}")
-    cfg = {
-        "system": {"name": raw["system"]["name"], "params": dict(raw["system"].get("params", {}))},
-        "truncation": {"cutoffs": list(raw["truncation"]["cutoffs"])},
-        "grid": {
-            "multiplier": raw.get("grid", {}).get("multiplier", 4),
-            "points": raw.get("grid", {}).get("points"),
-        },
-        "smoothing": None,
-        "spectra": {
-            "tol": raw.get("spectra", {}).get("tol", 1e-6),
-            "sort_target": list(raw.get("spectra", {}).get("sort_target", [1e-10, 0.0])),
-        },
-        "decomposition": {
-            "d_values": list(raw.get("decomposition", {}).get("d_values", [1])),
-            "subspace_rank": raw.get("decomposition", {}).get("subspace_rank", 1),
-            "n_leading": raw.get("decomposition", {}).get("n_leading"),
-            "bin_count": raw.get("decomposition", {}).get("bin_count"),
-        },
-        "evaluation": {
-            "y": raw.get("evaluation", {}).get("y", 0.0),
-            "s": raw.get("evaluation", {}).get("s", 0.0),
-            "i": raw.get("evaluation", {}).get("i", 1),
-            "y_sample_count": raw.get("evaluation", {}).get("y_sample_count", 64),
-            "steps_per_unit_time": raw.get("evaluation", {}).get("steps_per_unit_time", 200),
-            "field_grid": list(raw.get("evaluation", {}).get("field_grid", [128, 128])),
-        },
-        "output": {"formats": list(raw.get("output", {}).get("formats", ["json", "matrix", "csv", "ppm"]))},
-    }
-    if "smoothing" in raw and raw["smoothing"] is not None:
-        sm = raw["smoothing"]
-        cfg["smoothing"] = {
-            "tau": sm["tau"],
-            "p": sm["p"],
-            "rule": sm.get("rule", "power_law"),
-            "symmetric": sm.get("symmetric", False),
-        }
-    if cfg["decomposition"]["n_leading"] is None:
-        cfg["decomposition"]["n_leading"] = max(
-            cfg["decomposition"]["d_values"] + [cfg["decomposition"]["subspace_rank"]]
-        )
+    cfg = _fill_defaults(SCHEMA, raw)
+    dec = cfg["decomposition"]
+    needed = max(dec["d_values"] + [dec["subspace_rank"]])
+    if dec["n_leading"] is None:
+        dec["n_leading"] = needed
+    elif dec["n_leading"] < needed:
+        raise ConfigError(f"decomposition.n_leading must be at least max(d_values + [subspace_rank]) = {needed}")
     return cfg
 
 
@@ -293,20 +292,23 @@ class PipelineContext:
         return self.periodic_setup_at(float(self.config["evaluation"]["y"]))
 
     def _load_cached(self, filename: str, provenance: str):
-        """The on-disk matrix document, if its manifest hash matches this config."""
+        """The on-disk matrix document, if this config's manifest lists it with its current hash.
+
+        A single-stage run rewrites the manifest but not the files of other
+        stages, so a file the manifest does not list may be another config's.
+        """
         path = self.out / filename
-        manifest = self.out / "manifest.json"
-        if not (path.exists() and manifest.exists()):
-            return None
         try:
-            recorded = json.loads(manifest.read_text()).get("config_sha256")
-            if recorded != sha256_of(self.config):
+            manifest = json.loads((self.out / "manifest.json").read_text())
+            if manifest.get("config_sha256") != sha256_of(self.config):
+                return None
+            if manifest.get("outputs", {}).get(filename) != hashlib.sha256(path.read_bytes()).hexdigest():
                 return None
             doc = read_matrix(path)
             if doc.get("provenance") != provenance:
                 return None
             return doc
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, OSError, AttributeError):
             return None
 
 
@@ -475,8 +477,6 @@ def run_pipeline(config: dict, out, stages) -> dict:
     for stage in stages:
         outputs.extend(STAGE_FUNCS[stage](ctx))
         ran.append(stage)
-    import hashlib
-
     hashes = {}
     for name in sorted(set(outputs)):
         hashes[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()

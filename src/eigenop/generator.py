@@ -156,44 +156,19 @@ def smoothed_generator(V: OperatorMatrix, w: SmoothingWeights, symmetric: bool =
 
 
 def assemble_fiber_koopman(
-    system,
-    y: float,
-    s,
-    fiber_basis: TruncatedBasis,
-    fiber_grid: Grid,
-    steps_per_unit_time: int = 200,
+    map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis, fiber_grid: Grid
 ) -> OperatorMatrix:
-    """Matrix of u -> u(g_s(y, .)) on the truncated fiber basis.
-
-    For a continuous system, s is a real flow time. For a discrete map
-    with a torus fiber, s is an integer iterate count (s=1 is one
-    application of the fiber map at base point y).
-    """
+    """Matrix of u -> u(g(y, .)), one step of a torus-fiber map at base point y."""
+    if map_.fiber_kind != "torus":
+        raise ValueError("grid-based fiber Koopman requires a torus fiber")
     fiber_grid.check_no_aliasing(fiber_basis)
     nodes = fiber_grid.nodes
-
-    if isinstance(system, ContinuousSkewSystem):
-        s = float(s)
-        targets = nodes if s == 0.0 else system.fiber_flow(s, y, nodes, steps_per_unit_time)
-    elif isinstance(system, DiscreteSkewMap):
-        if system.fiber_kind != "torus":
-            raise ValueError("grid-based fiber Koopman requires a torus fiber")
-        if int(s) != s:
-            raise ValueError("discrete maps take integer step counts")
-        targets = nodes
-        yc = y
-        for _ in range(int(s)):
-            targets = np.atleast_2d(system.fiber_map(yc, targets))
-            yc = float(system.base_map(yc))
-    else:
-        raise TypeError("unsupported system type")
-
+    targets = np.atleast_2d(map_.fiber_map(y, nodes))
     # Row m': quadrature of conj(mode_m') * e^{i m.targets} over nodes.
     phases = evaluation_matrix(fiber_basis, targets)  # (nodes, N)
     conj_rows = np.exp(-1j * (nodes @ fiber_basis.modes.T.astype(float)))  # (nodes, N)
     entries = (conj_rows.T @ phases) * fiber_grid.weight
-    meta = {"y": float(y), "s": float(s)}
-    return OperatorMatrix(fiber_basis, fiber_basis, entries, FIBER_KOOPMAN, meta)
+    return OperatorMatrix(fiber_basis, fiber_basis, entries, FIBER_KOOPMAN, {"y": float(y)})
 
 
 def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:

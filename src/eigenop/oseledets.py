@@ -368,7 +368,7 @@ def periodic_setup(
     if map_.fiber_kind == "torus":
         if fiber_basis is None or fiber_grid is None:
             raise ValueError("a torus fiber needs a fiber basis and grid")
-        transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fiber_basis, fiber_grid).entries
+        transfer = lambda w: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid).entries
     elif map_.fiber_kind == "cyclic":
         transfer = lambda w: cyclic_fiber_koopman(map_, w)
     else:

@@ -49,6 +49,52 @@ def test_resolve_config_n_leading_defaults_to_max_rank():
     assert cfg["decomposition"]["n_leading"] == 5
 
 
+def _assert_keys_follow_schema(value: dict, schema: dict, path="config"):
+    assert set(value) == set(schema["properties"]), path
+    for key, sub in schema["properties"].items():
+        if "properties" in sub and value[key] is not None:
+            _assert_keys_follow_schema(value[key], sub, f"{path}.{key}")
+
+
+def test_resolved_key_tree_is_the_schema_property_tree():
+    minimal = {"system": {"name": "rotation"}, "truncation": {"cutoffs": [3, 3]}}
+    cfg = cli.resolve_config(minimal)
+    _assert_keys_follow_schema(cfg, cli.SCHEMA)
+    assert cfg["smoothing"] is None and cfg["grid"]["points"] is None
+    assert cfg["output"]["formats"] == ["csv", "ppm"]
+    smoothed = cli.resolve_config({**minimal, "smoothing": {"tau": 0.1, "p": 0.1}})
+    _assert_keys_follow_schema(smoothed, cli.SCHEMA)
+    # Defaults are copied, never shared with the schema.
+    cfg["output"]["formats"].append("x")
+    assert cli.resolve_config(minimal)["output"]["formats"] == ["csv", "ppm"]
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("decomposition", {"bin_count": 2}),
+        ("output", {"formats": ["csv", "json"]}),
+        ("output", {"formats": ["matrix"]}),
+    ],
+    ids=["bin_count", "formats-json", "formats-matrix"],
+)
+def test_main_exit_code_on_keys_nothing_reads(section, entry, tmp_path):
+    raw = _small_rotation_config()
+    raw.setdefault(section, {}).update(entry)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+
+
+def test_main_exit_code_on_n_leading_below_the_largest_d(tmp_path, capsys):
+    raw = _small_rotation_config()
+    raw["decomposition"] = {"d_values": [1, 5], "n_leading": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+    assert "n_leading" in capsys.readouterr().err
+
+
 def test_schema_is_a_valid_schema():
     validator_for(cli.SCHEMA).check_schema(cli.SCHEMA)
 
@@ -199,6 +245,37 @@ def test_cache_ignored_when_config_changes(tmp_path, monkeypatch):
     calls = _count_assembly(monkeypatch)
     ctx = cli.PipelineContext(other, out)
     assert ctx.generator_matrix.meta.get("cached") is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"system": {"name": "rotation", "params": {"alpha": 0.55}}}, {"truncation": {"cutoffs": [4, 4]}}],
+    ids=["alpha", "cutoffs"],
+)
+def test_single_stage_reruns_never_read_another_configs_generator(change, tmp_path):
+    # `all` with A, then `eig` with B twice: the second `eig` finds B's
+    # manifest next to A's generator, which that manifest does not list.
+    config_a = {**_small_rotation_config(), "system": {"name": "rotation", "params": {"alpha": 0.7}}}
+    config_b = {**config_a, **change}
+    paths = {}
+    for name, raw in (("a", config_a), ("b", config_b)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(raw))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for name, stage, directory in (("a", "all", out), ("b", "eig", out), ("b", "eig", out), ("b", "eig", fresh)):
+        assert cli.main([stage, "--config", str(paths[name]), "--out", str(directory)]) == 0
+    assert (out / "spectrum.json").read_bytes() == (fresh / "spectrum.json").read_bytes()
+
+
+def test_cache_ignores_a_generator_whose_bytes_changed(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, ("assemble",))
+    path = out / "generator.matrix.json"
+    path.write_text(path.read_text().replace('"generator"', '"generator" '))
+    calls = _count_assembly(monkeypatch)
+    assert cli.PipelineContext(cfg, out).generator_matrix is not None
     assert len(calls) == 1
 
 

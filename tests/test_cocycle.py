@@ -21,7 +21,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def _torus_transfer(map_, fib, fgrid):
-    return lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
+    return lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
 
 
 def test_discrete_w_identity_at_zero():
@@ -131,5 +131,5 @@ def test_unitarity_discrepancy_on_transfer():
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((4,), ("fiber",))
     fgrid = default_grid(fib)
-    U = assemble_fiber_koopman(map_, 0.2, 1, fib, fgrid)
+    U = assemble_fiber_koopman(map_, 0.2, fib, fgrid)
     assert unitarity_residual(U) < 1e-12

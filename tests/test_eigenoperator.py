@@ -150,7 +150,7 @@ def test_discrete_multiplier_matches_phase():
     fgrid = default_grid(fib)
     y0 = 0.3
     family = _family(map_, y0, fib, fgrid)
-    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
     sample = discrete_multiplier(map_, family, transfer, y0, 1)
     # The multiplier restricted to the j=1 mode is the phase e^{i*0.7}.
     row = fib.index_of((1,))
@@ -163,14 +163,14 @@ def test_discrete_multiplier_needs_full_family():
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
     family = _family(map_, 0.3, fib, fgrid)[:2]
-    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
     with pytest.raises(MissingSubspaceError):
         discrete_multiplier(map_, family, transfer, 0.3, 1)
 
 
 def _family_setup(map_, fib, fgrid, family_fn):
     """setup_fn whose setups carry the given families, one per bin."""
-    transfer = lambda w: assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
     calls = []
 
     def setup_fn(y):

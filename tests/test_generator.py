@@ -123,32 +123,15 @@ def test_smoothed_generator_scalings():
     assert np.allclose(sym.entries, root[:, None] * V.entries * root[None, :])
 
 
-def test_fiber_koopman_rotation_is_diagonal_phase():
-    system = make_rotation(ALPHA, BETA)
-    fib = TruncatedBasis((4,), ("fiber",))
-    fgrid = default_grid(fib)
-    y, s = 0.7, 0.6
-    U = assemble_fiber_koopman(system, y, s, fib, fgrid)
-    shift = ALPHA * (s + BETA * (np.sin(y + s) - np.sin(y)))
-    expected = np.diag(np.exp(1j * fib.modes[:, 0] * shift))
-    assert np.max(np.abs(U.entries - expected)) < 1e-12
-    assert unitarity_residual(U) < 1e-12
-
-
-def test_fiber_koopman_discrete_torus_iterates():
+def test_fiber_koopman_torus_translation_is_diagonal_phase():
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((3,), ("fiber",))
-    fgrid = default_grid(fib)
-    U2 = assemble_fiber_koopman(map_, 0.2, 2, fib, fgrid)
-    expected = np.diag(np.exp(1j * fib.modes[:, 0] * 1.4))
-    assert np.max(np.abs(U2.entries - expected)) < 1e-12
-
-
-def test_fiber_koopman_rejects_fractional_discrete_steps():
-    map_ = make_torus_translation(4)
-    fib = TruncatedBasis((2,), ("fiber",))
+    U = assemble_fiber_koopman(map_, 0.2, fib, default_grid(fib))
+    expected = np.diag(np.exp(1j * fib.modes[:, 0] * 0.7))
+    assert np.max(np.abs(U.entries - expected)) < 1e-12
+    assert unitarity_residual(U) < 1e-12
     with pytest.raises(ValueError):
-        assemble_fiber_koopman(map_, 0.0, 0.5, fib, default_grid(fib))
+        assemble_fiber_koopman(make_cyclic_group(6, 3), 0.2, fib, default_grid(fib))
 
 
 def test_cyclic_fiber_koopman_is_permutation():

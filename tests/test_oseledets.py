@@ -215,7 +215,7 @@ def _torus_setup(y0=0.3):
     fib = TruncatedBasis((3,), ("fiber",))
     fgrid = default_grid(fib)
     transfers = [
-        assemble_fiber_koopman(map_, w, 1, fib, fgrid).entries for w in map_.base_orbit(y0)
+        assemble_fiber_koopman(map_, w, fib, fgrid).entries for w in map_.base_orbit(y0)
     ]
     return map_, transfers
 
