@@ -233,7 +233,12 @@ class PipelineContext:
             if len(cutoffs) != 1 + fiber_dim:
                 raise ConfigError(f"system '{self.system.name}' needs {1 + fiber_dim} cutoffs, got {len(cutoffs)}")
         roles = ("base",) + ("fiber",) * (len(cutoffs) - 1)
-        return TruncatedBasis(cutoffs, roles)
+        basis = TruncatedBasis(cutoffs, roles)
+        dec = self.config["decomposition"]
+        needed = max(dec["d_values"] + [dec["subspace_rank"]])
+        if self.is_continuous and needed > basis.size:
+            raise ConfigError(f"max(d_values + [subspace_rank]) = {needed} exceeds the basis size {basis.size}")
+        return basis
 
     @cached_property
     def grid(self) -> Grid:
@@ -296,11 +301,15 @@ class PipelineContext:
 
         A single-stage run rewrites the manifest but not the files of other
         stages, so a file the manifest does not list may be another config's.
+        Another package version may assemble the same config differently, so
+        its manifest lists nothing.
         """
         path = self.out / filename
         try:
             manifest = json.loads((self.out / "manifest.json").read_text())
             if manifest.get("config_sha256") != sha256_of(self.config):
+                return None
+            if manifest["versions"]["package"] != __version__:
                 return None
             if manifest.get("outputs", {}).get(filename) != hashlib.sha256(path.read_bytes()).hexdigest():
                 return None

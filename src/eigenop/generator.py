@@ -2,9 +2,10 @@
 
 The generator of a skew flow acts on a tensor Fourier mode as
 base-frequency times base velocity plus fiber-frequency dot fiber
-velocity, all times i. Matrix entries reduce to Fourier coefficients of
-the velocity components at mode differences, which one FFT per component
-delivers exactly within the alias-free band.
+velocity, all times i. Assembled in skew-symmetric form, the matrix
+entries reduce to Fourier coefficients of the velocity components at
+mode differences, weighted by the mean of the two modes' frequencies;
+one FFT per component delivers the coefficients.
 """
 
 from __future__ import annotations
@@ -78,11 +79,15 @@ def assemble_generator(
     basis: TruncatedBasis,
     grid: Grid,
 ) -> OperatorMatrix:
-    """Galerkin matrix of the first-order advection operator of the flow.
+    """Galerkin matrix of the advection operator of the flow, in skew-symmetric form.
 
     The basis must lead with one base factor followed by the fiber
-    factors. Entry (m', m) is the quadrature inner product of mode m'
-    with the generator applied to mode m.
+    factors. Entry (m', m) is sum_d (i/2)(m_d + m'_d) v_d^(m' - m), the
+    Galerkin entry of (v.grad + div(v .))/2 (Zang 1991): v.grad for a
+    divergence-free v, and skew-Hermitian whatever the quadrature error,
+    so aliasing cannot move eigenvalues off the imaginary axis. Hence a
+    compressible velocity shows in validate_system's fiber_divergence_free
+    check, not in this matrix.
     """
     basis.check_base_then_fibers()
     if basis.ndim != 1 + system.fiber_dim:
@@ -96,14 +101,17 @@ def assemble_generator(
     fib_vel = np.asarray(system.fiber_velocity(y, z), dtype=float)
 
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    # Column scaling by i*m_d turns the velocity-coefficient gather into
-    # the full Galerkin entry for each advection term.
+    # Column and row scaling by i*m_d/2 turn the velocity-coefficient
+    # gather into the symmetric Galerkin entry for each advection term.
     spectra = [np.fft.fftn(base_vel) / grid.size]
     for d in range(system.fiber_dim):
         spectra.append(np.fft.fftn(fib_vel[:, d].reshape(grid.shape)) / grid.size)
     idx = _difference_index(basis, basis, grid.shape)
     for d, spec in enumerate(spectra):
-        out += spec.ravel()[idx] * (1j * basis.modes[:, d].astype(float))[None, :]
+        g = spec.ravel()[idx]
+        half = 0.5j * basis.modes[:, d].astype(float)
+        out += g * half[None, :]
+        out += g * half[:, None]
 
     meta = {"system": system.name, "grid": list(grid.points)}
     return OperatorMatrix(basis, basis, out, GENERATOR, meta)

@@ -9,16 +9,15 @@ similar to the skew-adjoint D V D with D = diag(sqrt(w)). When the real
 form of D^-1 A D is skew-symmetric, an orthogonal Hessenberg reduction
 takes it to a skew tridiagonal, which diag(i^k) turns into a real
 symmetric tridiagonal with zero diagonal (Ward & Gray 1978); its
-symmetric eigensolve gives every eigenpair on the imaginary axis. A
-real form that is not skew goes to the real nonsymmetric solver, and an
-operator with no real form to the complex one.
+symmetric eigensolve gives every eigenpair on the imaginary axis. Any
+other operator goes to the complex solver.
 
-Every structure is measured, not assumed: each path is taken only when
-its defect is at rounding level. Whichever solver ran, residuals are
-recomputed from scratch on the original complex matrix afterwards, and
-the matrix norm entering the relative residual is estimated by a
-deterministic power iteration, so the certificate does not trust solver
-internals.
+Every structure is measured, not assumed: the structured path is taken
+only when both defects are at rounding level. Whichever solver ran,
+residuals are recomputed from scratch on the original complex matrix
+afterwards, and the matrix norm entering the relative residual is
+estimated by a deterministic power iteration, so the certificate does
+not trust solver internals.
 """
 
 from __future__ import annotations
@@ -185,11 +184,11 @@ def eig_matrix(
     """eig on a raw square array; same residual contract.
 
     mirror_pairs declares that index N-1-i holds the mirror mode of
-    index i, which lets the real-form solvers be tried. weights, when
+    index i, which lets the structured solver be tried. weights, when
     given, declares M = diag(weights) V with mirror-symmetric weights, so
     that the skew test runs on D^-1 M D with D = diag(sqrt(weights));
     without it D = I. meta["solver"] records which solver ran:
-    "skew-tridiagonal", "real-form" or "complex".
+    "skew-tridiagonal" or "complex".
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -197,17 +196,14 @@ def eig_matrix(
     R = _real_form(M) if mirror_pairs else None
     d = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
     S = None if R is None else _skew_scaled(R, d)
-    solver = "complex" if R is None else "real-form" if S is None else "skew-tridiagonal"
+    del R
+    solver = "complex" if S is None else "skew-tridiagonal"
     try:
         if S is not None:
-            del R
             values, vectors = _skew_eig(S)
             vectors = _from_real_form(vectors)
             if d is not None:
                 vectors *= d[:, None]
-        elif R is not None:
-            values, vectors = np.linalg.eig(R)
-            values, vectors = values.astype(complex), _from_real_form(vectors)
         else:
             values, vectors = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:

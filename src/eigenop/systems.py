@@ -8,7 +8,6 @@ base rotation of finite period and a fiber translation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,24 +28,13 @@ class ContinuousSkewSystem:
     fiber_dim: int
     base_velocity: Callable[[np.ndarray], np.ndarray]
     fiber_velocity: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    closed_form_base_flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    closed_form_base_flow: Callable[[float, np.ndarray], np.ndarray]
     closed_form_fiber_flow: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     parameters: dict = field(default_factory=dict)
 
     def base_flow(self, s: float, y):
-        """Time-s base flow; closed form when available, else RK4."""
-        if self.closed_form_base_flow is not None:
-            return self.closed_form_base_flow(s, y)
-        steps = max(1, int(math.ceil(abs(s) * 200)))
-        y = np.asarray(y, dtype=float)
-        h = s / steps
-        for _ in range(steps):
-            k1 = self.base_velocity(y)
-            k2 = self.base_velocity(y + 0.5 * h * k1)
-            k3 = self.base_velocity(y + 0.5 * h * k2)
-            k4 = self.base_velocity(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
+        """Time-s base flow, in closed form."""
+        return self.closed_form_base_flow(s, y)
 
     def fiber_flow(self, s: float, y: float, z, steps_per_unit_time: int = 200) -> np.ndarray:
         """Fiber points z, shape (n, fiber_dim), moved by the time-s flow from base point y.

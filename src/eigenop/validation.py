@@ -333,23 +333,16 @@ def check_figure_pipelines():
 
 
 def check_skew_adjointness():
-    """Interior-band skew-adjointness of assembled generators."""
-    rot = make_rotation(ALPHA, BETA)
-    basis_rot = _product_basis(8, 8)
-    res_rot = skew_symmetry_residual(assemble_generator(rot, basis_rot, default_grid(basis_rot)))
+    """Interior-band skew-adjointness of the bundled continuous configs' generators."""
+    from . import cli
 
-    from .systems import make_gaussian_vortex
-
-    vortex = make_gaussian_vortex()
-    basis_v = TruncatedBasis((6, 6, 6), ("base", "fiber", "fiber"))
-    res_v = skew_symmetry_residual(assemble_generator(vortex, basis_v, default_grid(basis_v)))
-    passed = res_rot <= 1e-8 and res_v <= 1e-4
-    return _result(
-        12,
-        "skew-adjointness",
-        passed,
-        f"rotation {res_rot:.2e} (tol 1e-8), vortex {res_v:.2e} (tol 1e-4) on interior band",
-    )
+    residuals = {}
+    for name in ("rotation", "gaussian_vortex", "stratospheric"):
+        ctx = cli.PipelineContext(cli.bundled_config(name), Path("unused"))
+        residuals[name] = skew_symmetry_residual(assemble_generator(ctx.system, ctx.basis, ctx.grid))
+    passed = all(res <= 1e-12 for res in residuals.values())
+    detail = ", ".join(f"{name} {res:.2e}" for name, res in residuals.items())
+    return _result(12, "skew-adjointness", passed, f"{detail} (tol 1e-12) on interior band")
 
 
 ALL_CHECKS = (

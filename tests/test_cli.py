@@ -161,6 +161,20 @@ def test_main_exit_code_on_torus_translation_cutoff_count(tmp_path, capsys):
     assert "needs 2 cutoffs" in capsys.readouterr().err
 
 
+def test_main_exit_code_on_d_larger_than_the_basis(tmp_path, capsys):
+    raw = {
+        "system": {"name": "gaussian_vortex"},
+        "truncation": {"cutoffs": [1, 1, 1]},
+        "decomposition": {"d_values": [30]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "exceeds the basis size 27" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_importing_the_cli_does_not_import_scipy():
     code = "import sys, eigenop.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -175,6 +189,27 @@ def test_spectrum_keeps_every_value_and_the_leading_vectors():
     assert spec.size == len(spec.residuals) == ctx.basis.size
     assert spec.eigenvectors.shape == (ctx.basis.size, cfg["decomposition"]["n_leading"])
     assert spec.meta["solver"] == "skew-tridiagonal"
+
+
+@pytest.mark.parametrize(
+    "name, cutoff",
+    [
+        ("rotation", None),
+        ("gaussian_vortex", None),
+        ("stratospheric", None),
+        # stage_rerun's coarse-grid vortex configs.
+        ("gaussian_vortex", 3),
+        ("gaussian_vortex", 4),
+    ],
+    ids=["rotation", "gaussian_vortex", "stratospheric", "vortex-cutoff-3", "vortex-cutoff-4"],
+)
+def test_bundled_generators_solve_skew_tridiagonal(name, cutoff):
+    cfg = cli.bundled_config(name)
+    if cutoff is not None:
+        cfg["truncation"]["cutoffs"] = [cutoff] * 3
+    spec = cli.PipelineContext(cfg, Path("unused")).sorted_spectrum
+    assert spec.meta["solver"] == "skew-tridiagonal"
+    assert np.all(spec.eigenvalues.real == 0.0)
 
 
 def test_full_continuous_pipeline(tmp_path):
@@ -274,6 +309,19 @@ def test_cache_ignores_a_generator_whose_bytes_changed(tmp_path, monkeypatch):
     cli.run_pipeline(cfg, out, ("assemble",))
     path = out / "generator.matrix.json"
     path.write_text(path.read_text().replace('"generator"', '"generator" '))
+    calls = _count_assembly(monkeypatch)
+    assert cli.PipelineContext(cfg, out).generator_matrix is not None
+    assert len(calls) == 1
+
+
+def test_cache_ignores_a_generator_another_package_version_wrote(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, ("assemble",))
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["versions"]["package"] = "0.0.0"
+    path.write_text(json.dumps(manifest))
     calls = _count_assembly(monkeypatch)
     assert cli.PipelineContext(cfg, out).generator_matrix is not None
     assert len(calls) == 1

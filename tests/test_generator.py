@@ -16,7 +16,13 @@ from eigenop.generator import (
     smoothing_weights,
     unitarity_residual,
 )
-from eigenop.systems import make_cyclic_group, make_gaussian_vortex, make_rotation, make_torus_translation
+from eigenop.systems import (
+    make_cyclic_group,
+    make_gaussian_vortex,
+    make_rotation,
+    make_torus_translation,
+    validate_system,
+)
 
 ALPHA = 0.7
 BETA = 0.5
@@ -75,15 +81,20 @@ def test_generator_skew_adjoint_on_interior_band():
     assert skew_symmetry_residual(V) < 1e-12
 
 
-def test_compressible_velocity_breaks_skew_adjointness():
-    # A z-dependent 1-d fiber velocity has nonzero divergence, so the
-    # interior-band residual must flag it.
+def test_skew_symmetry_residual_flags_a_non_skew_operator():
     system, basis, grid = _rotation_setup(6, 6)
-    broken = replace(system, fiber_velocity=lambda y, z: np.sin(np.asarray(z, dtype=float)))
-    V = assemble_generator(broken, basis, grid)
     good = assemble_generator(system, basis, grid)
-    assert skew_symmetry_residual(V) > 0.1
+    shifted = OperatorMatrix(basis, basis, good.entries + 0.1 * np.eye(basis.size), "generator")
+    assert skew_symmetry_residual(shifted) > 0.1
     assert skew_symmetry_residual(good) < 1e-12
+
+
+def test_compressible_velocity_is_flagged_by_validate_system():
+    # The skew-symmetric assembly is skew for any velocity, so a z-dependent
+    # 1-d fiber velocity, which has nonzero divergence, is caught upstream.
+    broken = replace(make_rotation(ALPHA, BETA), fiber_velocity=lambda y, z: np.sin(np.asarray(z, dtype=float)))
+    checks = {c["name"]: c for c in validate_system(broken)["checks"]}
+    assert not checks["fiber_divergence_free"]["passed"]
 
 
 def test_vortex_generator_finite_and_skew():
@@ -91,7 +102,7 @@ def test_vortex_generator_finite_and_skew():
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     V = assemble_generator(vortex, basis, default_grid(basis, 6))
     assert np.all(np.isfinite(V.entries))
-    assert skew_symmetry_residual(V) < 1e-4
+    assert skew_symmetry_residual(V) < 1e-12
 
 
 def test_smoothing_weights_values_and_guards():

@@ -30,10 +30,6 @@ def _smoothed_generator(system, symmetric, multiplier=4):
     return smoothed_generator(V, w, symmetric), None if symmetric else w.values
 
 
-def _smoothed_vortex_generator(symmetric):
-    return _smoothed_generator(make_gaussian_vortex(0.5), symmetric)[0]
-
-
 def test_matrix_norm_estimate_matches_svd():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
@@ -142,23 +138,25 @@ def test_spectrum_report_json_round_trip():
 
 
 @pytest.mark.parametrize(
-    "make_op, solver",
+    "make_op",
     [
-        # The rotation generator is diagonal with imaginary entries, so its real form is skew.
-        (_rotation_generator, "skew-tridiagonal"),
-        (lambda: _smoothed_vortex_generator(False), "real-form"),
-        (lambda: _smoothed_vortex_generator(True), "real-form"),
+        lambda: (_rotation_generator(), None),
+        # Grid multiplier 4: the quadrature is not exact for these velocities.
+        lambda: _smoothed_generator(make_gaussian_vortex(0.5), False),
+        lambda: _smoothed_generator(make_gaussian_vortex(0.5), True),
+        lambda: _smoothed_generator(make_stratospheric(), False),
     ],
-    ids=["rotation", "vortex", "vortex-symmetric"],
+    ids=["rotation", "vortex", "vortex-symmetric", "stratospheric"],
 )
-def test_real_velocity_generators_take_real_form_path(make_op, solver):
-    op = make_op()
-    report = eig(op, tol=1e-8)
+def test_real_velocity_generators_take_real_form_path(make_op):
+    op, w = make_op()
+    report = eig(op, tol=1e-8, weights=w)
     reference = eig_matrix(op.entries, tol=1e-8)
-    assert report.meta["solver"] == solver
+    assert report.meta["solver"] == "skew-tridiagonal"
     assert reference.meta["solver"] == "complex"
     matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
     assert matched, worst
+    assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= report.tolerance)
 
 
@@ -186,8 +184,8 @@ def test_solver_is_recorded_in_json():
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["left", "symmetric"])
 def test_skew_similar_generator_takes_skew_tridiagonal_path(symmetric):
-    # At grid multiplier 8 the smoothed vortex generator's real form, scaled
-    # by sqrt(w), is skew to ~1e-16; the dense complex solver is the oracle.
+    # The smoothed vortex generator's real form, scaled by sqrt(w), is skew
+    # to ~1e-16; the dense complex solver is the oracle.
     op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
     report = eig(op, tol=1e-8, weights=w)
     reference = eig_matrix(op.entries, tol=1e-8)
@@ -203,17 +201,13 @@ def test_skew_similar_generator_takes_skew_tridiagonal_path(symmetric):
     assert np.max(direct) / scale < 1e-13
 
 
-@pytest.mark.parametrize(
-    "system", [make_stratospheric(), make_gaussian_vortex(0.5)], ids=["stratospheric", "vortex-coarse-grid"]
-)
-def test_generator_off_skew_falls_back_to_real_form(system):
-    # Skew defects of the scaled real form at grid multiplier 4: about 1e-2
-    # (stratospheric) and 3e-7 (vortex, whose coarse quadrature breaks the
-    # exact skew symmetry).
-    op, w = _smoothed_generator(system, False)
-    report = eig(op, tol=1e-8, weights=w)
-    assert report.meta["solver"] == "real-form"
-    matched, worst = match_multisets(report.eigenvalues, eig_matrix(op.entries, tol=1e-8).eigenvalues, 1e-10)
+def test_mirror_paired_operator_that_is_not_skew_takes_complex_path():
+    op = _rotation_generator()
+    shifted = OperatorMatrix(op.rows, op.cols, op.entries + 0.1 * np.eye(op.rows.size), "generator")
+    report = eig(shifted, tol=1e-8)
+    assert report.meta["solver"] == "complex"
+    assert np.all(report.residuals <= report.tolerance)
+    matched, worst = match_multisets(report.eigenvalues, eig(op).eigenvalues + 0.1, 1e-10)
     assert matched, worst
 
 
@@ -222,4 +216,6 @@ def test_skew_path_needs_positive_mirror_symmetric_weights():
     underflowed = w.copy()
     underflowed[[0, -1]] = 0.0
     for bad in (underflowed, w * np.linspace(1.0, 2.0, len(w))):
-        assert eig(op, tol=1e-8, weights=bad).meta["solver"] == "real-form"
+        report = eig(op, tol=1e-8, weights=bad)
+        assert report.meta["solver"] == "complex"
+        assert np.all(report.residuals <= report.tolerance)

@@ -48,11 +48,6 @@ def test_flow_fiber_fourth_order_convergence():
     assert e_fine < e_coarse / 10.0
 
 
-def test_base_flow_rk4_fallback_matches_closed_form():
-    sys_ = replace(make_rotation(), closed_form_base_flow=None)
-    assert sys_.base_flow(0.8, np.asarray(0.1)) == pytest.approx(0.9, abs=1e-10)
-
-
 def test_stream_function_velocities_are_divergence_free():
     rng = np.random.default_rng(0)
     for sys_ in (make_gaussian_vortex(), make_stratospheric()):
@@ -88,6 +83,7 @@ def test_flow_fiber_raises_on_divergent_state():
         fiber_dim=1,
         base_velocity=lambda y: np.ones_like(np.asarray(y, dtype=float)),
         fiber_velocity=lambda y, z: np.asarray(z, dtype=float) ** 3,
+        closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
     )
     with pytest.raises(IntegrationError):
         flow_fiber(blow_up, 0.0, np.array([50.0]), 10.0, steps=50)
