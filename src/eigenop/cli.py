@@ -27,7 +27,7 @@ from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, continuous_w, hatw_field
 from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
-from .generator import GENERATOR, OperatorMatrix, assemble_generator, smoothed_generator, smoothing_weights
+from .generator import GENERATOR, OperatorMatrix, SmoothingWeights, assemble_generator, smoothed_generator
 from .ioformats import (
     complex_list,
     read_matrix,
@@ -216,7 +216,7 @@ class PipelineContext:
         sc = self.config["system"]
         try:
             return make_system(sc["name"], **sc["params"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot instantiate system '{sc['name']}': {exc}") from exc
 
     @property
@@ -261,7 +261,7 @@ class PipelineContext:
     @cached_property
     def weights(self):
         sm = self.config["smoothing"]
-        return None if sm is None else smoothing_weights(self.basis, sm["tau"], sm["p"], sm["rule"])
+        return None if sm is None else SmoothingWeights(self.basis, sm["tau"], sm["p"], sm["rule"])
 
     @cached_property
     def operator_for_spectra(self):
@@ -405,7 +405,7 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
     ev = ctx.config["evaluation"]
     if ctx.is_continuous:
         y, s = float(ev["y"]), float(ev["s"])
-        ystar = float(np.mod(ctx.system.base_flow(s, np.asarray(y)), 2 * np.pi))
+        ystar = ctx.system.advanced_base_point(s, y)
         rank = ctx.config["decomposition"]["subspace_rank"]
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, rank)
         sample = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
@@ -448,7 +448,7 @@ def stage_cocycle_field(ctx: PipelineContext) -> list[str]:
         return []
     ev = ctx.config["evaluation"]
     y, s = float(ev["y"]), float(ev["s"])
-    ystar = float(np.mod(ctx.system.base_flow(s, np.asarray(y)), 2 * np.pi))
+    ystar = ctx.system.advanced_base_point(s, y)
     fib = ctx.basis.fiber_subbasis()
     fgrid = Grid(tuple(ev["field_grid"]))
     formats = ctx.config["output"]["formats"]

@@ -4,11 +4,11 @@ Discrete side: at base point y and step offset i, the multiplier is the
 fiber transfer matrix at h^i(y) composed with the subspace projection
 there; its frame compression carries the spectrum. The aggregate over
 y-samples builds one periodic setup per sample and serves every bin
-from it. Continuous side: the advection operator with the fiber velocity
-frozen at the advanced base point h_s(y), compressed to sections of the
-subspace over the base modes; for the closed-form benchmark this
-reproduces the analytic frequency ladder exactly. A rank-one closed
-form, which restricts the eigenvector field with
+from it. Continuous side: base advection plus the fiber generator at the
+advanced base point h_s(y), in the tensor form
+kron(G_b, I) + kron(I, F* G_f F) on subspace sections; for the closed-form
+benchmark this reproduces the analytic frequency ladder exactly. A
+rank-one closed form, which restricts the eigenvector field with
 oseledets.restrict_coefficients, and a flow-shift invariance check round
 out the module.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid, TruncatedBasis, synthesize
-from .generator import assemble_generator
+from .generator import advection_matrix
 from .oseledets import FiberSubspace, restrict_coefficients
 from .spectra import SpectrumReport, eig_matrix, hausdorff_distance
 from .systems import ContinuousSkewSystem, DiscreteSkewMap
@@ -61,18 +61,6 @@ class EigenoperatorSample:
         return eig_matrix(self.matrix, tol=tol, source=self.kind, meta=dict(self.indices))
 
 
-def frozen_fiber_system(system: ContinuousSkewSystem, ystar: float) -> ContinuousSkewSystem:
-    """Copy of the system with the fiber velocity pinned to base point ystar."""
-    return ContinuousSkewSystem(
-        name=f"{system.name}@frozen",
-        fiber_dim=system.fiber_dim,
-        base_velocity=system.base_velocity,
-        fiber_velocity=lambda y, z: system.fiber_velocity(ystar, z),
-        closed_form_base_flow=system.closed_form_base_flow,
-        parameters=dict(system.parameters),
-    )
-
-
 def continuous_eigenoperator(
     system: ContinuousSkewSystem,
     subspace: FiberSubspace,
@@ -81,13 +69,14 @@ def continuous_eigenoperator(
     basis: TruncatedBasis,
     grid: Grid,
 ) -> EigenoperatorSample:
-    """Advection operator frozen at h_s(y), compressed to subspace sections.
+    """Eigenoperator at h_s(y), compressed to subspace sections.
 
     The subspace must live at the advanced base point h_s(y). Sections
-    are base modes tensored with the subspace frame columns; the
-    compression acts on those section coefficients.
+    are base modes tensored with the subspace frame columns F, so the
+    compression is kron(G_b, I) + kron(I, F* G_f F): G_b advects along
+    the base, and G_f is the fiber advection at h_s(y).
     """
-    ystar = float(np.mod(system.base_flow(s, np.asarray(float(y))), 2 * np.pi))
+    ystar = system.advanced_base_point(s, y)
     ysub = float(np.mod(subspace.y, 2 * np.pi))
     gap = min(abs(ysub - ystar), 2 * np.pi - abs(ysub - ystar))
     if gap > 1e-8:
@@ -97,10 +86,13 @@ def continuous_eigenoperator(
     if subspace.dim == 0:
         raise MissingSubspaceError("subspace has no directions to compress onto")
 
-    G = assemble_generator(frozen_fiber_system(system, ystar), basis, grid)
-    nbase = 2 * basis.cutoffs[0] + 1
-    section = np.kron(np.eye(nbase), subspace.frame)
-    matrix = section.conj().T @ G.entries @ section
+    basis.check_base_then_fibers()
+    base, base_grid = TruncatedBasis(basis.cutoffs[:1], basis.roles[:1]), Grid(grid.points[:1])
+    fib, fib_grid = basis.fiber_subbasis(), Grid(grid.points[1:])
+    G_b = advection_matrix(base, base_grid, system.base_velocity(base_grid.nodes))
+    G_f = advection_matrix(fib, fib_grid, system.fiber_velocity(ystar, fib_grid.nodes))
+    F = subspace.frame
+    matrix = np.kron(G_b, np.eye(subspace.dim)) + np.kron(np.eye(base.size), F.conj().T @ G_f @ F)
     return EigenoperatorSample(
         base_point=float(y),
         matrix=matrix,
@@ -167,8 +159,7 @@ def aggregated_continuous_spectrum(
     """
     out = []
     for y in np.asarray(y_points, dtype=float):
-        ystar = float(np.mod(system.base_flow(s, np.asarray(y)), 2 * np.pi))
-        sample = continuous_eigenoperator(system, subspace_factory(ystar), y, s, basis, grid)
+        sample = continuous_eigenoperator(system, subspace_factory(system.advanced_base_point(s, y)), y, s, basis, grid)
         out.append(sample.spectrum().eigenvalues)
     return np.concatenate(out)
 

@@ -59,19 +59,26 @@ class OperatorMatrix:
         return self.rows.size == self.cols.size
 
 
-def _difference_index(rows: TruncatedBasis, cols: TruncatedBasis, shape) -> np.ndarray:
-    """Linear indices of (row mode - col mode) mod shape into a flat spectrum.
+def advection_matrix(basis: TruncatedBasis, grid: Grid, velocity: np.ndarray) -> np.ndarray:
+    """Galerkin matrix of (v.grad + div(v .))/2 on a tensor basis.
 
-    The linear index of a mode difference splits per axis because the
-    grid is a tensor product, so it is assembled axis-wise.
+    velocity holds v at grid.nodes, shape (grid.size, basis.ndim). Entry
+    (m', m) is sum_d (i/2)(m_d + m'_d) v_d^(m' - m) (Zang 1991): v.grad
+    for a divergence-free v, and skew-Hermitian whatever the quadrature
+    error, so aliasing cannot move eigenvalues off the imaginary axis.
     """
-    idx = np.zeros((rows.size, cols.size), dtype=np.int64)
-    stride = 1
-    for d in range(len(shape) - 1, -1, -1):
-        diff = np.mod(rows.modes[:, d][:, None] - cols.modes[None, :, d], shape[d])
-        idx += diff * stride
-        stride *= shape[d]
-    return idx
+    grid.check_no_aliasing(basis)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    # Flat index of each mode difference m' - m into the grid spectrum.
+    idx = np.ravel_multi_index(np.moveaxis(basis.modes[:, None] - basis.modes[None], -1, 0), grid.shape, mode="wrap")
+    # Column and row scaling by i*m_d/2 turn the velocity-coefficient
+    # gather into the symmetric Galerkin entry for each advection term.
+    for d in range(basis.ndim):
+        g = (np.fft.fftn(velocity[:, d].reshape(grid.shape)) / grid.size).ravel()[idx]
+        half = 0.5j * basis.modes[:, d].astype(float)
+        out += g * half[None, :]
+        out += g * half[:, None]
+    return out
 
 
 def assemble_generator(
@@ -79,42 +86,21 @@ def assemble_generator(
     basis: TruncatedBasis,
     grid: Grid,
 ) -> OperatorMatrix:
-    """Galerkin matrix of the advection operator of the flow, in skew-symmetric form.
+    """Generator of the flow on the product basis, as an advection_matrix.
 
     The basis must lead with one base factor followed by the fiber
-    factors. Entry (m', m) is sum_d (i/2)(m_d + m'_d) v_d^(m' - m), the
-    Galerkin entry of (v.grad + div(v .))/2 (Zang 1991): v.grad for a
-    divergence-free v, and skew-Hermitian whatever the quadrature error,
-    so aliasing cannot move eigenvalues off the imaginary axis. Hence a
-    compressible velocity shows in validate_system's fiber_divergence_free
-    check, not in this matrix.
+    factors. The matrix is skew-Hermitian for any velocity, so a
+    compressible one shows in validate_system's fiber_divergence_free
+    check, not here.
     """
     basis.check_base_then_fibers()
     if basis.ndim != 1 + system.fiber_dim:
         raise ValueError("basis dimensionality does not match the system")
-    grid.check_no_aliasing(basis)
-
     nodes = grid.nodes
     y = nodes[:, 0]
-    z = nodes[:, 1:]
-    base_vel = np.asarray(system.base_velocity(y), dtype=float).reshape(grid.shape)
-    fib_vel = np.asarray(system.fiber_velocity(y, z), dtype=float)
-
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    # Column and row scaling by i*m_d/2 turn the velocity-coefficient
-    # gather into the symmetric Galerkin entry for each advection term.
-    spectra = [np.fft.fftn(base_vel) / grid.size]
-    for d in range(system.fiber_dim):
-        spectra.append(np.fft.fftn(fib_vel[:, d].reshape(grid.shape)) / grid.size)
-    idx = _difference_index(basis, basis, grid.shape)
-    for d, spec in enumerate(spectra):
-        g = spec.ravel()[idx]
-        half = 0.5j * basis.modes[:, d].astype(float)
-        out += g * half[None, :]
-        out += g * half[:, None]
-
+    velocity = np.column_stack([system.base_velocity(y), system.fiber_velocity(y, nodes[:, 1:])])
     meta = {"system": system.name, "grid": list(grid.points)}
-    return OperatorMatrix(basis, basis, out, GENERATOR, meta)
+    return OperatorMatrix(basis, basis, advection_matrix(basis, grid, velocity), GENERATOR, meta)
 
 
 @dataclass(frozen=True)
@@ -143,10 +129,6 @@ class SmoothingWeights:
             w = np.exp(self.tau * (1.0 - np.exp(np.sum(absm, axis=1))))
         w.setflags(write=False)
         return w
-
-
-def smoothing_weights(basis: TruncatedBasis, tau: float, p: float, rule: str = "power_law") -> SmoothingWeights:
-    return SmoothingWeights(basis, tau, p, rule)
 
 
 def smoothed_generator(V: OperatorMatrix, w: SmoothingWeights, symmetric: bool = False) -> OperatorMatrix:

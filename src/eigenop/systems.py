@@ -36,6 +36,10 @@ class ContinuousSkewSystem:
         """Time-s base flow, in closed form."""
         return self.closed_form_base_flow(s, y)
 
+    def advanced_base_point(self, s: float, y: float) -> float:
+        """h_s(y), the time-s base flow of one point, wrapped to [0, 2pi)."""
+        return float(np.mod(self.base_flow(s, np.asarray(float(y))), TWO_PI))
+
     def fiber_flow(self, s: float, y: float, z, steps_per_unit_time: int = 200) -> np.ndarray:
         """Fiber points z, shape (n, fiber_dim), moved by the time-s flow from base point y.
 
@@ -197,6 +201,9 @@ STRATOSPHERIC_DEFAULTS = {
 def make_stratospheric(**overrides) -> ContinuousSkewSystem:
     """Traveling-wave jet on T x (T x [-pi, pi]); the strip is treated as a
     2pi-periodic circle (the sech^2 profile is negligible at +-pi)."""
+    unknown = sorted(set(overrides) - set(STRATOSPHERIC_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown stratospheric parameters: {', '.join(unknown)}")
     params = dict(STRATOSPHERIC_DEFAULTS)
     params.update(overrides)
     L = params["L"]
@@ -240,6 +247,11 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
 # discrete built-ins
 
 
+def _check_positive_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _step_gtilde(values, breaks):
     """Piecewise-constant function of y on [0, 2pi): values[i] on
     [breaks[i], breaks[i+1])."""
@@ -261,6 +273,7 @@ def make_torus_translation(n: int = 4, gtilde=None) -> DiscreteSkewMap:
 
     gtilde defaults to a constant real shift.
     """
+    _check_positive_int("n", n)
     if gtilde is None:
         shift = 0.7
         gtilde = lambda y: shift
@@ -289,6 +302,8 @@ def make_cyclic_group(m: int = 6, n: int = 3, gtilde=None) -> DiscreteSkewMap:
 
     gtilde defaults to an integer-valued two-step function of y.
     """
+    _check_positive_int("m", m)
+    _check_positive_int("n", n)
     if gtilde is None:
         gtilde = _step_gtilde([1, 2], [0.0, np.pi])
     elif np.isscalar(gtilde):

@@ -25,7 +25,7 @@ from .eigenoperator import (
     rank_one_spectrum,
     shift_invariance_check,
 )
-from .generator import assemble_generator, skew_symmetry_residual, smoothing_weights
+from .generator import SmoothingWeights, assemble_generator, skew_symmetry_residual
 from .oracles import peter_weyl_blockdiag, rotation_oracle, s3_table
 from .oseledets import (
     RESTRICTED_EIGVECS,
@@ -79,7 +79,7 @@ def check_rotation_generator_spectrum():
 
 
 def check_eigenoperator_formula():
-    """Frequency ladder of the compressed frozen operator at fixed y."""
+    """Frequency ladder of the compressed eigenoperator at fixed y."""
     system = make_rotation(ALPHA, BETA)
     basis = _product_basis(4, 4)
     grid = default_grid(basis)
@@ -289,7 +289,7 @@ def check_smoothing_limit():
         c /= np.linalg.norm(c)
         gaps = []
         for tau in taus:
-            w = smoothing_weights(basis, float(tau), 0.1).values
+            w = SmoothingWeights(basis, float(tau), 0.1).values
             gaps.append(float(np.linalg.norm(w * c - c)))
         monotone &= all(a >= b for a, b in zip(gaps[:-1], gaps[1:]))
         worst_final = max(worst_final, gaps[-1])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from eigenop import cli, oseledets, systems
+from eigenop import cli, eigenoperator, oseledets, systems
 from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of
@@ -175,6 +175,40 @@ def test_main_exit_code_on_d_larger_than_the_basis(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"name": "torus_translation", "params": {"n": 0}},
+        {"name": "torus_translation", "params": {"n": -3}},
+        {"name": "torus_translation", "params": {"n": 2.5}},
+        {"name": "cyclic_group", "params": {"m": 0}},
+        {"name": "cyclic_group", "params": {"n": 0}},
+    ],
+    ids=["torus-n-0", "torus-n-negative", "torus-n-fractional", "cyclic-m-0", "cyclic-n-0"],
+)
+def test_main_exit_code_on_discrete_params_that_are_not_positive_integers(system, tmp_path, capsys):
+    raw = {**_small_discrete_config(), "system": system}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_main_exit_code_on_unknown_stratospheric_params(tmp_path, capsys):
+    raw = {
+        "system": {"name": "stratospheric", "params": {"bogus": 1, "sigmaa": [0, 0, 0]}},
+        "truncation": {"cutoffs": [1, 1, 1]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "unknown stratospheric parameters: bogus, sigmaa" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_importing_the_cli_does_not_import_scipy():
     code = "import sys, eigenop.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -246,6 +280,7 @@ def test_manifest_has_no_timestamps(tmp_path):
 
 
 def _count_assembly(monkeypatch) -> list:
+    """Count assemble_generator calls made through the cli or eigenoperator module."""
     calls = []
     original = cli.assemble_generator
 
@@ -253,7 +288,9 @@ def _count_assembly(monkeypatch) -> list:
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli, "assemble_generator", counting)
+    for module in (cli, eigenoperator):
+        if hasattr(module, "assemble_generator"):
+            monkeypatch.setattr(module, "assemble_generator", counting)
     return calls
 
 
@@ -269,6 +306,14 @@ def test_cached_generator_is_reused(tmp_path, monkeypatch):
     assert ctx.generator_matrix.meta == first["meta"]
     assert np.array_equal(ctx.generator_matrix.entries, first["entries"])
     assert calls == []
+
+
+def test_all_assembles_the_product_space_generator_once(tmp_path, monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_vortex_config()))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "fresh")]) == 0
+    assert len(calls) == 1
 
 
 def test_cache_ignored_when_config_changes(tmp_path, monkeypatch):

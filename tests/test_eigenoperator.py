@@ -1,5 +1,7 @@
 """Tests for compressed eigenoperator matrices and their spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,21 @@ from eigenop.eigenoperator import (
     continuous_eigenoperator,
     discrete_eigenoperator_spectrum,
     discrete_multiplier,
-    frozen_fiber_system,
     norm_constancy,
     rank_one_spectrum,
     shift_invariance_check,
     _tolerance_union,
 )
-from eigenop.generator import assemble_fiber_koopman
+from eigenop.generator import assemble_fiber_koopman, assemble_generator
 from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
 from eigenop.spectra import match_multisets
-from eigenop.systems import make_cyclic_group, make_rotation, make_torus_translation
+from eigenop.systems import (
+    make_cyclic_group,
+    make_gaussian_vortex,
+    make_rotation,
+    make_stratospheric,
+    make_torus_translation,
+)
 
 ALPHA = 0.7
 BETA = 0.5
@@ -48,12 +55,38 @@ def test_fiber_restriction_contracts_base_modes():
     assert np.max(np.abs(cols - scalar * np.stack([uf, 2 * uf], axis=1))) < 1e-12
 
 
-def test_frozen_fiber_system_pins_base_point():
-    sys_ = make_rotation(ALPHA, BETA)
-    frozen = frozen_fiber_system(sys_, np.pi)
-    z = np.array([[0.1]])
-    expected = ALPHA * (1.0 + BETA * np.cos(np.pi))
-    assert frozen.fiber_velocity(0.0, z)[0, 0] == pytest.approx(expected)
+def _product_space_compression(system, subspace, ystar, basis, grid):
+    """Reference: sections* G section, with G the product-space generator of
+    the system whose fiber velocity is pinned to ystar."""
+    frozen = replace(system, fiber_velocity=lambda y, z: system.fiber_velocity(ystar, z))
+    G = assemble_generator(frozen, basis, grid).entries
+    section = np.kron(np.eye(2 * basis.cutoffs[0] + 1), subspace.frame)
+    return section.conj().T @ G @ section
+
+
+@pytest.mark.parametrize(
+    "system, cutoffs, y, s",
+    [
+        # A y-dependent base velocity couples base modes; at s = 0 the
+        # closed-form base flow of the vortex is still exact.
+        (replace(make_gaussian_vortex(), base_velocity=lambda y: 1.0 + 0.3 * np.cos(y)), (3, 2, 3), 0.9, 0.0),
+        (make_stratospheric(), (2, 3, 3), 2.2, 0.7),
+        (make_rotation(ALPHA, BETA), (3, 4), 5.9, 1.1),
+    ],
+    ids=["vortex-varying-base", "stratospheric", "rotation"],
+)
+def test_continuous_eigenoperator_matches_product_space_compression(system, cutoffs, y, s):
+    basis = TruncatedBasis(cutoffs, ("base",) + ("fiber",) * (len(cutoffs) - 1))
+    grid = default_grid(basis)
+    ystar = float(np.mod(y + s, TWO_PI))
+    rng = np.random.default_rng(3)
+    fib_size = basis.fiber_subbasis().size
+    frame, _ = np.linalg.qr(rng.standard_normal((fib_size, 3)) + 1j * rng.standard_normal((fib_size, 3)))
+    sub = FiberSubspace(ystar, frame, RESTRICTED_EIGVECS, 3)
+    A = continuous_eigenoperator(system, sub, y, s, basis, grid).matrix
+    ref = _product_space_compression(system, sub, ystar, basis, grid)
+    assert np.max(np.abs(A)) > 1.0
+    assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(A))
 
 
 def test_continuous_eigenoperator_frequency_ladder():

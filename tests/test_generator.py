@@ -7,13 +7,13 @@ from dataclasses import replace
 from eigenop.basis import Grid, TruncatedBasis, default_grid
 from eigenop.generator import (
     OperatorMatrix,
+    SmoothingWeights,
     assemble_fiber_koopman,
     assemble_generator,
     cyclic_fiber_koopman,
     interior_band_slice,
     skew_symmetry_residual,
     smoothed_generator,
-    smoothing_weights,
     unitarity_residual,
 )
 from eigenop.systems import (
@@ -107,18 +107,18 @@ def test_vortex_generator_finite_and_skew():
 
 def test_smoothing_weights_values_and_guards():
     basis = TruncatedBasis((2,), ("fiber",))
-    w = smoothing_weights(basis, tau=0.3, p=1.0)
+    w = SmoothingWeights(basis, tau=0.3, p=1.0)
     expected = np.exp(-0.3 * np.abs(np.arange(-2, 3)))
     assert np.allclose(w.values, expected)
     with pytest.raises(ValueError):
-        smoothing_weights(basis, tau=-1.0, p=1.0)
+        SmoothingWeights(basis, tau=-1.0, p=1.0)
     with pytest.raises(ValueError):
-        smoothing_weights(basis, tau=0.1, p=1.0, rule="bogus")
+        SmoothingWeights(basis, tau=0.1, p=1.0, rule="bogus")
 
 
 def test_alternate_smoothing_rule():
     basis = TruncatedBasis((1,), ("fiber",))
-    w = smoothing_weights(basis, tau=0.2, p=1.0, rule="heat_kernel")
+    w = SmoothingWeights(basis, tau=0.2, p=1.0, rule="heat_kernel")
     expected = np.exp(0.2 * (1.0 - np.exp(np.abs(np.arange(-1, 2)))))
     assert np.allclose(w.values, expected)
 
@@ -126,7 +126,7 @@ def test_alternate_smoothing_rule():
 def test_smoothed_generator_scalings():
     system, basis, grid = _rotation_setup(2, 2)
     V = assemble_generator(system, basis, grid)
-    w = smoothing_weights(basis, tau=0.1, p=0.5)
+    w = SmoothingWeights(basis, tau=0.1, p=0.5)
     left = smoothed_generator(V, w)
     assert np.allclose(left.entries, w.values[:, None] * V.entries)
     sym = smoothed_generator(V, w, symmetric=True)

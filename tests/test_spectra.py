@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenop.basis import TruncatedBasis, default_grid
-from eigenop.generator import OperatorMatrix, assemble_generator, smoothed_generator, smoothing_weights
+from eigenop.generator import OperatorMatrix, SmoothingWeights, assemble_generator, smoothed_generator
 from eigenop.spectra import (
     EigensolveError,
     eig,
@@ -26,7 +26,7 @@ def _smoothed_generator(system, symmetric, multiplier=4):
     """(diag(w) V or sqrt(w) V sqrt(w), w) at cutoffs 3; w is None for the symmetric form."""
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     V = assemble_generator(system, basis, default_grid(basis, multiplier))
-    w = smoothing_weights(basis, 0.1, 0.1)
+    w = SmoothingWeights(basis, 0.1, 0.1)
     return smoothed_generator(V, w, symmetric), None if symmetric else w.values
 
 
