@@ -5,7 +5,8 @@ eigenop, cocycle-field), the whole pipeline (all), or the acceptance
 suite (validate). Configs are JSON, schema-checked with unknown keys
 rejected; every omitted default is resolved before anything runs and
 recorded in the output manifest. Reruns of the same config produce
-byte-identical artifacts.
+byte-identical artifacts, and a rerun into the same directory reads back
+the certified spectrum instead of solving again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, continuous_w, hatw_field
 from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
-from .generator import GENERATOR, OperatorMatrix, SmoothingWeights, assemble_generator, smoothed_generator
+from .generator import SmoothingWeights, assemble_generator, smoothed_generator
 from .ioformats import (
     complex_list,
     read_matrix,
@@ -38,7 +39,7 @@ from .ioformats import (
     write_matrix,
 )
 from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
-from .spectra import EigensolveError, eig, sort_by_target
+from .spectra import EigensolveError, SpectrumReport, eig, sort_by_target
 from .systems import ContinuousSkewSystem, IntegrationError, make_system
 
 EXIT_SCHEMA = 2
@@ -46,6 +47,10 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 ALL_STAGES = ("assemble", "eig", "oseledets", "eigenop", "cocycle-field")
+SPECTRUM_FILES = ("spectrum.json", "leading_vectors.matrix.json")
+# Eigenoperator eigenvalues are listed by (Im, Re), each rounded to this
+# multiple of max|lambda|, so roundoff in the solve cannot reorder them.
+EIGENOP_ORDER_RTOL = 1e-12
 
 SCHEMA = {
     "type": "object",
@@ -253,9 +258,6 @@ class PipelineContext:
 
     @cached_property
     def generator_matrix(self):
-        cached = self._load_cached("generator.matrix.json", GENERATOR)
-        if cached is not None:
-            return OperatorMatrix(self.basis, self.basis, cached["entries"], GENERATOR, cached["meta"])
         return assemble_generator(self.system, self.basis, self.grid)
 
     @cached_property
@@ -272,6 +274,9 @@ class PipelineContext:
     @cached_property
     def sorted_spectrum(self):
         """Every eigenvalue, target-sorted, with only the n_leading eigenvector columns any stage reads."""
+        cached = self._load_cached()
+        if cached is not None:
+            return cached
         target = complex(*self.config["spectra"]["sort_target"])
         # diag(w) V is similar to a skew-adjoint matrix by diag(sqrt(w)); the
         # symmetric form sqrt(w) V sqrt(w) needs no scaling.
@@ -296,29 +301,49 @@ class PipelineContext:
         """Discrete decomposition at the evaluation base point."""
         return self.periodic_setup_at(float(self.config["evaluation"]["y"]))
 
-    def _load_cached(self, filename: str, provenance: str):
-        """The on-disk matrix document, if this config's manifest lists it with its current hash.
-
-        A single-stage run rewrites the manifest but not the files of other
-        stages, so a file the manifest does not list may be another config's.
-        Another package version may assemble the same config differently, so
-        its manifest lists nothing.
-        """
-        path = self.out / filename
+    @cached_property
+    def previous_outputs(self) -> dict:
+        """The outputs of the directory's manifest, if this config and package version wrote it."""
         try:
             manifest = json.loads((self.out / "manifest.json").read_text())
-            if manifest.get("config_sha256") != sha256_of(self.config):
-                return None
-            if manifest["versions"]["package"] != __version__:
-                return None
-            if manifest.get("outputs", {}).get(filename) != hashlib.sha256(path.read_bytes()).hexdigest():
-                return None
-            doc = read_matrix(path)
-            if doc.get("provenance") != provenance:
-                return None
-            return doc
-        except (ValueError, KeyError, OSError, AttributeError):
+            if manifest["config_sha256"] != sha256_of(self.config) or manifest["versions"]["package"] != __version__:
+                return {}
+            return dict(manifest["outputs"])
+        except (ValueError, KeyError, OSError, TypeError):
+            return {}
+
+    def is_listed(self, filename: str) -> bool:
+        """Whether the previous manifest lists the file with its current sha256."""
+        recorded = self.previous_outputs.get(filename)
+        try:
+            return recorded is not None and recorded == hashlib.sha256((self.out / filename).read_bytes()).hexdigest()
+        except OSError:
+            return False
+
+    def _load_cached(self) -> SpectrumReport | None:
+        """The spectrum stage_eig wrote, if the previous manifest lists both of its files.
+
+        eig_matrix certified every pair when it was computed. JSON and
+        base64 float64 round-trip every value exactly.
+        """
+        if not all(self.is_listed(name) for name in SPECTRUM_FILES):
             return None
+        try:
+            doc = json.loads((self.out / "spectrum.json").read_text())
+            report = SpectrumReport(
+                np.array([complex(re, im) for re, im in doc["eigenvalues"]], dtype=complex),
+                read_matrix(self.out / "leading_vectors.matrix.json")["entries"],
+                np.array(doc["residuals"], dtype=float),
+                doc["tolerance"],
+                doc["sort_rule"],
+                doc["source"],
+                doc["meta"],
+            )
+        except (ValueError, KeyError, OSError, TypeError):
+            return None
+        n = self.basis.size
+        shapes = (report.eigenvalues.shape, report.residuals.shape, report.eigenvectors.shape)
+        return report if shapes == ((n,), (n,), (n, min(self.config["decomposition"]["n_leading"], n))) else None
 
 
 def stage_assemble(ctx: PipelineContext) -> list[str]:
@@ -348,7 +373,7 @@ def stage_eig(ctx: PipelineContext) -> list[str]:
         "projection",
         {"count": count, "sort_rule": report.sort_rule},
     )
-    return ["spectrum.json", "leading_vectors.matrix.json"]
+    return list(SPECTRUM_FILES)
 
 
 def stage_oseledets(ctx: PipelineContext) -> list[str]:
@@ -410,13 +435,16 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, rank)
         sample = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
         spec = sample.spectrum(tol=ctx.config["spectra"]["tol"])
+        values = spec.eigenvalues
+        key = np.round(values / (EIGENOP_ORDER_RTOL * np.max(np.abs(values)) or 1.0))
+        values = values[np.lexsort((values.real, values.imag, key.real, key.imag))]
         doc = {
             "kind": sample.kind,
             "y": y,
             "s": s,
             "subspace_rank": sub.dim,
-            "eigenvalues": complex_list(spec.eigenvalues),
-            "max_abs_real_part": float(np.max(np.abs(spec.eigenvalues.real))),
+            "eigenvalues": complex_list(values),
+            "max_abs_real_part": float(np.max(np.abs(values.real))),
             "residual_tolerance": spec.tolerance,
         }
     else:
@@ -486,9 +514,9 @@ def run_pipeline(config: dict, out, stages) -> dict:
     for stage in stages:
         outputs.extend(STAGE_FUNCS[stage](ctx))
         ran.append(stage)
-    hashes = {}
-    for name in sorted(set(outputs)):
-        hashes[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
+    # The files of earlier runs of this config stay listed while their bytes are unchanged.
+    hashes.update({name: h for name, h in ctx.previous_outputs.items() if name not in hashes and ctx.is_listed(name)})
     manifest = {
         "config": config,
         "config_sha256": sha256_of(config),
@@ -545,7 +573,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(manifest['outputs'])} artifacts to {args.out}")
+    print(f"wrote {args.out}/manifest.json, which lists {len(manifest['outputs'])} artifacts")
     return 0
 
 

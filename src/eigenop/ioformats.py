@@ -14,11 +14,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .basis import FieldSample
+from .basis import FieldSample, Grid
 
 MATRIX_FORMAT = "complex-matrix/base64-le-f64-interleaved/v1"
 
@@ -83,15 +84,20 @@ def read_matrix(path) -> dict:
     return doc
 
 
+@lru_cache(maxsize=4)
+def _node_prefixes(grid: Grid) -> tuple[str, ...]:
+    """The "z1,z2," start of every CSV row, formatted once per grid."""
+    nodes = grid.nodes
+    return tuple(map("{:.17g},{:.17g},".format, nodes[:, 0].tolist(), nodes[:, 1].tolist()))
+
+
 def write_field_csv(path, sample: FieldSample):
     """Two fiber coordinates per row; row-major over the grid."""
     if sample.grid.ndim != 2:
         raise ValueError("field CSV export requires a 2-d fiber grid")
-    nodes = sample.grid.nodes
     vals = sample.values.ravel()
-    row = "{:.17g},{:.17g},{:.17g},{:.17g}".format
-    columns = (nodes[:, 0].tolist(), nodes[:, 1].tolist(), vals.real.tolist(), vals.imag.tolist())
-    Path(path).write_text("z1,z2,re,im\n" + "\n".join(map(row, *columns)) + "\n")
+    rows = map("{}{:.17g},{:.17g}".format, _node_prefixes(sample.grid), vals.real.tolist(), vals.imag.tolist())
+    Path(path).write_text("z1,z2,re,im\n" + "\n".join(rows) + "\n")
 
 
 def _diverging_rgb(t: np.ndarray) -> np.ndarray:

@@ -206,6 +206,9 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
         raise ValueError(f"unknown stratospheric parameters: {', '.join(unknown)}")
     params = dict(STRATOSPHERIC_DEFAULTS)
     params.update(overrides)
+    for name in ("A", "k", "sigma"):
+        if np.shape(params[name]) != (3,):
+            raise ValueError(f"stratospheric parameter {name} needs 3 values, one per wave, got {params[name]!r}")
     L = params["L"]
     A = tuple(params["A"])
     kk = tuple(params["k"])

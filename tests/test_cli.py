@@ -1,9 +1,11 @@
 """Tests for the configuration schema, pipeline stages, and CLI entry."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from jsonschema.validators import validator_for
 from eigenop import cli, eigenoperator, oseledets, systems
 from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
-from eigenop.ioformats import read_matrix, sha256_of
+from eigenop.ioformats import read_matrix, sha256_of, write_matrix
 
 
 def _small_rotation_config():
@@ -209,6 +211,19 @@ def test_main_exit_code_on_unknown_stratospheric_params(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "key, value", [("A", [0.075]), ("k", [1.0, 2.0, 3.0, 4.0]), ("sigma", [-2.0, -1.0])], ids=["A-1", "k-4", "sigma-2"]
+)
+def test_main_exit_code_on_stratospheric_wave_lists_of_the_wrong_length(key, value, tmp_path, capsys):
+    raw = {"system": {"name": "stratospheric", "params": {key: value}}, "truncation": {"cutoffs": [1, 1, 1]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert f"stratospheric parameter {key} needs 3 values" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_importing_the_cli_does_not_import_scipy():
     code = "import sys, eigenop.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -262,6 +277,33 @@ def test_full_continuous_pipeline(tmp_path):
     assert doc["max_abs_real_part"] < 1e-8
 
 
+def test_eigenoperator_listing_survives_a_roundoff_perturbation(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    cli.run_pipeline(cfg, tmp_path / "plain", cli.ALL_STAGES)
+    samples = []
+    original = cli.continuous_eigenoperator
+
+    def perturbed(*args):
+        sample = original(*args)
+        # The rank-1 rotation eigenoperator is diagonal. One entry below the
+        # diagonal at 1e-16 max|A| keeps it triangular, so its eigenvalues
+        # are still exactly its diagonal, but LAPACK's balancing permutes
+        # them into another order.
+        matrix = np.array(sample.matrix)
+        matrix[-1, 0] += 1e-16 * np.max(np.abs(matrix))
+        samples.append((sample, replace(sample, matrix=matrix)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(cli, "continuous_eigenoperator", perturbed)
+    cli.run_pipeline(cfg, tmp_path / "perturbed", cli.ALL_STAGES)
+    (plain, bumped), = samples
+    before, after = plain.spectrum().eigenvalues, bumped.spectrum().eigenvalues
+    assert np.array_equal(np.sort_complex(before), np.sort_complex(after))
+    assert not np.array_equal(before, after)
+    name = "eigenoperator_spectrum.json"
+    assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "perturbed" / name).read_bytes()
+
+
 def test_pipeline_reruns_are_byte_identical(tmp_path):
     cfg = cli.resolve_config(_small_rotation_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -294,18 +336,34 @@ def _count_assembly(monkeypatch) -> list:
     return calls
 
 
-def test_cached_generator_is_reused(tmp_path, monkeypatch):
+def _count_eigensolves(monkeypatch) -> list:
+    """Count eig calls made through the cli."""
+    calls = []
+    original = cli.eig
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eig", counting)
+    return calls
+
+
+def test_cached_spectrum_is_reused(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    cli.run_pipeline(cfg, out, ("assemble",))
-    first = read_matrix(out / "generator.matrix.json")
-    # A second context over the same directory must load the matrix, and
-    # its meta, from disk instead of reassembling it.
-    calls = _count_assembly(monkeypatch)
-    ctx = cli.PipelineContext(cfg, out)
-    assert ctx.generator_matrix.meta == first["meta"]
-    assert np.array_equal(ctx.generator_matrix.entries, first["entries"])
+    cli.run_pipeline(cfg, out, ("eig",))
+    solved = cli.PipelineContext(cfg, tmp_path / "empty").sorted_spectrum
+    # A second context over the same directory must rebuild the report,
+    # bit for bit, from spectrum.json and leading_vectors.matrix.json.
+    calls = _count_eigensolves(monkeypatch)
+    cached = cli.PipelineContext(cfg, out).sorted_spectrum
     assert calls == []
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert getattr(cached, name).shape == getattr(solved, name).shape, name
+        assert getattr(cached, name).tobytes() == getattr(solved, name).tobytes(), name
+    assert (cached.tolerance, cached.sort_rule, cached.source) == (solved.tolerance, solved.sort_rule, solved.source)
+    assert cached.meta == solved.meta
 
 
 def test_all_assembles_the_product_space_generator_once(tmp_path, monkeypatch):
@@ -319,12 +377,11 @@ def test_all_assembles_the_product_space_generator_once(tmp_path, monkeypatch):
 def test_cache_ignored_when_config_changes(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    cli.run_pipeline(cfg, out, ("assemble",))
+    cli.run_pipeline(cfg, out, ("eig",))
     other = cli.resolve_config(_small_rotation_config())
     other["evaluation"]["y"] = 1.0
-    calls = _count_assembly(monkeypatch)
-    ctx = cli.PipelineContext(other, out)
-    assert ctx.generator_matrix.meta.get("cached") is None
+    calls = _count_eigensolves(monkeypatch)
+    assert cli.PipelineContext(other, out).sorted_spectrum is not None
     assert len(calls) == 1
 
 
@@ -348,28 +405,79 @@ def test_single_stage_reruns_never_read_another_configs_generator(change, tmp_pa
     assert (out / "spectrum.json").read_bytes() == (fresh / "spectrum.json").read_bytes()
 
 
-def test_cache_ignores_a_generator_whose_bytes_changed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("filename", ["spectrum.json", "leading_vectors.matrix.json"])
+def test_cache_ignores_a_spectrum_whose_bytes_changed(filename, tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    cli.run_pipeline(cfg, out, ("assemble",))
-    path = out / "generator.matrix.json"
-    path.write_text(path.read_text().replace('"generator"', '"generator" '))
-    calls = _count_assembly(monkeypatch)
-    assert cli.PipelineContext(cfg, out).generator_matrix is not None
+    cli.run_pipeline(cfg, out, ("eig",))
+    path = out / filename
+    # Same content, other bytes: the cache must not trust an unlisted hash.
+    path.write_text(path.read_text().replace("{", "{ ", 1))
+    calls = _count_eigensolves(monkeypatch)
+    assert cli.PipelineContext(cfg, out).sorted_spectrum is not None
     assert len(calls) == 1
 
 
-def test_cache_ignores_a_generator_another_package_version_wrote(tmp_path, monkeypatch):
+def test_cache_ignores_a_spectrum_of_the_wrong_shape(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    cli.run_pipeline(cfg, out, ("assemble",))
+    cli.run_pipeline(cfg, out, ("eig",))
+    # Fewer vectors than n_leading, recorded in the manifest with their hash.
+    path = out / "leading_vectors.matrix.json"
+    doc = read_matrix(path)
+    write_matrix(path, doc["entries"][:, :2], doc["rows"], {"columns": 2}, doc["provenance"], doc["meta"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    calls = _count_eigensolves(monkeypatch)
+    ctx = cli.PipelineContext(cfg, out)
+    assert ctx.leading_vectors.shape == (ctx.basis.size, 3)
+    assert len(calls) == 1
+
+
+def test_cache_ignores_a_spectrum_another_package_version_wrote(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, ("eig",))
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["versions"]["package"] = "0.0.0"
     path.write_text(json.dumps(manifest))
-    calls = _count_assembly(monkeypatch)
-    assert cli.PipelineContext(cfg, out).generator_matrix is not None
+    calls = _count_eigensolves(monkeypatch)
+    assert cli.PipelineContext(cfg, out).sorted_spectrum is not None
     assert len(calls) == 1
+
+
+def test_stage_by_stage_reruns_solve_once_and_list_every_file(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_vortex_config()))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    calls = _count_eigensolves(monkeypatch)
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    every = set(json.loads((out / "manifest.json").read_text())["outputs"])
+    for stage in cli.ALL_STAGES:
+        assert cli.main([stage, "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"] == [stage]
+        assert set(manifest["outputs"]) == every, stage
+        for name, recorded in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == recorded, (stage, name)
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert cli.main(["all", "--config", str(path), "--out", str(fresh)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path_out in out.iterdir():
+        assert path_out.read_bytes() == (fresh / path_out.name).read_bytes(), path_out.name
+
+
+def test_manifest_drops_a_carried_file_whose_bytes_changed(tmp_path):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    (out / "spectrum.json").write_text("{}")
+    (out / "generator.matrix.json").unlink()
+    manifest = cli.run_pipeline(cfg, out, ("eigenop",))
+    assert set(manifest["outputs"]) == {"eigenoperator_spectrum.json", "leading_vectors.matrix.json", "subspace_d1.matrix.json"}
 
 
 def test_rerun_into_same_directory_reproduces_every_artifact(tmp_path):

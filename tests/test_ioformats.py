@@ -137,10 +137,13 @@ def test_field_csv_matches_the_row_at_a_time_reference(tmp_path):
     vals = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
     vals = vals + 1j * rng.standard_normal(grid.shape)
     vals.flat[:4] = [-0.0, 1e-320, 0.1 + 0.2j, 1.0 / 3.0 - 0.0j]
-    sample = FieldSample(grid, vals)
-    write_field_csv(tmp_path / "new.csv", sample)
-    _reference_write_field_csv(tmp_path / "old.csv", sample)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # A second field on the grid, and one on an equal Grid, reuse the
+    # formatted coordinates of the first.
+    for k, (g, v) in enumerate(((grid, vals), (grid, vals[::-1] * 1j), (Grid((9, 6)), vals.T.reshape(9, 6)))):
+        sample = FieldSample(g, v)
+        write_field_csv(tmp_path / f"new{k}.csv", sample)
+        _reference_write_field_csv(tmp_path / f"old{k}.csv", sample)
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes(), k
 
 
 def test_field_csv_requires_two_dims(tmp_path):
