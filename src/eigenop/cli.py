@@ -39,7 +39,7 @@ from .ioformats import (
     write_matrix,
 )
 from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
-from .spectra import EigensolveError, SpectrumReport, eig, sort_by_target
+from .spectra import ORDER_RTOL, EigensolveError, SpectrumReport, eig, sort_by_target
 from .systems import ContinuousSkewSystem, IntegrationError, make_system
 
 EXIT_SCHEMA = 2
@@ -48,9 +48,6 @@ EXIT_IO = 4
 
 ALL_STAGES = ("assemble", "eig", "oseledets", "eigenop", "cocycle-field")
 SPECTRUM_FILES = ("spectrum.json", "leading_vectors.matrix.json")
-# Eigenoperator eigenvalues are listed by (Im, Re), each rounded to this
-# multiple of max|lambda|, so roundoff in the solve cannot reorder them.
-EIGENOP_ORDER_RTOL = 1e-12
 
 SCHEMA = {
     "type": "object",
@@ -436,7 +433,8 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
         sample = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
         spec = sample.spectrum(tol=ctx.config["spectra"]["tol"])
         values = spec.eigenvalues
-        key = np.round(values / (EIGENOP_ORDER_RTOL * np.max(np.abs(values)) or 1.0))
+        # Listed by (Im, Re), each rounded to a multiple of ORDER_RTOL * max|lambda|.
+        key = np.round(values / (ORDER_RTOL * np.max(np.abs(values)) or 1.0))
         values = values[np.lexsort((values.real, values.imag, key.real, key.imag))]
         doc = {
             "kind": sample.kind,

@@ -1,23 +1,22 @@
 """Dense eigensolution with independent residual certification.
 
-Operators on a Fourier basis whose index N-1-i holds the mirror mode -m
-of index i are first tried in real form: the unitary pairing of each
-mode with its mirror (the cos/sin basis) turns an operator that commutes
-with f -> conj(f) into a real matrix R. Generators of measure-preserving
-flows are skew-adjoint, and a left-smoothed generator diag(w) V is
-similar to the skew-adjoint D V D with D = diag(sqrt(w)). When the real
-form of D^-1 A D is skew-symmetric, an orthogonal Hessenberg reduction
-takes it to a skew tridiagonal, which diag(i^k) turns into a real
-symmetric tridiagonal with zero diagonal (Ward & Gray 1978); its
-symmetric eigensolve gives every eigenpair on the imaginary axis. Any
-other operator goes to the complex solver.
+A Galerkin generator couples modes m and m' only where the velocity has
+Fourier content at m' - m, so after a permutation it is block diagonal.
+eig_matrix finds the blocks as the connected components of the coupling
+graph |M_ij| > COUPLING_RTOL * max|M| and solves each block on its own.
+Generators of measure-preserving flows are skew-adjoint, and a
+left-smoothed generator diag(w) V is similar to the skew-adjoint D V D
+with D = diag(sqrt(w)). When every scaled block D^-1 M_b D is
+skew-Hermitian to rounding level, the Hermitian eigensolve of i D^-1 M_b D
+puts every eigenvalue exactly on the imaginary axis. Otherwise every
+block goes to the complex solver.
 
-Every structure is measured, not assumed: the structured path is taken
-only when both defects are at rounding level. Whichever solver ran,
-residuals are recomputed from scratch on the original complex matrix
-afterwards, and the matrix norm entering the relative residual is
-estimated by a deterministic power iteration, so the certificate does
-not trust solver internals.
+Every structure is measured, not assumed. Whichever solver ran,
+residuals are recomputed from scratch on full columns of the original
+matrix, so a coupling dropped from the graph still shows in them, and
+the matrix norm entering the relative residual is estimated by a
+deterministic power iteration, so the certificate does not trust solver
+internals.
 """
 
 from __future__ import annotations
@@ -27,6 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import OperatorMatrix
+
+# Rounding level relative to the largest entry: couplings at or below it
+# split blocks, and a skew-Hermitian defect below it counts as zero.
+COUPLING_RTOL = 1e3 * np.finfo(float).eps
+# Spectrum listings round their sort keys to this multiple of max|lambda|,
+# so roundoff in the solve cannot reorder them.
+ORDER_RTOL = 1e-12
 
 
 class EigensolveError(RuntimeError):
@@ -91,86 +97,32 @@ def eig(A: OperatorMatrix, tol: float = 1e-8, weights: np.ndarray | None = None)
     """
     if not A.is_square:
         raise ValueError("eigensolve requires a square operator")
-    mirrored = A.rows == A.cols and np.array_equal(A.rows.modes[::-1], -A.rows.modes)
-    return eig_matrix(
-        A.entries, tol=tol, source=A.provenance, meta=dict(A.meta), mirror_pairs=mirrored, weights=weights
-    )
+    return eig_matrix(A.entries, tol=tol, source=A.provenance, meta=dict(A.meta), weights=weights)
 
 
-def _pair_rows(X: np.ndarray, sign: complex) -> np.ndarray:
-    """Rows [(x_i + x_j)/sqrt2 ..., middle ..., sign*(x_i - x_j)/sqrt2 ...].
+def coupling_blocks(M: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the coupling graph |M_ij| > COUPLING_RTOL * max|M|.
 
-    j = N-1-i for i < N // 2. With sign -1j this is Q^H X for the
-    mirror-paired basis Q; with sign +1j it is Q^T X.
+    Each block is an ascending index array; blocks are listed by their
+    smallest index.
     """
-    h = len(X) // 2
-    lo, hi = X[:h], X[::-1][:h]
-    s = np.sqrt(0.5)
-    return np.concatenate([(lo + hi) * s, X[h : len(X) - h], (lo - hi) * (sign * s)])
-
-
-def _real_form(M: np.ndarray) -> np.ndarray | None:
-    """Real array Q^H M Q in the mirror-paired basis Q, or None.
-
-    None when the imaginary part exceeds rounding level, i.e. when M does
-    not commute with coefficient conjugation composed with mirroring.
-    """
-    R = _pair_rows(_pair_rows(M, -1j).T, 1j).T
-    if np.max(np.abs(R.imag), initial=0.0) > 1e3 * np.finfo(float).eps * np.max(np.abs(R.real), initial=0.0):
-        return None
-    return R.real.copy()
-
-
-def _from_real_form(Y: np.ndarray) -> np.ndarray:
-    """Vectors Q y for eigenvector columns y of the real form Q^H M Q."""
-    h = len(Y) // 2
-    cos, sin = Y[:h], Y[len(Y) - h :]
-    s = np.sqrt(0.5)
-    return np.concatenate([(cos + 1j * sin) * s, Y[h : len(Y) - h], ((cos - 1j * sin) * s)[::-1]])
-
-
-def _skew_scaled(R: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
-    """The real form of D^-1 M D for D = diag(d) if it is skew-symmetric, else None.
-
-    R is the real form of M. A positive, mirror-symmetric d (d[i] ==
-    d[N-1-i]) commutes with the pairing and acts on the paired rows as
-    the cos/middle/sin arrangement of d; any other d gives None. d None
-    means D = I.
-    """
-    if d is not None:
-        if not (np.all(d > 0) and np.array_equal(d, d[::-1])):
-            return None
-        h = len(d) // 2
-        dp = np.concatenate([d[:h], d[h : len(d) - h], d[:h]])
-        R = R * dp[None, :]
-        R /= dp[:, None]
-    defect = np.max(np.abs(R + R.T), initial=0.0)
-    if not defect <= 1e3 * np.finfo(float).eps * np.max(np.abs(R), initial=0.0):
-        return None
-    return R
-
-
-def _skew_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real skew-symmetric matrix through a symmetric tridiagonal.
-
-    Q^T S Q = H is skew tridiagonal with subdiagonal e. With E = diag(i^k),
-    E^-1 H E = -i T for the symmetric tridiagonal T with zero diagonal and
-    off-diagonal e, so T z = mu z gives S (Q E z) = -i mu (Q E z).
-    """
-    import scipy.linalg  # deferred: its import cost would land on every CLI start
-
-    H, Q = scipy.linalg.hessenberg(S, calc_q=True, overwrite_a=True, check_finite=False)
-    e = np.diag(H, -1).copy()
-    del H
-    mu, Z = scipy.linalg.eigh_tridiagonal(np.zeros(len(S)), e, check_finite=False)
-    values = np.zeros(len(mu), dtype=complex)
-    values.imag = -mu
-    # i^k is real on even rows and imaginary on odd rows, with sign (-1)^(k//2).
-    vectors = np.empty(Z.shape, dtype=complex)
-    sign = (-1.0) ** np.arange((len(S) + 1) // 2)
-    vectors.real = Q[:, 0::2] @ (sign[:, None] * Z[0::2])
-    vectors.imag = Q[:, 1::2] @ (sign[: len(S) // 2, None] * Z[1::2])
-    return values, vectors
+    linked = np.abs(M)
+    linked = linked > COUPLING_RTOL * np.max(linked, initial=0.0)
+    linked |= linked.T
+    seen = np.zeros(len(M), dtype=bool)
+    blocks = []
+    for seed in range(len(M)):
+        if seen[seed]:
+            continue
+        frontier = np.zeros(len(M), dtype=bool)
+        frontier[seed] = True
+        members = frontier.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks
 
 
 def eig_matrix(
@@ -178,49 +130,63 @@ def eig_matrix(
     tol: float = 1e-8,
     source: str = "matrix",
     meta: dict | None = None,
-    mirror_pairs: bool = False,
     weights: np.ndarray | None = None,
 ) -> SpectrumReport:
     """eig on a raw square array; same residual contract.
 
-    mirror_pairs declares that index N-1-i holds the mirror mode of
-    index i, which lets the structured solver be tried. weights, when
-    given, declares M = diag(weights) V with mirror-symmetric weights, so
-    that the skew test runs on D^-1 M D with D = diag(sqrt(weights));
-    without it D = I. meta["solver"] records which solver ran:
-    "skew-tridiagonal" or "complex".
+    weights, when given, declares M = diag(weights) V, so that the skew
+    test runs on the blocks of D^-1 M D with D = diag(sqrt(weights));
+    without it D = I. Pairs are listed block by block. meta records the
+    solver that ran, "hermitian" or "complex", the block count and the
+    largest block.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("eigensolve requires a square matrix")
-    R = _real_form(M) if mirror_pairs else None
-    d = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-    S = None if R is None else _skew_scaled(R, d)
-    del R
-    solver = "complex" if S is None else "skew-tridiagonal"
-    try:
-        if S is not None:
-            values, vectors = _skew_eig(S)
-            vectors = _from_real_form(vectors)
-            if d is not None:
-                vectors *= d[:, None]
-        else:
-            values, vectors = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"dense eigensolve failed: {exc}") from exc
-
-    norms = np.linalg.norm(vectors, axis=0)
-    if np.any(norms == 0):
-        raise EigensolveError("eigensolver returned a zero vector")
-    vectors /= norms[None, :]
+    n = len(M)
+    blocks = coupling_blocks(M)
+    d = np.ones(n) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+    hermitian = bool(np.all(d > 0))
+    if hermitian:
+        subs = [M[np.ix_(b, b)] * (d[b][None, :] / d[b][:, None]) for b in blocks]
+        # Relative to the whole scaled matrix, so a block of rounding noise passes.
+        level = COUPLING_RTOL * max((np.max(np.abs(B)) for B in subs), default=0.0)
+        hermitian = all(np.max(np.abs(B + B.conj().T)) <= level for B in subs)
+    if not hermitian:
+        subs = [M[np.ix_(b, b)] for b in blocks]
 
     scale = matrix_norm_estimate(M)
     if scale == 0.0:
         scale = 1.0
-    defect = M @ vectors
-    defect -= vectors * values[None, :]
-    residuals = np.linalg.norm(defect, axis=0) / scale
-    del defect
+    values = np.empty(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    residuals = np.empty(n)
+    start = 0
+    for b, B in zip(blocks, subs):
+        try:
+            if hermitian:
+                # B is skew-Hermitian, so iB is Hermitian: iB z = mu z gives B z = -i mu z.
+                mu, Z = np.linalg.eigh(1j * B)
+                lam = np.zeros(len(b), dtype=complex)
+                lam.imag = 0.0 - mu  # not -mu, which would list mu = 0 as -0.0
+                Z *= d[b][:, None]
+            else:
+                lam, Z = np.linalg.eig(B)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(f"dense eigensolve failed: {exc}") from exc
+        norms = np.linalg.norm(Z, axis=0)
+        if np.any(norms == 0):
+            raise EigensolveError("eigensolver returned a zero vector")
+        Z /= norms[None, :]
+        # Full columns: M[:, b] @ Z is M @ v for vectors zero off the block,
+        # so couplings below the graph threshold still enter the residual.
+        defect = M[:, b] @ Z
+        defect[b] -= Z * lam[None, :]
+        cols = slice(start, start + len(b))
+        residuals[cols] = np.linalg.norm(defect, axis=0) / scale
+        values[cols] = lam
+        vectors[b, cols] = Z
+        start += len(b)
     if np.any(residuals > tol):
         raise EigensolveError(
             f"residual contract violated: max {residuals.max():.3e} > {tol:.3e}",
@@ -233,14 +199,25 @@ def eig_matrix(
         tolerance=tol,
         sort_rule="unsorted",
         source=source,
-        meta={**(meta or {}), "solver": solver},
+        meta={
+            **(meta or {}),
+            "solver": "hermitian" if hermitian else "complex",
+            "blocks": len(blocks),
+            "largest_block": max((len(b) for b in blocks), default=0),
+        },
     )
 
 
 def sort_by_target(report: SpectrumReport, target: complex = 1e-10) -> SpectrumReport:
-    """Ascending distance to the target; ties by (Im, Re) lexicographic."""
+    """Ascending distance to the target, then Im, then Re.
+
+    Each key is rounded to a multiple of ORDER_RTOL * max|lambda|, so
+    roundoff in the solve cannot reorder a +-i mu pair; exact ties keep
+    eig_matrix's block order.
+    """
     lam = report.eigenvalues
-    order = np.lexsort((lam.real, lam.imag, np.abs(lam - target)))
+    unit = ORDER_RTOL * np.max(np.abs(lam), initial=0.0) or 1.0
+    order = np.lexsort([np.round(key / unit) for key in (lam.real, lam.imag, np.abs(lam - target))])
     return SpectrumReport(
         eigenvalues=lam[order],
         eigenvectors=report.eigenvectors[:, order],

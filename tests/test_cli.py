@@ -237,28 +237,33 @@ def test_spectrum_keeps_every_value_and_the_leading_vectors():
     spec = ctx.sorted_spectrum
     assert spec.size == len(spec.residuals) == ctx.basis.size
     assert spec.eigenvectors.shape == (ctx.basis.size, cfg["decomposition"]["n_leading"])
-    assert spec.meta["solver"] == "skew-tridiagonal"
+    assert spec.meta["solver"] == "hermitian"
 
 
 @pytest.mark.parametrize(
-    "name, cutoff",
+    "name, cutoff, blocks, largest",
     [
-        ("rotation", None),
-        ("gaussian_vortex", None),
-        ("stratospheric", None),
+        # rotation conserves the fiber mode j, and j = 0 splits into singletons.
+        ("rotation", None, 33, 17),
+        # The vortex couples only modes in one class of k + j1.
+        ("gaussian_vortex", None, 38, 168),
+        # The three waves span an index-3 lattice: the classes of (k + j1) mod 3.
+        ("stratospheric", None, 3, 741),
         # stage_rerun's coarse-grid vortex configs.
-        ("gaussian_vortex", 3),
-        ("gaussian_vortex", 4),
+        ("gaussian_vortex", 3, 13, 49),
+        ("gaussian_vortex", 4, 26, 80),
     ],
     ids=["rotation", "gaussian_vortex", "stratospheric", "vortex-cutoff-3", "vortex-cutoff-4"],
 )
-def test_bundled_generators_solve_skew_tridiagonal(name, cutoff):
+def test_bundled_generators_solve_skew_tridiagonal(name, cutoff, blocks, largest):
     cfg = cli.bundled_config(name)
     if cutoff is not None:
         cfg["truncation"]["cutoffs"] = [cutoff] * 3
     spec = cli.PipelineContext(cfg, Path("unused")).sorted_spectrum
-    assert spec.meta["solver"] == "skew-tridiagonal"
+    assert spec.meta["solver"] == "hermitian"
+    assert (spec.meta["blocks"], spec.meta["largest_block"]) == (blocks, largest)
     assert np.all(spec.eigenvalues.real == 0.0)
+    assert np.all(spec.residuals <= spec.tolerance)
 
 
 def test_full_continuous_pipeline(tmp_path):
@@ -286,11 +291,12 @@ def test_eigenoperator_listing_survives_a_roundoff_perturbation(tmp_path, monkey
     def perturbed(*args):
         sample = original(*args)
         # The rank-1 rotation eigenoperator is diagonal. One entry below the
-        # diagonal at 1e-16 max|A| keeps it triangular, so its eigenvalues
-        # are still exactly its diagonal, but LAPACK's balancing permutes
-        # them into another order.
+        # diagonal at 1e-12 max|A| keeps it triangular, so its eigenvalues
+        # are still exactly its diagonal. But the entry lies above the
+        # coupling threshold and is not skew, so it joins the first and
+        # last modes into one block that the complex solver lists first.
         matrix = np.array(sample.matrix)
-        matrix[-1, 0] += 1e-16 * np.max(np.abs(matrix))
+        matrix[-1, 0] += 1e-12 * np.max(np.abs(matrix))
         samples.append((sample, replace(sample, matrix=matrix)))
         return samples[-1][1]
 

@@ -6,7 +6,10 @@ import pytest
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.generator import OperatorMatrix, SmoothingWeights, assemble_generator, smoothed_generator
 from eigenop.spectra import (
+    COUPLING_RTOL,
     EigensolveError,
+    SpectrumReport,
+    coupling_blocks,
     eig,
     eig_matrix,
     hausdorff_distance,
@@ -148,13 +151,12 @@ def test_spectrum_report_json_round_trip():
     ],
     ids=["rotation", "vortex", "vortex-symmetric", "stratospheric"],
 )
-def test_real_velocity_generators_take_real_form_path(make_op):
+def test_real_velocity_generators_take_hermitian_path(make_op):
     op, w = make_op()
     report = eig(op, tol=1e-8, weights=w)
-    reference = eig_matrix(op.entries, tol=1e-8)
-    assert report.meta["solver"] == "skew-tridiagonal"
-    assert reference.meta["solver"] == "complex"
-    matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
+    assert report.meta["solver"] == "hermitian"
+    assert report.meta["blocks"] > 1
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op.entries), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= report.tolerance)
@@ -171,7 +173,7 @@ def test_coarse_grid_quadrature_error_keeps_vortex_generator_skew():
     assert np.max(np.abs(coarse - fine)) > 1e-7
     assert np.max(np.abs(coarse + coarse.conj().T)) < 1e-14
     op, w = _smoothed_generator(vortex, False)
-    assert eig(op, tol=1e-8, weights=w).meta["solver"] == "skew-tridiagonal"
+    assert eig(op, tol=1e-8, weights=w).meta["solver"] == "hermitian"
 
 
 def test_random_complex_operator_takes_complex_path():
@@ -184,7 +186,7 @@ def test_random_complex_operator_takes_complex_path():
     assert np.all(report.residuals <= report.tolerance)
 
 
-def test_real_form_path_keeps_residual_contract():
+def test_hermitian_path_keeps_residual_contract():
     with pytest.raises(EigensolveError) as info:
         eig(_rotation_generator(), tol=1e-300)
     assert info.value.residuals is not None
@@ -192,21 +194,20 @@ def test_real_form_path_keeps_residual_contract():
 
 def test_solver_is_recorded_in_json():
     doc = eig(_rotation_generator()).to_json_dict()
-    assert doc["meta"]["solver"] == "skew-tridiagonal"
+    assert doc["meta"]["solver"] == "hermitian"
+    assert (doc["meta"]["blocks"], doc["meta"]["largest_block"]) == (33, 17)
     assert len(doc["eigenvalues"]) == len(doc["residuals"]) == 17 * 17
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["left", "symmetric"])
 def test_skew_similar_generator_takes_skew_tridiagonal_path(symmetric):
-    # The smoothed vortex generator's real form, scaled by sqrt(w), is skew
+    # The smoothed vortex generator, scaled by sqrt(w), is skew-Hermitian
     # to ~1e-16; the dense complex solver is the oracle.
     op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
     report = eig(op, tol=1e-8, weights=w)
-    reference = eig_matrix(op.entries, tol=1e-8)
-    assert report.meta["solver"] == "skew-tridiagonal"
-    assert reference.meta["solver"] == "complex"
-    assert report.size == reference.size == op.rows.size
-    matched, worst = match_multisets(report.eigenvalues, reference.eigenvalues, 1e-10)
+    assert report.meta["solver"] == "hermitian"
+    assert report.size == op.rows.size
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op.entries), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= 1e-13)
@@ -225,11 +226,103 @@ def test_mirror_paired_operator_that_is_not_skew_takes_complex_path():
     assert matched, worst
 
 
-def test_skew_path_needs_positive_mirror_symmetric_weights():
+def test_skew_path_needs_positive_weights_that_describe_the_operator():
     op, w = _smoothed_generator(make_gaussian_vortex(0.5), False, multiplier=8)
     underflowed = w.copy()
     underflowed[[0, -1]] = 0.0
-    for bad in (underflowed, w * np.linspace(1.0, 2.0, len(w))):
+    ramped = w * np.linspace(1.0, 2.0, len(w))
+    for bad in (underflowed, ramped):
         report = eig(op, tol=1e-8, weights=bad)
         assert report.meta["solver"] == "complex"
         assert np.all(report.residuals <= report.tolerance)
+    # Positive weights need no mirror symmetry when they do describe the operator.
+    ramped_op = ramped[:, None] * (op.entries / w[:, None])
+    assert eig_matrix(ramped_op, tol=1e-8, weights=ramped).meta["solver"] == "hermitian"
+
+
+def _skew_hermitian(rng, n):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return X - X.conj().T
+
+
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "shifted"])
+def test_permuted_block_diagonal_operator_matches_dense_oracle(skew):
+    rng = np.random.default_rng(12)
+    sizes = [3, 5, 1, 7, 2]
+    n = sum(sizes)
+    V = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        V[start : start + k, start : start + k] = _skew_hermitian(rng, k)
+        start += k
+    if not skew:
+        V += 0.3 * np.eye(n)
+    perm = rng.permutation(n)
+    V = V[np.ix_(perm, perm)]
+    w = rng.uniform(0.5, 2.0, n)
+    M = w[:, None] * V
+    report = eig_matrix(M, weights=w)
+    assert report.meta == {"solver": "hermitian" if skew else "complex", "blocks": 5, "largest_block": 7}
+    assert sorted(len(b) for b in coupling_blocks(M)) == sorted(sizes)
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(M), 1e-10)
+    assert matched, worst
+    assert np.all(report.residuals <= 1e-13)
+    direct = np.linalg.norm(M @ report.eigenvectors - report.eigenvectors * report.eigenvalues, axis=0)
+    assert np.max(direct) / np.linalg.norm(M, ord=2) < 1e-13
+    if skew:
+        assert np.all(report.eigenvalues.real == 0.0)
+
+
+def test_dense_random_skew_hermitian_operator_is_one_block():
+    M = _skew_hermitian(np.random.default_rng(13), 40)
+    report = eig_matrix(M)
+    assert report.meta == {"solver": "hermitian", "blocks": 1, "largest_block": 40}
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(M), 1e-10)
+    assert matched, worst
+    assert np.all(report.eigenvalues.real == 0.0)
+    assert np.all(report.residuals <= 1e-13)
+
+
+def test_coupling_below_the_threshold_shows_in_the_residual():
+    # Block {0..3} and the singleton {4}, joined only by a coupling below
+    # COUPLING_RTOL * max|M|: the graph splits them, so the singleton's
+    # eigenvector e_4 is not an eigenvector of M, and its residual must say so.
+    M = np.zeros((5, 5), dtype=complex)
+    M[:4, :4] = _skew_hermitian(np.random.default_rng(14), 4) / 4
+    M[4, 4] = 5j
+    coupling = 0.5 * COUPLING_RTOL * np.max(np.abs(M))
+    M[0, 4] = coupling
+    report = eig_matrix(M)
+    assert report.meta["blocks"] == 2
+    assert report.eigenvalues[4] == 5j
+    assert report.residuals[4] >= 0.5 * coupling / matrix_norm_estimate(M)
+
+
+def test_block_of_rounding_noise_keeps_the_hermitian_path():
+    # The singleton block [[1e-17]] is far from skew on its own scale, but
+    # the skew test is relative to the whole matrix.
+    report = eig_matrix(np.diag([2j, 1e-17]))
+    assert report.meta == {"solver": "hermitian", "blocks": 2, "largest_block": 1}
+    assert np.array_equal(report.eigenvalues, [2j, 0.0])
+    assert np.all(report.residuals <= 1e-16)
+
+
+def test_sort_by_target_ignores_roundoff_in_pair_distances():
+    # +-i mu pairs whose distances to the target differ by one ulp, one way
+    # round in each report, must be listed the same way.
+    mu = 0.7
+    up = np.nextafter(mu, 2.0)
+    orders = []
+    for a, b in ((mu, up), (up, mu)):
+        report = SpectrumReport(
+            np.array([1j * a, -1j * b, 2j, -2j]),
+            np.eye(4, dtype=complex),
+            np.zeros(4),
+            1e-8,
+            "unsorted",
+            "matrix",
+        )
+        orders.append(np.sign(sort_by_target(report, 1e-10).eigenvalues.imag))
+    assert np.abs(1j * mu - 1e-10) != np.abs(-1j * up - 1e-10)
+    assert np.array_equal(orders[0], orders[1])
+    assert np.array_equal(orders[0], [-1.0, 1.0, -1.0, 1.0])
