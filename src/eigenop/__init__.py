@@ -6,7 +6,7 @@ eigenvalue data attached to them, and evaluates cocycle fields for
 coherent-pattern visualization. See the README for the CLI front end.
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "basis",

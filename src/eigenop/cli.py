@@ -12,7 +12,6 @@ the certified spectrum instead of solving again.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from copy import deepcopy
@@ -31,6 +30,7 @@ from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spec
 from .generator import SmoothingWeights, assemble_generator, smoothed_generator
 from .ioformats import (
     complex_list,
+    file_sha256,
     read_matrix,
     sha256_of,
     write_field_csv,
@@ -280,7 +280,7 @@ class PipelineContext:
         left = None if self.weights is None or self.config["smoothing"]["symmetric"] else self.weights.values
         report = sort_by_target(eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"], weights=left), target)
         n = min(self.config["decomposition"]["n_leading"], report.size)
-        return replace(report, eigenvectors=report.eigenvectors[:, :n].copy())
+        return replace(report, eigenvectors=np.asarray(report.eigenvectors[:, :n]))
 
     @property
     def leading_vectors(self) -> np.ndarray:
@@ -313,7 +313,7 @@ class PipelineContext:
         """Whether the previous manifest lists the file with its current sha256."""
         recorded = self.previous_outputs.get(filename)
         try:
-            return recorded is not None and recorded == hashlib.sha256((self.out / filename).read_bytes()).hexdigest()
+            return recorded is not None and recorded == file_sha256(self.out / filename)
         except OSError:
             return False
 
@@ -343,26 +343,27 @@ class PipelineContext:
         return report if shapes == ((n,), (n,), (n, min(self.config["decomposition"]["n_leading"], n))) else None
 
 
-def stage_assemble(ctx: PipelineContext) -> list[str]:
+def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("assemble skipped: discrete map has no flow generator")
-        return []
+        return {}
     operators = {"generator.matrix.json": ctx.generator_matrix}
     if ctx.config["smoothing"] is not None:
         operators["smoothed_generator.matrix.json"] = ctx.operator_for_spectra
-    for fname, op in operators.items():
-        write_matrix(ctx.out / fname, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
-    return list(operators)
+    return {
+        fname: write_matrix(ctx.out / fname, op, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+        for fname, op in operators.items()
+    }
 
 
-def stage_eig(ctx: PipelineContext) -> list[str]:
+def stage_eig(ctx: PipelineContext) -> dict[str, str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("eig skipped: discrete map has no flow generator")
-        return []
+        return {}
     report = ctx.sorted_spectrum
-    write_json(ctx.out / "spectrum.json", report.to_json_dict())
+    written = {"spectrum.json": write_json(ctx.out / "spectrum.json", report.to_json_dict())}
     count = int(ctx.leading_vectors.shape[1])
-    write_matrix(
+    written["leading_vectors.matrix.json"] = write_matrix(
         ctx.out / "leading_vectors.matrix.json",
         ctx.leading_vectors,
         ctx.basis.describe(),
@@ -370,17 +371,17 @@ def stage_eig(ctx: PipelineContext) -> list[str]:
         "projection",
         {"count": count, "sort_rule": report.sort_rule},
     )
-    return list(SPECTRUM_FILES)
+    return written
 
 
-def stage_oseledets(ctx: PipelineContext) -> list[str]:
-    written = []
+def stage_oseledets(ctx: PipelineContext) -> dict[str, str]:
+    written = {}
     if ctx.is_continuous:
         y = float(ctx.config["evaluation"]["y"])
         for d in ctx.config["decomposition"]["d_values"]:
             sub = restrict_at_base(ctx.leading_vectors, ctx.basis, y, d)
             fname = f"subspace_d{d}.matrix.json"
-            write_matrix(
+            written[fname] = write_matrix(
                 ctx.out / fname,
                 sub.frame,
                 ctx.basis.fiber_subbasis().describe(),
@@ -388,7 +389,6 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
                 "projection",
                 {"y": y, "effective_rank": sub.effective_rank, "requested": d},
             )
-            written.append(fname)
         return written
     setup = ctx.periodic_setup
     n = ctx.system.base_period
@@ -409,7 +409,7 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
                 desc = ctx.basis.fiber_subbasis().describe()
             else:
                 desc = {"kind": "cyclic-delta", "size": int(sub.frame.shape[0])}
-            write_matrix(
+            written[fname] = write_matrix(
                 ctx.out / fname,
                 sub.frame,
                 desc,
@@ -417,13 +417,11 @@ def stage_oseledets(ctx: PipelineContext) -> list[str]:
                 "projection",
                 {"y": sub.y, "bin": sub.meta.get("bin"), "orbit_index": m},
             )
-            written.append(fname)
-    write_json(ctx.out / "bins.json", report)
-    written.append("bins.json")
+    written["bins.json"] = write_json(ctx.out / "bins.json", report)
     return written
 
 
-def stage_eigenop(ctx: PipelineContext) -> list[str]:
+def stage_eigenop(ctx: PipelineContext) -> dict[str, str]:
     ev = ctx.config["evaluation"]
     if ctx.is_continuous:
         y, s = float(ev["y"]), float(ev["s"])
@@ -461,24 +459,23 @@ def stage_eigenop(ctx: PipelineContext) -> list[str]:
                     for c in agg["eigenvalues"]
                 ]
         doc = {"kind": "discrete_M", "bins": [b.describe() for b in bins], "aggregated": aggregated}
-    write_json(ctx.out / "eigenoperator_spectrum.json", doc)
-    return ["eigenoperator_spectrum.json"]
+    return {"eigenoperator_spectrum.json": write_json(ctx.out / "eigenoperator_spectrum.json", doc)}
 
 
-def stage_cocycle_field(ctx: PipelineContext) -> list[str]:
+def stage_cocycle_field(ctx: PipelineContext) -> dict[str, str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("cocycle-field skipped: discrete map")
-        return []
+        return {}
     if ctx.system.fiber_dim != 2:
         ctx.stage_notes.append("cocycle-field skipped: field export needs a 2-d fiber")
-        return []
+        return {}
     ev = ctx.config["evaluation"]
     y, s = float(ev["y"]), float(ev["s"])
     ystar = ctx.system.advanced_base_point(s, y)
     fib = ctx.basis.fiber_subbasis()
     fgrid = Grid(tuple(ev["field_grid"]))
     formats = ctx.config["output"]["formats"]
-    written = []
+    written = {}
     # The time-s flow from y is the same for every d.
     w = continuous_w(ctx.system, y, s, fib, fgrid, ev["steps_per_unit_time"])
     for d in ctx.config["decomposition"]["d_values"]:
@@ -486,14 +483,14 @@ def stage_cocycle_field(ctx: PipelineContext) -> list[str]:
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
         field = hatw_field(sub, q, w)
         if "csv" in formats:
-            write_field_csv(ctx.out / f"field_d{d}.csv", field)
-            written.append(f"field_d{d}.csv")
+            written[f"field_d{d}.csv"] = write_field_csv(ctx.out / f"field_d{d}.csv", field)
         if "ppm" in formats:
-            write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
-            written.extend([f"field_d{d}.ppm", f"field_d{d}.ppm.json"])
+            image, sidecar = write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
+            written[f"field_d{d}.ppm"], written[f"field_d{d}.ppm.json"] = image, sidecar
     return written
 
 
+# Each stage writes its artifacts and returns {file name: sha256 of the bytes written}.
 STAGE_FUNCS = {
     "assemble": stage_assemble,
     "eig": stage_eig,
@@ -507,12 +504,11 @@ def run_pipeline(config: dict, out, stages) -> dict:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     ctx = PipelineContext(config, out)
-    outputs: list[str] = []
+    hashes: dict[str, str] = {}
     ran = []
     for stage in stages:
-        outputs.extend(STAGE_FUNCS[stage](ctx))
+        hashes.update(STAGE_FUNCS[stage](ctx))
         ran.append(stage)
-    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
     # The files of earlier runs of this config stay listed while their bytes are unchanged.
     hashes.update({name: h for name, h in ctx.previous_outputs.items() if name not in hashes and ctx.is_listed(name)})
     manifest = {

@@ -6,7 +6,9 @@ row-major; write_matrix writes operators and subspace frames alike.
 Field CSV: header `z1,z2,re,im`, row-major node order, 17 significant
 digits. Heatmaps: binary PPM (P6) with a symmetric diverging
 scale about zero; the normalization constant lands in a sidecar JSON.
-All writers are deterministic: identical inputs give identical bytes.
+All writers are deterministic: identical inputs give identical bytes,
+and each returns the sha256 of the bytes it wrote, so no artifact has to
+be read back to be hashed.
 """
 
 from __future__ import annotations
@@ -33,8 +35,31 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-# Entries base64-encoded per write. A multiple of 3 entries is a multiple
-# of 3 bytes, so the chunks' encodings concatenate to the whole encoding.
+def _sha256_chunks(chunks, sink=None) -> str:
+    """sha256 of the concatenated byte chunks, each passed on to sink when given."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+        if sink is not None:
+            sink(chunk)
+    return digest.hexdigest()
+
+
+def _write(path, chunks) -> str:
+    """Write the byte chunks to path; return the sha256 of the file."""
+    with open(path, "wb") as fh:
+        return _sha256_chunks(chunks, fh.write)
+
+
+def file_sha256(path) -> str:
+    """sha256 of a file, read 1 MiB at a time."""
+    with open(path, "rb") as fh:
+        return _sha256_chunks(iter(lambda: fh.read(1 << 20), b""))
+
+
+# Entries base64-encoded per write, about. Each chunk is whole rows of a
+# multiple of 3 entries, so it is a multiple of 3 bytes and the chunks'
+# encodings concatenate to the whole encoding.
 _PAYLOAD_CHUNK = 3 << 16
 
 
@@ -49,17 +74,22 @@ def decode_matrix(payload: str, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def write_matrix(path, entries: np.ndarray, rows: dict, cols: dict, provenance: str, meta: dict):
+def write_matrix(path, entries, rows: dict, cols: dict, provenance: str, meta: dict) -> str:
     """One matrix document; rows and cols describe its two index sets.
 
-    An operator gives its bases' descriptions and its provenance tag. A
+    entries is a 2-d array, or an operator with a shape whose entries[a:b]
+    gives dense rows a:b, such as a generator.BlockOperator; either way the
+    document holds the dense matrix, built a few rows at a time. An
+    operator gives its bases' descriptions and its provenance tag. A
     subspace frame gives its row basis, {"columns": k} and "projection".
+    Returns the sha256 of the file.
     """
+    shape = tuple(np.shape(entries))
     doc = {
         "format": MATRIX_FORMAT,
         "rows": rows,
         "cols": cols,
-        "shape": list(np.shape(entries)),
+        "shape": list(shape),
         "provenance": provenance,
         "meta": meta,
     }
@@ -68,12 +98,15 @@ def write_matrix(path, entries: np.ndarray, rows: dict, cols: dict, provenance: 
     # streamed so that its full string never exists in memory.
     head = canonical_json({k: v for k, v in doc.items() if k < "payload"})[:-1] + ',"payload":"'
     tail = '",' + canonical_json({k: v for k, v in doc.items() if k > "payload"})[1:] + "\n"
-    flat = np.ascontiguousarray(entries, dtype=complex).ravel()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(head)
-        for start in range(0, flat.size, _PAYLOAD_CHUNK):
-            fh.write(encode_matrix(flat[start : start + _PAYLOAD_CHUNK]))
-        fh.write(tail)
+    step = 3 * max(1, _PAYLOAD_CHUNK // (3 * max(shape[1], 1)))
+
+    def chunks():
+        yield head.encode("ascii")
+        for start in range(0, shape[0], step):
+            yield encode_matrix(entries[start : start + step]).encode("ascii")
+        yield tail.encode("ascii")
+
+    return _write(path, chunks())
 
 
 def read_matrix(path) -> dict:
@@ -91,13 +124,13 @@ def _node_prefixes(grid: Grid) -> tuple[str, ...]:
     return tuple(map("{:.17g},{:.17g},".format, nodes[:, 0].tolist(), nodes[:, 1].tolist()))
 
 
-def write_field_csv(path, sample: FieldSample):
+def write_field_csv(path, sample: FieldSample) -> str:
     """Two fiber coordinates per row; row-major over the grid."""
     if sample.grid.ndim != 2:
         raise ValueError("field CSV export requires a 2-d fiber grid")
     vals = sample.values.ravel()
     rows = map("{}{:.17g},{:.17g}".format, _node_prefixes(sample.grid), vals.real.tolist(), vals.imag.tolist())
-    Path(path).write_text("z1,z2,re,im\n" + "\n".join(rows) + "\n")
+    return _write(path, [("z1,z2,re,im\n" + "\n".join(rows) + "\n").encode("ascii")])
 
 
 def _diverging_rgb(t: np.ndarray) -> np.ndarray:
@@ -110,11 +143,12 @@ def _diverging_rgb(t: np.ndarray) -> np.ndarray:
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
-def write_heatmap_ppm(path, sample: FieldSample):
+def write_heatmap_ppm(path, sample: FieldSample) -> tuple[str, str]:
     """Binary PPM of the field's real part, symmetric scale about zero.
 
     Writes a sidecar JSON next to the image with the normalization
-    constant and the component tag.
+    constant and the component tag. Returns the sha256 of the image and
+    of the sidecar.
     """
     if sample.grid.ndim != 2:
         raise ValueError("heatmap export requires a 2-d fiber grid")
@@ -123,9 +157,7 @@ def write_heatmap_ppm(path, sample: FieldSample):
     scale = vmax if vmax > 0 else 1.0
     img = _diverging_rgb(data / scale)
     h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    image = _write(path, [f"P6\n{w} {h}\n255\n".encode("ascii"), img.tobytes()])
     sidecar = {
         "component": "re",
         "normalization_max_abs": vmax,
@@ -133,11 +165,11 @@ def write_heatmap_ppm(path, sample: FieldSample):
         "height": h,
         "scale": "symmetric diverging about 0",
     }
-    Path(str(path) + ".json").write_text(canonical_json(sidecar) + "\n")
+    return image, _write(str(path) + ".json", [(canonical_json(sidecar) + "\n").encode("ascii")])
 
 
-def write_json(path, obj):
-    Path(path).write_text(canonical_json(obj) + "\n")
+def write_json(path, obj) -> str:
+    return _write(path, [(canonical_json(obj) + "\n").encode("ascii")])
 
 
 def complex_list(values) -> list:

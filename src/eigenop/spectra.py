@@ -1,9 +1,10 @@
-"""Dense eigensolution with independent residual certification.
+"""Blockwise eigensolution with independent residual certification.
 
 A Galerkin generator couples modes m and m' only where the velocity has
 Fourier content at m' - m, so after a permutation it is block diagonal.
-eig_matrix finds the blocks as the connected components of the coupling
-graph |M_ij| > COUPLING_RTOL * max|M| and solves each block on its own.
+eig_matrix solves each block on its own. A generator arrives already
+split, as generator.BlockOperator; a dense array is split here into the
+connected components of its coupling graph |M_ij| > COUPLING_RTOL * max|M|.
 Generators of measure-preserving flows are skew-adjoint, and a
 left-smoothed generator diag(w) V is similar to the skew-adjoint D V D
 with D = diag(sqrt(w)). When every scaled block D^-1 M_b D is
@@ -12,24 +13,23 @@ puts every eigenvalue exactly on the imaginary axis. Otherwise every
 block goes to the complex solver.
 
 Every structure is measured, not assumed. Whichever solver ran,
-residuals are recomputed from scratch on full columns of the original
-matrix, so a coupling dropped from the graph still shows in them, and
-the matrix norm entering the relative residual is estimated by a
+residuals are recomputed from scratch: on full columns of a dense array,
+so a coupling dropped from the graph still shows in them, and on each
+block of a block operator, whose dropped_bound then enters the contract.
+The matrix norm entering the relative residual is estimated by a
 deterministic power iteration, so the certificate does not trust solver
-internals.
+internals. Eigenvectors stay in block form (BlockColumns); only the
+columns a caller selects are ever made dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .generator import OperatorMatrix
+from .generator import COUPLING_RTOL, BlockOperator, OperatorMatrix, coupling_blocks
 
-# Rounding level relative to the largest entry: couplings at or below it
-# split blocks, and a skew-Hermitian defect below it counts as zero.
-COUPLING_RTOL = 1e3 * np.finfo(float).eps
 # Spectrum listings round their sort keys to this multiple of max|lambda|,
 # so roundoff in the solve cannot reorder them.
 ORDER_RTOL = 1e-12
@@ -44,11 +44,47 @@ class EigensolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class BlockColumns:
+    """Unit eigenvectors that vanish off their blocks, without the N x N array.
+
+    Listed column j is column order[j] of the block-by-block concatenation
+    of vectors, placed on the rows blocks[k] of the block it belongs to.
+    cols[:, sel] selects and reorders columns; np.asarray(cols) is the
+    dense (size, len(order)) array.
+    """
+
+    size: int
+    blocks: tuple
+    vectors: tuple
+    order: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, len(self.order))
+
+    def __getitem__(self, key) -> "BlockColumns":
+        rows, cols = key
+        if rows != slice(None):
+            raise IndexError("BlockColumns selects whole columns only")
+        return replace(self, order=self.order[cols])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        sizes = [len(b) for b in self.blocks]
+        owner = np.repeat(np.arange(len(sizes)), sizes)[self.order]
+        starts = np.cumsum([0] + sizes)
+        for k in np.unique(owner):
+            listed = np.flatnonzero(owner == k)
+            out[np.ix_(self.blocks[k], listed)] = self.vectors[k][:, self.order[listed] - starts[k]]
+        return out if dtype is None else out.astype(dtype)
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     """Certified eigenpair set of one operator matrix."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, unit norm
+    eigenvectors: np.ndarray | BlockColumns  # columns, unit norm
     residuals: np.ndarray  # per-pair ||A v - lambda v|| / ||A||
     tolerance: float
     sort_rule: str
@@ -70,18 +106,25 @@ class SpectrumReport:
         }
 
 
-def matrix_norm_estimate(A: np.ndarray) -> float:
-    """Deterministic 50-step power-iteration estimate of the spectral norm."""
-    n = A.shape[0]
+def matrix_norm_estimate(A: np.ndarray | BlockOperator) -> float:
+    """Deterministic 50-step power-iteration estimate of the spectral norm.
+
+    A block operator is applied block by block.
+    """
+    n = len(A)
     if n == 0:
         return 0.0
+    # (rows, matrix) pairs whose direct sum is A; a dense A is one part.
+    parts = list(zip(A.blocks, A.matrices)) if isinstance(A, BlockOperator) else [(slice(None), A)]
     # Fixed, seed-free start vector keeps reruns byte-identical.
     v = np.cos(np.arange(1, n + 1, dtype=float)) + 1j * np.sin(np.arange(1, n + 1, dtype=float) / 3.0)
     v /= np.linalg.norm(v)
     sigma = 0.0
+    w = np.empty(n, dtype=complex)
     for _ in range(50):
-        # A^H (A v) without a transposed copy of A.
-        w = ((A @ v).conj() @ A).conj()
+        for b, B in parts:
+            # B^H (B v) without a transposed copy of B.
+            w[b] = ((B @ v[b]).conj() @ B).conj()
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -90,111 +133,103 @@ def matrix_norm_estimate(A: np.ndarray) -> float:
     return float(sigma)
 
 
-def eig(A: OperatorMatrix, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:
+def eig(A: OperatorMatrix | BlockOperator, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:
     """Full eigenpair set of a square operator with certified residuals.
 
     weights: the positive w of an operator built as diag(w) V; see eig_matrix.
     """
     if not A.is_square:
         raise ValueError("eigensolve requires a square operator")
-    return eig_matrix(A.entries, tol=tol, source=A.provenance, meta=dict(A.meta), weights=weights)
-
-
-def coupling_blocks(M: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the coupling graph |M_ij| > COUPLING_RTOL * max|M|.
-
-    Each block is an ascending index array; blocks are listed by their
-    smallest index.
-    """
-    linked = np.abs(M)
-    linked = linked > COUPLING_RTOL * np.max(linked, initial=0.0)
-    linked |= linked.T
-    seen = np.zeros(len(M), dtype=bool)
-    blocks = []
-    for seed in range(len(M)):
-        if seen[seed]:
-            continue
-        frontier = np.zeros(len(M), dtype=bool)
-        frontier[seed] = True
-        members = frontier.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
-        seen |= members
-        blocks.append(np.flatnonzero(members))
-    return blocks
+    M = A if isinstance(A, BlockOperator) else A.entries
+    return eig_matrix(M, tol=tol, source=A.provenance, meta=dict(A.meta), weights=weights)
 
 
 def eig_matrix(
-    M: np.ndarray,
+    M: np.ndarray | BlockOperator,
     tol: float = 1e-8,
     source: str = "matrix",
     meta: dict | None = None,
     weights: np.ndarray | None = None,
 ) -> SpectrumReport:
-    """eig on a raw square array; same residual contract.
+    """eig on a raw square array or a block operator; same residual contract.
 
-    weights, when given, declares M = diag(weights) V, so that the skew
-    test runs on the blocks of D^-1 M D with D = diag(sqrt(weights));
-    without it D = I. Pairs are listed block by block. meta records the
-    solver that ran, "hermitian" or "complex", the block count and the
-    largest block.
+    A dense M is split with coupling_blocks; a BlockOperator arrives split,
+    and the same blocks give bit-identical pairs either way. weights, when
+    given, declares M = diag(weights) V, so that the skew test runs on the
+    blocks of D^-1 M D with D = diag(sqrt(weights)); without it D = I.
+    Pairs are listed block by block. The contract is max residual plus
+    M.dropped_bound / ||M|| <= tol. meta records the solver that ran,
+    "hermitian" or "complex", the block count and the largest block.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("eigensolve requires a square matrix")
+    if isinstance(M, BlockOperator):
+        blocks, raw, dropped = M.blocks, M.matrices, M.dropped_bound
+    else:
+        M = np.asarray(M, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("eigensolve requires a square matrix")
+        blocks = coupling_blocks(M)
+        raw, dropped = [M[np.ix_(b, b)] for b in blocks], 0.0
     n = len(M)
-    blocks = coupling_blocks(M)
     d = np.ones(n) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+
+    def scaled(b, B):
+        return B * (d[b][None, :] / d[b][:, None])
+
     hermitian = bool(np.all(d > 0))
     if hermitian:
-        subs = [M[np.ix_(b, b)] * (d[b][None, :] / d[b][:, None]) for b in blocks]
+        # Largest entry and largest skew defect of each scaled block, which
+        # is rebuilt when it is solved rather than held for all blocks.
+        measured = [(np.max(np.abs(S)), np.max(np.abs(S + S.conj().T))) for S in map(scaled, blocks, raw)]
         # Relative to the whole scaled matrix, so a block of rounding noise passes.
-        level = COUPLING_RTOL * max((np.max(np.abs(B)) for B in subs), default=0.0)
-        hermitian = all(np.max(np.abs(B + B.conj().T)) <= level for B in subs)
-    if not hermitian:
-        subs = [M[np.ix_(b, b)] for b in blocks]
+        level = COUPLING_RTOL * max((top for top, _ in measured), default=0.0)
+        hermitian = all(defect <= level for _, defect in measured)
 
     scale = matrix_norm_estimate(M)
     if scale == 0.0:
         scale = 1.0
     values = np.empty(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
+    vectors = []
     residuals = np.empty(n)
     start = 0
-    for b, B in zip(blocks, subs):
+    for b, R in zip(blocks, raw):
         try:
             if hermitian:
-                # B is skew-Hermitian, so iB is Hermitian: iB z = mu z gives B z = -i mu z.
-                mu, Z = np.linalg.eigh(1j * B)
+                # The scaled block S is skew-Hermitian, so iS is Hermitian:
+                # iS z = mu z gives S z = -i mu z.
+                mu, Z = np.linalg.eigh(1j * scaled(b, R))
                 lam = np.zeros(len(b), dtype=complex)
                 lam.imag = 0.0 - mu  # not -mu, which would list mu = 0 as -0.0
                 Z *= d[b][:, None]
             else:
-                lam, Z = np.linalg.eig(B)
+                lam, Z = np.linalg.eig(R)
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense eigensolve failed: {exc}") from exc
         norms = np.linalg.norm(Z, axis=0)
         if np.any(norms == 0):
             raise EigensolveError("eigensolver returned a zero vector")
         Z /= norms[None, :]
-        # Full columns: M[:, b] @ Z is M @ v for vectors zero off the block,
-        # so couplings below the graph threshold still enter the residual.
-        defect = M[:, b] @ Z
-        defect[b] -= Z * lam[None, :]
+        if isinstance(M, BlockOperator):
+            defect = R @ Z - Z * lam[None, :]
+        else:
+            # Full columns: M[:, b] @ Z is M @ v for vectors zero off the block,
+            # so couplings below the graph threshold still enter the residual.
+            defect = M[:, b] @ Z
+            defect[b] -= Z * lam[None, :]
         cols = slice(start, start + len(b))
         residuals[cols] = np.linalg.norm(defect, axis=0) / scale
         values[cols] = lam
-        vectors[b, cols] = Z
+        vectors.append(Z)
         start += len(b)
-    if np.any(residuals > tol):
+    worst = np.max(residuals, initial=0.0)
+    if worst + dropped / scale > tol:
         raise EigensolveError(
-            f"residual contract violated: max {residuals.max():.3e} > {tol:.3e}",
+            f"residual contract violated: max residual {worst:.3e}"
+            f" + dropped coupling {dropped / scale:.3e} > {tol:.3e}",
             residuals=residuals,
         )
     return SpectrumReport(
         eigenvalues=values,
-        eigenvectors=vectors,
+        eigenvectors=BlockColumns(n, tuple(blocks), tuple(vectors), np.arange(n)),
         residuals=residuals,
         tolerance=tol,
         sort_rule="unsorted",

@@ -16,6 +16,7 @@ from eigenop import cli, eigenoperator, oseledets, systems
 from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
+from eigenop.spectra import COUPLING_RTOL
 
 
 def _small_rotation_config():
@@ -255,7 +256,7 @@ def test_spectrum_keeps_every_value_and_the_leading_vectors():
     ],
     ids=["rotation", "gaussian_vortex", "stratospheric", "vortex-cutoff-3", "vortex-cutoff-4"],
 )
-def test_bundled_generators_solve_skew_tridiagonal(name, cutoff, blocks, largest):
+def test_bundled_generators_solve_hermitian_blocks(name, cutoff, blocks, largest):
     cfg = cli.bundled_config(name)
     if cutoff is not None:
         cfg["truncation"]["cutoffs"] = [cutoff] * 3
@@ -618,3 +619,21 @@ def test_eigenop_stage_surfaces_numerical_failures(tmp_path, monkeypatch):
     path.write_text(json.dumps(_small_discrete_config()))
     code = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL
+
+
+def test_main_exits_3_when_the_dropped_coupling_bound_breaks_the_contract(tmp_path, monkeypatch, capsys):
+    # A fiber-velocity wave whose coefficients sit just below the support
+    # threshold adds about 2.3e-13 * ||A|| to the dropped-coupling bound,
+    # while every per-block residual stays near 1e-15.
+    rotation = systems.make_rotation(0.7, 0.5)
+    amplitude = 1.8 * COUPLING_RTOL
+    waved = replace(
+        rotation,
+        fiber_velocity=lambda y, z: rotation.fiber_velocity(y, z) + amplitude * np.cos(3 * np.asarray(y))[..., None],
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_small_rotation_config(), "truncation": {"cutoffs": [8, 8]}, "spectra": {"tol": 1e-13}}))
+    assert cli.main(["eig", "--config", str(path), "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setattr(cli, "make_system", lambda name, **params: waved)
+    assert cli.main(["eig", "--config", str(path), "--out", str(tmp_path / "waved")]) == cli.EXIT_NUMERICAL
+    assert "dropped coupling" in capsys.readouterr().err

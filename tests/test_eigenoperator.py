@@ -59,7 +59,7 @@ def _product_space_compression(system, subspace, ystar, basis, grid):
     """Reference: sections* G section, with G the product-space generator of
     the system whose fiber velocity is pinned to ystar."""
     frozen = replace(system, fiber_velocity=lambda y, z: system.fiber_velocity(ystar, z))
-    G = assemble_generator(frozen, basis, grid).entries
+    G = assemble_generator(frozen, basis, grid)[:]
     section = np.kron(np.eye(2 * basis.cutoffs[0] + 1), subspace.frame)
     return section.conj().T @ G @ section
 

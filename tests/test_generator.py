@@ -65,7 +65,7 @@ def test_rotation_generator_entries_closed_form():
             if abs(k + dk) <= basis.cutoffs[0]:
                 row = basis.index_of((k + dk, j))
                 expected[row, col] = 1j * j * ALPHA * BETA / 2.0
-    assert np.max(np.abs(V.entries - expected)) < 1e-13
+    assert np.max(np.abs(V[:] - expected)) < 1e-13
 
 
 def test_generator_requires_base_leading_basis():
@@ -84,7 +84,7 @@ def test_generator_skew_adjoint_on_interior_band():
 def test_skew_symmetry_residual_flags_a_non_skew_operator():
     system, basis, grid = _rotation_setup(6, 6)
     good = assemble_generator(system, basis, grid)
-    shifted = OperatorMatrix(basis, basis, good.entries + 0.1 * np.eye(basis.size), "generator")
+    shifted = OperatorMatrix(basis, basis, good[:] + 0.1 * np.eye(basis.size), "generator")
     assert skew_symmetry_residual(shifted) > 0.1
     assert skew_symmetry_residual(good) < 1e-12
 
@@ -101,7 +101,7 @@ def test_vortex_generator_finite_and_skew():
     vortex = make_gaussian_vortex()
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     V = assemble_generator(vortex, basis, default_grid(basis, 6))
-    assert np.all(np.isfinite(V.entries))
+    assert np.all(np.isfinite(V[:]))
     assert skew_symmetry_residual(V) < 1e-12
 
 
@@ -128,10 +128,10 @@ def test_smoothed_generator_scalings():
     V = assemble_generator(system, basis, grid)
     w = SmoothingWeights(basis, tau=0.1, p=0.5)
     left = smoothed_generator(V, w)
-    assert np.allclose(left.entries, w.values[:, None] * V.entries)
+    assert np.allclose(left[:], w.values[:, None] * V[:])
     sym = smoothed_generator(V, w, symmetric=True)
     root = np.sqrt(w.values)
-    assert np.allclose(sym.entries, root[:, None] * V.entries * root[None, :])
+    assert np.allclose(sym[:], root[:, None] * V[:] * root[None, :])
 
 
 def test_fiber_koopman_torus_translation_is_diagonal_phase():

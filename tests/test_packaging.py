@@ -27,3 +27,10 @@ def test_runtime_dependencies_are_the_third_party_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"]}
     assert _third_party_import_roots() == declared
+
+
+def test_package_version_matches_pyproject():
+    import eigenop
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert eigenop.__version__ == project["version"]

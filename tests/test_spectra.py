@@ -1,10 +1,22 @@
 """Tests for the certified eigensolver and spectral set utilities."""
 
+import hashlib
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from eigenop import cli, ioformats
 from eigenop.basis import TruncatedBasis, default_grid
-from eigenop.generator import OperatorMatrix, SmoothingWeights, assemble_generator, smoothed_generator
+from eigenop.generator import (
+    OperatorMatrix,
+    SmoothingWeights,
+    advection_matrix,
+    assemble_generator,
+    smoothed_generator,
+)
 from eigenop.spectra import (
     COUPLING_RTOL,
     EigensolveError,
@@ -59,7 +71,7 @@ def test_eig_matrix_residuals_recomputed_independently():
     A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     report = eig_matrix(A)
     scale = np.linalg.norm(A, ord=2)
-    for lam, v, r in zip(report.eigenvalues, report.eigenvectors.T, report.residuals):
+    for lam, v, r in zip(report.eigenvalues, np.asarray(report.eigenvectors).T, report.residuals):
         direct = np.linalg.norm(A @ v - lam * v) / scale
         assert direct == pytest.approx(r, rel=1e-3, abs=1e-14)
 
@@ -156,7 +168,7 @@ def test_real_velocity_generators_take_hermitian_path(make_op):
     report = eig(op, tol=1e-8, weights=w)
     assert report.meta["solver"] == "hermitian"
     assert report.meta["blocks"] > 1
-    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op.entries), 1e-10)
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op[:]), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= report.tolerance)
@@ -168,8 +180,8 @@ def test_coarse_grid_quadrature_error_keeps_vortex_generator_skew():
     # V + V* at rounding level, so the coarse operator needs no fallback.
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     vortex = make_gaussian_vortex(0.5)
-    coarse = assemble_generator(vortex, basis, default_grid(basis, 4)).entries
-    fine = assemble_generator(vortex, basis, default_grid(basis, 8)).entries
+    coarse = assemble_generator(vortex, basis, default_grid(basis, 4))[:]
+    fine = assemble_generator(vortex, basis, default_grid(basis, 8))[:]
     assert np.max(np.abs(coarse - fine)) > 1e-7
     assert np.max(np.abs(coarse + coarse.conj().T)) < 1e-14
     op, w = _smoothed_generator(vortex, False)
@@ -200,25 +212,26 @@ def test_solver_is_recorded_in_json():
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["left", "symmetric"])
-def test_skew_similar_generator_takes_skew_tridiagonal_path(symmetric):
+def test_skew_similar_generator_takes_hermitian_path(symmetric):
     # The smoothed vortex generator, scaled by sqrt(w), is skew-Hermitian
     # to ~1e-16; the dense complex solver is the oracle.
     op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
     report = eig(op, tol=1e-8, weights=w)
     assert report.meta["solver"] == "hermitian"
     assert report.size == op.rows.size
-    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op.entries), 1e-10)
+    matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op[:]), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= 1e-13)
-    scale = np.linalg.norm(op.entries, ord=2)
-    direct = np.linalg.norm(op.entries @ report.eigenvectors - report.eigenvectors * report.eigenvalues, axis=0)
+    scale = np.linalg.norm(op[:], ord=2)
+    vectors = np.asarray(report.eigenvectors)
+    direct = np.linalg.norm(op[:] @ vectors - vectors * report.eigenvalues, axis=0)
     assert np.max(direct) / scale < 1e-13
 
 
 def test_mirror_paired_operator_that_is_not_skew_takes_complex_path():
     op = _rotation_generator()
-    shifted = OperatorMatrix(op.rows, op.cols, op.entries + 0.1 * np.eye(op.rows.size), "generator")
+    shifted = OperatorMatrix(op.rows, op.cols, op[:] + 0.1 * np.eye(op.rows.size), "generator")
     report = eig(shifted, tol=1e-8)
     assert report.meta["solver"] == "complex"
     assert np.all(report.residuals <= report.tolerance)
@@ -236,7 +249,7 @@ def test_skew_path_needs_positive_weights_that_describe_the_operator():
         assert report.meta["solver"] == "complex"
         assert np.all(report.residuals <= report.tolerance)
     # Positive weights need no mirror symmetry when they do describe the operator.
-    ramped_op = ramped[:, None] * (op.entries / w[:, None])
+    ramped_op = ramped[:, None] * (op[:] / w[:, None])
     assert eig_matrix(ramped_op, tol=1e-8, weights=ramped).meta["solver"] == "hermitian"
 
 
@@ -267,7 +280,8 @@ def test_permuted_block_diagonal_operator_matches_dense_oracle(skew):
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(M), 1e-10)
     assert matched, worst
     assert np.all(report.residuals <= 1e-13)
-    direct = np.linalg.norm(M @ report.eigenvectors - report.eigenvectors * report.eigenvalues, axis=0)
+    vectors = np.asarray(report.eigenvectors)
+    direct = np.linalg.norm(M @ vectors - vectors * report.eigenvalues, axis=0)
     assert np.max(direct) / np.linalg.norm(M, ord=2) < 1e-13
     if skew:
         assert np.all(report.eigenvalues.real == 0.0)
@@ -326,3 +340,124 @@ def test_sort_by_target_ignores_roundoff_in_pair_distances():
     assert np.abs(1j * mu - 1e-10) != np.abs(-1j * up - 1e-10)
     assert np.array_equal(orders[0], orders[1])
     assert np.array_equal(orders[0], [-1.0, 1.0, -1.0, 1.0])
+
+
+def _velocity(system, grid):
+    nodes = grid.nodes
+    return np.column_stack([system.base_velocity(nodes[:, 0]), system.fiber_velocity(nodes[:, 0], nodes[:, 1:])])
+
+
+BLOCK_CASES = {
+    # name: (system, cutoffs, grid multiplier, smoothing: None, "left" or "symmetric")
+    "rotation": (lambda: make_rotation(0.7, 0.5), (4, 4), 4, None),
+    "vortex": (lambda: make_gaussian_vortex(0.5), (3, 3, 3), 4, "left"),
+    "stratospheric": (make_stratospheric, (2, 3, 3), 8, "symmetric"),
+}
+
+
+def _block_case(name):
+    """(system, basis, grid, generator, operator to solve, left weights or None)."""
+    make, cutoffs, multiplier, smoothing = BLOCK_CASES[name]
+    system = make()
+    basis = TruncatedBasis(cutoffs, ("base",) + ("fiber",) * (len(cutoffs) - 1))
+    grid = default_grid(basis, multiplier)
+    V = assemble_generator(system, basis, grid)
+    if smoothing is None:
+        return system, basis, grid, V, V, None
+    w = SmoothingWeights(basis, 0.1, 0.1)
+    op = smoothed_generator(V, w, symmetric=smoothing == "symmetric")
+    return system, basis, grid, V, op, None if smoothing == "symmetric" else w.values
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_generator_matches_dense_assembly(name):
+    system, basis, grid, V, _, _ = _block_case(name)
+    dense = advection_matrix(basis, grid, _velocity(system, grid))
+    block = V[:]
+    above = np.abs(dense) > COUPLING_RTOL * np.max(np.abs(dense))
+    assert np.array_equal(block[above], dense[above])
+    assert np.max(np.abs(block - dense)) <= V.meta["dropped_coupling_bound"] == V.dropped_bound
+    assert [b.tolist() for b in V.blocks] == [b.tolist() for b in coupling_blocks(dense)]
+    # Every entry inside a block is the dense one, bit for bit; every other is 0.
+    inside = np.zeros(dense.shape, dtype=bool)
+    for b in V.blocks:
+        inside[np.ix_(b, b)] = True
+    assert np.array_equal(block[inside], dense[inside])
+    assert np.all(block[~inside] == 0.0)
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_operator_streams_the_dense_document(name, tmp_path, monkeypatch):
+    *_, op, _ = _block_case(name)
+    args = (op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+    ioformats.write_matrix(tmp_path / "dense.json", op[:], *args)
+    # A few rows per chunk, so that chunks end inside blocks.
+    monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", 3 * 2 * op.shape[0])
+    digest = ioformats.write_matrix(tmp_path / "block.json", op, *args)
+    raw = (tmp_path / "block.json").read_bytes()
+    assert raw == (tmp_path / "dense.json").read_bytes()
+    assert digest == hashlib.sha256(raw).hexdigest() == ioformats.file_sha256(tmp_path / "block.json")
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_and_dense_solves_are_bitwise_equal(name):
+    *_, op, w = _block_case(name)
+    block = eig(op, tol=1e-8, weights=w)
+    dense = eig_matrix(op[:], tol=1e-8, source=op.provenance, meta=dict(op.meta), weights=w)
+    assert np.array_equal(block.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(np.asarray(block.eigenvectors), np.asarray(dense.eigenvectors))
+    assert block.meta == dense.meta
+    assert block.meta["solver"] == "hermitian"
+    assert np.max(np.abs(block.residuals - dense.residuals)) < 1e-15
+    # Sorting and keeping the leading columns commute with densifying.
+    leading = sort_by_target(block).eigenvectors[:, :7]
+    assert np.array_equal(np.asarray(leading), np.asarray(sort_by_target(dense).eigenvectors)[:, :7])
+
+
+def test_vortex_assembly_and_solve_stay_below_a_quarter_dense_matrix():
+    ctx = cli.PipelineContext(cli.bundled_config("gaussian_vortex"), Path("unused"))
+    quarter = ctx.basis.size**2 * 16 / 4
+    tracemalloc.start()
+    try:
+        V = assemble_generator(ctx.system, ctx.basis, ctx.grid)
+        op = smoothed_generator(V, ctx.weights)
+        report = eig(op, tol=1e-6, weights=ctx.weights.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.size == ctx.basis.size == 2197
+    assert peak < quarter, f"peak {peak / 1e6:.1f} MB against {quarter / 1e6:.1f} MB"
+
+
+def _rotation_with_a_wave(amplitude):
+    """The rotation plus amplitude * cos(3y) on the fiber velocity: coefficients amplitude/2 at s = (+-3, 0)."""
+    rotation = make_rotation(0.7, 0.5)
+    wave = lambda y, z: rotation.fiber_velocity(y, z) + amplitude * np.cos(3 * np.asarray(y, dtype=float))[..., None]
+    return replace(rotation, fiber_velocity=wave)
+
+
+def test_dropped_coupling_bound_shows_a_coefficient_below_the_support():
+    # The largest coefficient is the base velocity's 1, so the support
+    # threshold is COUPLING_RTOL itself.
+    basis = TruncatedBasis((8, 8), ("base", "fiber"))
+    grid = default_grid(basis)
+    plain = assemble_generator(make_rotation(0.7, 0.5), basis, grid).dropped_bound
+    below = 0.9 * COUPLING_RTOL
+    waved = assemble_generator(_rotation_with_a_wave(2 * below), basis, grid)
+    # Each of s = (+-3, 0) enters once, times the fiber cutoff 8.
+    assert waved.dropped_bound == pytest.approx(plain + 2 * below * 8, abs=0.05 * below)
+    assert waved.meta["dropped_coupling_bound"] == waved.dropped_bound
+    above = assemble_generator(_rotation_with_a_wave(2 * 1.1 * COUPLING_RTOL), basis, grid)
+    assert above.dropped_bound == pytest.approx(plain, abs=0.05 * below)
+
+
+def test_dropped_coupling_bound_enters_the_residual_contract():
+    basis = TruncatedBasis((8, 8), ("base", "fiber"))
+    waved = assemble_generator(_rotation_with_a_wave(1.8 * COUPLING_RTOL), basis, default_grid(basis))
+    report = eig(waved, tol=1e-8)
+    assert report.meta["dropped_coupling_bound"] == waved.dropped_bound
+    share = waved.dropped_bound / matrix_norm_estimate(waved)
+    tol = np.max(report.residuals) + 0.5 * share
+    with pytest.raises(EigensolveError, match="dropped coupling") as info:
+        eig(waved, tol=tol)
+    assert np.all(info.value.residuals <= tol)
