@@ -321,7 +321,9 @@ class PipelineContext:
         """The spectrum stage_eig wrote, if the previous manifest lists both of its files.
 
         eig_matrix certified every pair when it was computed. JSON and
-        base64 float64 round-trip every value exactly.
+        the base64 float64 payload round-trip every value bit for bit,
+        signed zeros included, so a hit rewrites the leading vectors
+        byte for byte.
         """
         if not all(self.is_listed(name) for name in SPECTRUM_FILES):
             return None

@@ -3,6 +3,10 @@
 Matrix format: a single JSON document with a "payload" field holding the
 base64 encoding of the entries as little-endian float64 pairs (re, im),
 row-major; write_matrix writes operators and subspace frames alike.
+Every 3 entries are 48 bytes and encode to 64 characters, so the encoder
+passes only the groups with a set bit through base64 and writes 64 'A's
+for each all-zero group; generator documents are mostly such groups.
+The decoder gives back every entry bit for bit, signed zeros included.
 Field CSV: header `z1,z2,re,im`, row-major node order, 17 significant
 digits. Heatmaps: binary PPM (P6) with a symmetric diverging
 scale about zero; the normalization constant lands in a sidecar JSON.
@@ -57,21 +61,36 @@ def file_sha256(path) -> str:
         return _sha256_chunks(iter(lambda: fh.read(1 << 20), b""))
 
 
-# Entries base64-encoded per write, about. Each chunk is whole rows of a
-# multiple of 3 entries, so it is a multiple of 3 bytes and the chunks'
-# encodings concatenate to the whole encoding.
+# Entries base64-encoded per write, about. Each chunk but the last is
+# whole rows of a multiple of 3 entries, so it is a multiple of 48 bytes:
+# its groups of 3 entries start at 48-byte boundaries of the matrix, and
+# the chunks' encodings, unpadded, concatenate to the whole encoding.
 _PAYLOAD_CHUNK = 3 << 16
 
 
-def encode_matrix(entries: np.ndarray) -> str:
-    """base64 of the entries as little-endian (re, im) float64 pairs, row-major."""
-    return base64.b64encode(np.ascontiguousarray(entries, dtype="<c16").tobytes()).decode("ascii")
+def encode_matrix(entries: np.ndarray) -> memoryview:
+    """base64 of the entries as little-endian (re, im) float64 pairs, row-major, as ascii bytes.
+
+    Each group of 3 entries (six 64-bit words) encodes to 64 characters.
+    A group whose words have no bit set is 64 'A's without being encoded;
+    -0.0 has its sign bit set, so it is encoded. Fewer than 3 trailing
+    entries are encoded on their own, with padding.
+    """
+    flat = np.ascontiguousarray(entries, dtype="<c16").reshape(-1)
+    whole = flat.size - flat.size % 3
+    words = flat[:whole].view("<u8").reshape(-1, 6)
+    live = np.flatnonzero(np.bitwise_or.reduce(words, axis=1))
+    tail = base64.b64encode(flat[whole:])
+    out = np.full(64 * len(words) + len(tail), ord("A"), dtype=np.uint8)
+    groups = out[: 64 * len(words)].reshape(-1, 64)
+    groups[live] = np.frombuffer(base64.b64encode(words[live]), np.uint8).reshape(-1, 64)
+    out[groups.size :] = np.frombuffer(tail, np.uint8)
+    return memoryview(out)
 
 
-def decode_matrix(payload: str, shape) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(payload), dtype="<f8")
-    out = raw[0::2] + 1j * raw[1::2]
-    return out.reshape(shape)
+def decode_matrix(payload, shape) -> np.ndarray:
+    """The entries of an encode_matrix payload (str or bytes), bit for bit, as a writable array."""
+    return np.frombuffer(base64.b64decode(payload), dtype="<c16").reshape(shape).astype(complex)
 
 
 def write_matrix(path, entries, rows: dict, cols: dict, provenance: str, meta: dict) -> str:
@@ -103,7 +122,7 @@ def write_matrix(path, entries, rows: dict, cols: dict, provenance: str, meta: d
     def chunks():
         yield head.encode("ascii")
         for start in range(0, shape[0], step):
-            yield encode_matrix(entries[start : start + step]).encode("ascii")
+            yield encode_matrix(entries[start : start + step])
         yield tail.encode("ascii")
 
     return _write(path, chunks())

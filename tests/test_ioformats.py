@@ -1,14 +1,19 @@
 """Tests for on-disk formats: matrices, CSV fields, PPM heatmaps."""
 
 import base64
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenop import cli, ioformats
 from eigenop.basis import FieldSample, Grid, TruncatedBasis
-from eigenop.generator import OperatorMatrix
+from eigenop.generator import BlockOperator, OperatorMatrix
 from eigenop.ioformats import (
     MATRIX_FORMAT,
     canonical_json,
@@ -92,21 +97,18 @@ def test_field_csv_layout(tmp_path):
 
 
 def _reference_write_matrix(path, entries, rows, cols, provenance, meta):
-    """The whole-document writer write_matrix streams: one canonical JSON string."""
-    entries = np.asarray(entries, dtype=complex)
-    inter = np.empty(entries.size * 2, dtype="<f8")
-    inter[0::2] = entries.real.ravel()
-    inter[1::2] = entries.imag.ravel()
+    """The whole document write_matrix streams, built as one string with json and base64 alone."""
+    entries = np.asarray(entries)
     doc = {
         "format": MATRIX_FORMAT,
         "rows": rows,
         "cols": cols,
-        "shape": list(np.shape(entries)),
+        "shape": list(entries.shape),
         "provenance": provenance,
         "meta": meta,
-        "payload": base64.b64encode(inter.tobytes()).decode("ascii"),
+        "payload": base64.b64encode(np.ascontiguousarray(entries, dtype="<c16").tobytes()).decode("ascii"),
     }
-    Path(path).write_text(canonical_json(doc) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (7, 5), (500, 401), (0, 4)])
@@ -121,6 +123,108 @@ def test_write_matrix_streams_the_reference_bytes(tmp_path, shape):
     _reference_write_matrix(tmp_path / "old.json", entries, *args)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
     assert np.array_equal(read_matrix(tmp_path / "new.json")["entries"], entries)
+
+
+def _bits(entries):
+    return np.ascontiguousarray(entries, dtype="<c16").view("<u8")
+
+
+def _assert_writes_the_reference(tmp_path, entries, dense=None, args=None):
+    """write_matrix of entries gives the reference document of dense (entries itself by default) and reads back bit for bit."""
+    dense = entries if dense is None else dense
+    args = args or ({"kind": "test"}, {"columns": dense.shape[1]}, "projection", {"y": 0.5})
+    digest = write_matrix(tmp_path / "new.json", entries, *args)
+    _reference_write_matrix(tmp_path / "ref.json", dense, *args)
+    raw = (tmp_path / "new.json").read_bytes()
+    assert raw == (tmp_path / "ref.json").read_bytes()
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert np.array_equal(_bits(read_matrix(tmp_path / "new.json")["entries"]), _bits(dense))
+
+
+def _fill(kind, shape, rng):
+    """Entries of one kind: dense, 95% exact zeros, a lone signed zero or a lone subnormal among zeros."""
+    if kind == "dense":
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "sparse":
+        dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 0.95, 0j, dense)
+    entries = np.zeros(shape, dtype=complex)
+    # Index 1 lies inside the first 48-byte group whenever there is one.
+    lone = {"neg_zero_re": complex(-0.0, 0.0), "neg_zero_im": complex(0.0, -0.0), "subnormal": complex(5e-324, 0.0)}
+    if entries.size:
+        entries.flat[min(1, entries.size - 1)] = lone[kind]
+    return entries
+
+
+SHAPES = [(1, 1), (1, 2), (2, 2), (3, 5), (7, 7), (0, 3), (4, 0), (60, 61)]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "neg_zero_re", "neg_zero_im", "subnormal"])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_write_matrix_matches_the_whole_document_reference(tmp_path, monkeypatch, shape, kind):
+    entries = _fill(kind, shape, np.random.default_rng(sum(shape)))
+    # A small _PAYLOAD_CHUNK gives chunks of 3 rows, so chunks end mid-matrix.
+    for chunk in (ioformats._PAYLOAD_CHUNK, 3, 3 * 7):
+        monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", chunk)
+        _assert_writes_the_reference(tmp_path, entries)
+
+
+def test_block_operator_with_a_signed_zero_writes_the_reference(tmp_path, monkeypatch):
+    basis = TruncatedBasis((2,), ("fiber",))
+    blocks = (np.array([0, 3]), np.array([1, 2, 4]))
+    matrices = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), np.zeros((3, 3), dtype=complex))
+    matrices[1][2, 0] = complex(0.0, -0.0)
+    op = BlockOperator(basis, blocks, matrices, "generator", {"note": "x"})
+    dense = np.zeros(op.shape, dtype=complex)
+    for b, B in zip(blocks, matrices):
+        dense[np.ix_(b, b)] = B
+    monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", 3)
+    _assert_writes_the_reference(tmp_path, op, dense, (op.rows.describe(), op.cols.describe(), op.provenance, op.meta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=9),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([None, 3, 12]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_write_matrix_matches_the_reference_for_any_shape_and_sparsity(tmp_path_factory, m, n, zeros, chunk, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((m, n, 2)) * rng.choice([1.0, 1e-310, 0.0], (m, n, 2))
+    values = np.copysign(values, rng.choice([1.0, -1.0], (m, n, 2)))
+    values[rng.random((m, n)) < zeros] = 0.0
+    entries = values.view(complex)[..., 0]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(ioformats, "_PAYLOAD_CHUNK", chunk)
+        _assert_writes_the_reference(tmp_path_factory.mktemp("m"), entries)
+
+
+def test_rewriting_a_read_matrix_keeps_signed_zeros(tmp_path):
+    entries = np.array(
+        [[1.0, complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -0.0)]]
+    )
+    write_matrix(tmp_path / "a.json", entries, {"kind": "test"}, {"columns": 3}, "projection", {})
+    doc = read_matrix(tmp_path / "a.json")
+    assert np.array_equal(_bits(doc["entries"]), _bits(entries))
+    assert doc["entries"].flags.writeable
+    write_matrix(tmp_path / "b.json", doc["entries"], doc["rows"], doc["cols"], doc["provenance"], doc["meta"])
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+def test_writing_the_vortex_generator_holds_a_few_chunks_in_memory(tmp_path):
+    op = cli.PipelineContext(cli.bundled_config("gaussian_vortex"), tmp_path).generator_matrix
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "g.json", op, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The payload alone is 4/3 of 16 N^2 bytes, 103 MB at N = 2197.
+    assert (tmp_path / "g.json").stat().st_size > op.shape[0] ** 2 * 16 * 4 / 3
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _reference_write_field_csv(path, sample):
