@@ -26,7 +26,7 @@ from jsonschema.validators import validator_for
 from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, continuous_w, hatw_field
-from .eigenoperator import continuous_eigenoperator, discrete_eigenoperator_spectrum
+from .eigenoperator import CONTINUOUS_N, DISCRETE_M, continuous_eigenoperator, discrete_eigenoperator_spectrum
 from .generator import SmoothingWeights, assemble_generator, smoothed_generator
 from .ioformats import (
     complex_list,
@@ -39,7 +39,7 @@ from .ioformats import (
     write_matrix,
 )
 from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
-from .spectra import ORDER_RTOL, EigensolveError, SpectrumReport, eig, sort_by_target
+from .spectra import ORDER_RTOL, EigensolveError, SpectrumReport, eig, eig_matrix, sort_by_target
 from .systems import ContinuousSkewSystem, IntegrationError, make_system
 
 EXIT_SCHEMA = 2
@@ -173,8 +173,24 @@ def _fill_defaults(schema: dict, value):
     return filled
 
 
+def _non_finite_path(value, path: str = "config") -> str | None:
+    """Dotted path of the first number in value that is no finite float, or None.
+
+    json parses NaN, Infinity and overflowing literals such as 1e400 to
+    floats that no schema bound rejects, and an integer above the largest
+    float, about 1.8e308, to an int that no float holds.
+    """
+    if isinstance(value, (int, float)) and (value != value or abs(value) > sys.float_info.max):
+        return path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return next((found for key, item in children if (found := _non_finite_path(item, f"{path}.{key}"))), None)
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate against the schema and fill in every default."""
+    where = _non_finite_path(raw)
+    if where is not None:
+        raise ConfigError(f"{where} is not a finite float")
     error = best_match(SCHEMA_VALIDATOR.iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config schema violation: {error.message}")
@@ -353,7 +369,7 @@ def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
     if ctx.config["smoothing"] is not None:
         operators["smoothed_generator.matrix.json"] = ctx.operator_for_spectra
     return {
-        fname: write_matrix(ctx.out / fname, op, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+        fname: write_matrix(ctx.out / fname, op, op.basis.describe(), op.basis.describe(), op.provenance, op.meta)
         for fname, op in operators.items()
     }
 
@@ -389,7 +405,7 @@ def stage_oseledets(ctx: PipelineContext) -> dict[str, str]:
                 ctx.basis.fiber_subbasis().describe(),
                 {"columns": sub.dim},
                 "projection",
-                {"y": y, "effective_rank": sub.effective_rank, "requested": d},
+                {"y": y, "effective_rank": sub.dim, "requested": d},
             )
         return written
     setup = ctx.periodic_setup
@@ -430,14 +446,14 @@ def stage_eigenop(ctx: PipelineContext) -> dict[str, str]:
         ystar = ctx.system.advanced_base_point(s, y)
         rank = ctx.config["decomposition"]["subspace_rank"]
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, rank)
-        sample = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
-        spec = sample.spectrum(tol=ctx.config["spectra"]["tol"])
+        matrix = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
+        spec = eig_matrix(matrix, tol=ctx.config["spectra"]["tol"], source=CONTINUOUS_N)
         values = spec.eigenvalues
         # Listed by (Im, Re), each rounded to a multiple of ORDER_RTOL * max|lambda|.
         key = np.round(values / (ORDER_RTOL * np.max(np.abs(values)) or 1.0))
         values = values[np.lexsort((values.real, values.imag, key.real, key.imag))]
         doc = {
-            "kind": sample.kind,
+            "kind": CONTINUOUS_N,
             "y": y,
             "s": s,
             "subspace_rank": sub.dim,
@@ -460,7 +476,7 @@ def stage_eigenop(ctx: PipelineContext) -> dict[str, str]:
                     }
                     for c in agg["eigenvalues"]
                 ]
-        doc = {"kind": "discrete_M", "bins": [b.describe() for b in bins], "aggregated": aggregated}
+        doc = {"kind": DISCRETE_M, "bins": [b.describe() for b in bins], "aggregated": aggregated}
     return {"eigenoperator_spectrum.json": write_json(ctx.out / "eigenoperator_spectrum.json", doc)}
 
 
@@ -563,7 +579,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (EigensolveError, IntegrationError, np.linalg.LinAlgError) as exc:
+    except (EigensolveError, IntegrationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in stage pipeline: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -135,7 +135,7 @@ def koopman_correspondence_check(
     fib = basis.fiber_subbasis()
     fib_grid = Grid(tuple(grid.points[1:]))
     base_axis = grid.axes[0]
-    fiber_mats = [assemble_fiber_koopman(map_, float(yv), fib, fib_grid).entries for yv in base_axis]
+    fiber_mats = [assemble_fiber_koopman(map_, float(yv), fib, fib_grid) for yv in base_axis]
 
     rng = np.random.default_rng(seed)
     kbase = basis.cutoffs[0]

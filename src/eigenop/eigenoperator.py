@@ -10,19 +10,20 @@ kron(G_b, I) + kron(I, F* G_f F) on subspace sections; for the closed-form
 benchmark this reproduces the analytic frequency ladder exactly. A
 rank-one closed form, which restricts the eigenvector field with
 oseledets.restrict_coefficients, and a flow-shift invariance check round
-out the module.
+out the module. Both compressions are returned as plain arrays; callers
+solve the continuous one with spectra.eig_matrix under the source tag
+CONTINUOUS_N, and CONTINUOUS_N or DISCRETE_M is the kind that
+eigenoperator_spectrum.json records.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import Grid, TruncatedBasis, synthesize
 from .generator import advection_matrix
 from .oseledets import FiberSubspace, restrict_coefficients
-from .spectra import SpectrumReport, eig_matrix, hausdorff_distance
+from .spectra import eig_matrix, hausdorff_distance
 from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
 DISCRETE_M = "discrete_M"
@@ -37,30 +38,6 @@ class DegenerateEigenvectorError(ValueError):
     """Restricted eigenvector has vanishing fiber norm."""
 
 
-@dataclass(frozen=True)
-class EigenoperatorSample:
-    """Compressed eigenoperator matrix at one base point."""
-
-    base_point: float
-    matrix: np.ndarray
-    kind: str
-    indices: dict
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("eigenoperator compression must be square")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.kind not in (DISCRETE_M, CONTINUOUS_N):
-            raise ValueError(f"unknown kind '{self.kind}'")
-
-    def spectrum(self, tol: float = 1e-8) -> SpectrumReport:
-        return eig_matrix(self.matrix, tol=tol, source=self.kind, meta=dict(self.indices))
-
-
 def continuous_eigenoperator(
     system: ContinuousSkewSystem,
     subspace: FiberSubspace,
@@ -68,7 +45,7 @@ def continuous_eigenoperator(
     s: float,
     basis: TruncatedBasis,
     grid: Grid,
-) -> EigenoperatorSample:
+) -> np.ndarray:
     """Eigenoperator at h_s(y), compressed to subspace sections.
 
     The subspace must live at the advanced base point h_s(y). Sections
@@ -92,14 +69,7 @@ def continuous_eigenoperator(
     G_b = advection_matrix(base, base_grid, system.base_velocity(base_grid.nodes))
     G_f = advection_matrix(fib, fib_grid, system.fiber_velocity(ystar, fib_grid.nodes))
     F = subspace.frame
-    matrix = np.kron(G_b, np.eye(subspace.dim)) + np.kron(np.eye(base.size), F.conj().T @ G_f @ F)
-    return EigenoperatorSample(
-        base_point=float(y),
-        matrix=matrix,
-        kind=CONTINUOUS_N,
-        indices={"s": float(s), "subspace_rank": subspace.dim},
-        meta={"ystar": ystar, "basis": basis.describe()},
-    )
+    return np.kron(G_b, np.eye(subspace.dim)) + np.kron(np.eye(base.size), F.conj().T @ G_f @ F)
 
 
 def rank_one_spectrum(
@@ -159,8 +129,8 @@ def aggregated_continuous_spectrum(
     """
     out = []
     for y in np.asarray(y_points, dtype=float):
-        sample = continuous_eigenoperator(system, subspace_factory(system.advanced_base_point(s, y)), y, s, basis, grid)
-        out.append(sample.spectrum().eigenvalues)
+        matrix = continuous_eigenoperator(system, subspace_factory(system.advanced_base_point(s, y)), y, s, basis, grid)
+        out.append(eig_matrix(matrix, source=CONTINUOUS_N).eigenvalues)
     return np.concatenate(out)
 
 
@@ -195,7 +165,7 @@ def discrete_multiplier(
     transfer_fn,
     y: float,
     i: int,
-) -> EigenoperatorSample:
+) -> np.ndarray:
     """Full fiber-space multiplier matrix U_{g(h^i(y))} p(h^i(y)).
 
     family[m] must be the subspace at h^m(y) (period-length list);
@@ -204,16 +174,8 @@ def discrete_multiplier(
     n = map_.base_period
     if n is None or len(family) != n:
         raise MissingSubspaceError("need one subspace per orbit point")
-    w = map_.base_iterate(y, i)
-    sub = family[i % n]
-    U = np.asarray(transfer_fn(w), dtype=complex)
-    return EigenoperatorSample(
-        base_point=float(y),
-        matrix=U @ sub.projection,
-        kind=DISCRETE_M,
-        indices={"i": int(i)},
-        meta={"orbit_point": w},
-    )
+    U = np.asarray(transfer_fn(map_.base_iterate(y, i)), dtype=complex)
+    return U @ family[i % n].projection
 
 
 def _tolerance_union(points: list[np.ndarray], tol: float) -> list[dict]:

@@ -15,7 +15,9 @@ gathers entries only inside each class so joined, and splits each class
 into the components of its coupling graph. The result is a
 BlockOperator, which never holds the N x N array; its dropped_bound
 bounds the spectral norm of every entry it leaves out. Smoothing is
-diagonal, so it acts block by block.
+diagonal, so it acts block by block. BlockOperator is the one operator
+type; fiber transfer matrices, like every other dense matrix, are plain
+arrays.
 """
 
 from __future__ import annotations
@@ -30,51 +32,10 @@ from .systems import ContinuousSkewSystem, DiscreteSkewMap
 
 GENERATOR = "generator"
 SMOOTHED_GENERATOR = "smoothed_generator"
-FIBER_KOOPMAN = "fiber_koopman"
-
-_PROVENANCE_TAGS = (
-    GENERATOR,
-    SMOOTHED_GENERATOR,
-    FIBER_KOOPMAN,
-)
 
 # Rounding level relative to the largest entry: couplings at or below it
 # split blocks, and a skew-Hermitian defect below it counts as zero.
 COUPLING_RTOL = 1e3 * np.finfo(float).eps
-
-
-def _check_provenance(tag: str):
-    if tag not in _PROVENANCE_TAGS:
-        raise ValueError(f"unknown provenance '{tag}'")
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix with declared row and column bases."""
-
-    rows: TruncatedBasis
-    cols: TruncatedBasis
-    entries: np.ndarray
-    provenance: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.rows.size, self.cols.size):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match bases "
-                f"({self.rows.size}, {self.cols.size})"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("matrix entries must be finite")
-        _check_provenance(self.provenance)
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows.size == self.cols.size
 
 
 @dataclass(frozen=True)
@@ -86,7 +47,8 @@ class BlockOperator:
     by smallest index, and every entry outside them is exactly 0.
     dropped_bound bounds the spectral norm of what the true operator has
     outside the blocks; meta records it as "dropped_coupling_bound".
-    op[a:b] is rows a:b of the dense matrix, so op[:] is all of it.
+    op[a:b] is rows a:b of the dense matrix, so op[:] is all of it. A
+    non-finite entry is a numerical failure, so it raises FloatingPointError.
     """
 
     basis: TruncatedBasis
@@ -97,23 +59,19 @@ class BlockOperator:
     dropped_bound: float = 0.0
 
     def __post_init__(self):
-        _check_provenance(self.provenance)
+        if self.provenance not in (GENERATOR, SMOOTHED_GENERATOR):
+            raise ValueError(f"unknown provenance '{self.provenance}'")
         if not np.array_equal(np.sort(np.concatenate(self.blocks)), np.arange(self.basis.size)):
             raise ValueError("blocks must partition the basis")
         for b, B in zip(self.blocks, self.matrices, strict=True):
-            if B.shape != (len(b), len(b)) or not np.all(np.isfinite(B)):
-                raise ValueError("each block matrix must be finite and match its block")
+            if B.shape != (len(b), len(b)):
+                raise ValueError("each block matrix must match its block")
+            if not np.all(np.isfinite(B)):
+                raise FloatingPointError(f"{self.provenance} has non-finite entries")
             B.setflags(write=False)
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "meta", {**self.meta, "dropped_coupling_bound": float(self.dropped_bound)})
-
-    @property
-    def rows(self) -> TruncatedBasis:
-        return self.basis
-
-    cols = rows
-    is_square = True
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -245,7 +203,10 @@ def assemble_generator(
     grid.check_no_aliasing(basis)
     nodes = grid.nodes
     y = nodes[:, 0]
-    velocity = np.column_stack([system.base_velocity(y), system.fiber_velocity(y, nodes[:, 1:])])
+    # A velocity that overflows fails BlockOperator's finiteness guard, one
+    # error in place of a warning per operation.
+    with np.errstate(all="ignore"):
+        velocity = np.column_stack([system.base_velocity(y), system.fiber_velocity(y, nodes[:, 1:])])
     coeffs = _velocity_coefficients(grid, velocity)
     # Coefficients at every mode difference -2K..2K, wrapped as advection_matrix wraps them.
     box = np.abs(coeffs[(slice(None),) + np.ix_(*(np.arange(-2 * k, 2 * k + 1) % p for k, p in zip(basis.cutoffs, grid.points)))])
@@ -320,7 +281,7 @@ def smoothed_generator(V: BlockOperator, w: SmoothingWeights, symmetric: bool = 
 
 def assemble_fiber_koopman(
     map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis, fiber_grid: Grid
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Matrix of u -> u(g(y, .)), one step of a torus-fiber map at base point y."""
     if map_.fiber_kind != "torus":
         raise ValueError("grid-based fiber Koopman requires a torus fiber")
@@ -330,8 +291,7 @@ def assemble_fiber_koopman(
     # Row m': quadrature of conj(mode_m') * e^{i m.targets} over nodes.
     phases = evaluation_matrix(fiber_basis, targets)  # (nodes, N)
     conj_rows = np.exp(-1j * (nodes @ fiber_basis.modes.T.astype(float)))  # (nodes, N)
-    entries = (conj_rows.T @ phases) * fiber_grid.weight
-    return OperatorMatrix(fiber_basis, fiber_basis, entries, FIBER_KOOPMAN, {"y": float(y)})
+    return (conj_rows.T @ phases) * fiber_grid.weight
 
 
 def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:
@@ -354,25 +314,20 @@ def interior_band_slice(basis: TruncatedBasis) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def skew_symmetry_residual(V: OperatorMatrix | BlockOperator) -> float:
+def skew_symmetry_residual(V: BlockOperator) -> float:
     """Spectral norm of V + V* restricted to the interior half band.
 
-    The restriction of a block operator is block diagonal, so its norm is
-    the largest of its blocks'.
+    The restriction is block diagonal, so its norm is the largest of its blocks'.
     """
-    inner = np.zeros(V.rows.size, dtype=bool)
-    inner[interior_band_slice(V.rows)] = True
-    if isinstance(V, BlockOperator):
-        parts = zip(V.blocks, V.matrices)
-    else:
-        parts = [(np.arange(V.rows.size), V.entries)]
-    subs = [B[np.ix_(inner[b], inner[b])] for b, B in parts]
+    inner = np.zeros(V.basis.size, dtype=bool)
+    inner[interior_band_slice(V.basis)] = True
+    subs = [B[np.ix_(inner[b], inner[b])] for b, B in zip(V.blocks, V.matrices)]
     return max((float(np.linalg.norm(S + S.conj().T, ord=2)) for S in subs if S.size), default=0.0)
 
 
-def unitarity_residual(U: OperatorMatrix) -> float:
-    """Spectral norm of U*U - I restricted to the interior half band."""
-    idx = interior_band_slice(U.cols)
-    gram = U.entries.conj().T @ U.entries
+def unitarity_residual(U: np.ndarray, basis: TruncatedBasis) -> float:
+    """Spectral norm of U*U - I restricted to the interior half band of basis."""
+    idx = interior_band_slice(basis)
+    gram = U.conj().T @ U
     sub = gram[np.ix_(idx, idx)] - np.eye(len(idx))
     return float(np.linalg.norm(sub, ord=2))

@@ -11,7 +11,9 @@ block components of each bin's eigenvectors give an equivariant
 subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
 transfers, the one block eigensolve, isolating bins and families, which
-depend on that point only.
+depend on that point only. Either way a FiberSubspace is a base point
+and an orthonormal frame, whose column count is its dim; a periodic
+family's members also record their bin in meta.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .generator import assemble_fiber_koopman, cyclic_fiber_koopman
 from .systems import DiscreteSkewMap
 
 TWO_PI = 2.0 * np.pi
-
-RESTRICTED_EIGVECS = "restricted_eigvecs"
-SPECTRAL_BIN = "spectral_bin"
 
 RANK_THRESHOLD = 1e-8
 BOUNDARY_TOL = 1e-10
@@ -171,8 +170,6 @@ class FiberSubspace:
 
     y: float
     frame: np.ndarray  # (fiber_dim_coeffs, rank) orthonormal columns
-    origin: str
-    effective_rank: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -254,13 +251,7 @@ def restrict_at_base(
             f"restriction at y={y:.6f} is rank deficient: kept {frame.shape[1]} of {d}",
             stacklevel=2,
         )
-    return FiberSubspace(
-        y=float(y),
-        frame=frame,
-        origin=RESTRICTED_EIGVECS,
-        effective_rank=frame.shape[1],
-        meta={"requested": d},
-    )
+    return FiberSubspace(y=float(y), frame=frame)
 
 
 def cyclic_block_matrix(fiber_koopmans: list[np.ndarray]) -> np.ndarray:
@@ -323,16 +314,7 @@ def periodic_subspaces(
         for point_index in range(n):
             j = (point_index - 1) % n
             block = group[j * N : (j + 1) * N, :]
-            frame = orthonormalize(block)
-            family.append(
-                FiberSubspace(
-                    y=float(orbit[point_index]),
-                    frame=frame,
-                    origin=SPECTRAL_BIN,
-                    effective_rank=frame.shape[1],
-                    meta={"bin": b.describe(), "orbit_index": point_index},
-                )
-            )
+            family.append(FiberSubspace(float(orbit[point_index]), orthonormalize(block), {"bin": b.describe()}))
         families.append(family)
     return families
 
@@ -368,7 +350,7 @@ def periodic_setup(
     if map_.fiber_kind == "torus":
         if fiber_basis is None or fiber_grid is None:
             raise ValueError("a torus fiber needs a fiber basis and grid")
-        transfer = lambda w: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid).entries
+        transfer = lambda w: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid)
     elif map_.fiber_kind == "cyclic":
         transfer = lambda w: cyclic_fiber_koopman(map_, w)
     else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .generator import COUPLING_RTOL, BlockOperator, OperatorMatrix, coupling_blocks
+from .generator import COUPLING_RTOL, BlockOperator, coupling_blocks
 
 # Spectrum listings round their sort keys to this multiple of max|lambda|,
 # so roundoff in the solve cannot reorder them.
@@ -133,15 +133,12 @@ def matrix_norm_estimate(A: np.ndarray | BlockOperator) -> float:
     return float(sigma)
 
 
-def eig(A: OperatorMatrix | BlockOperator, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:
-    """Full eigenpair set of a square operator with certified residuals.
+def eig(A: BlockOperator, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:
+    """Full eigenpair set of a block operator with certified residuals.
 
     weights: the positive w of an operator built as diag(w) V; see eig_matrix.
     """
-    if not A.is_square:
-        raise ValueError("eigensolve requires a square operator")
-    M = A if isinstance(A, BlockOperator) else A.entries
-    return eig_matrix(M, tol=tol, source=A.provenance, meta=dict(A.meta), weights=weights)
+    return eig_matrix(A, tol=tol, source=A.provenance, meta=dict(A.meta), weights=weights)
 
 
 def eig_matrix(
@@ -221,7 +218,8 @@ def eig_matrix(
         vectors.append(Z)
         start += len(b)
     worst = np.max(residuals, initial=0.0)
-    if worst + dropped / scale > tol:
+    # Written so that a NaN residual, as from an overflowing operator, breaks it.
+    if not worst + dropped / scale <= tol:
         raise EigensolveError(
             f"residual contract violated: max residual {worst:.3e}"
             f" + dropped coupling {dropped / scale:.3e} > {tol:.3e}",

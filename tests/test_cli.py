@@ -16,7 +16,7 @@ from eigenop import cli, eigenoperator, oseledets, systems
 from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
-from eigenop.spectra import COUPLING_RTOL
+from eigenop.spectra import COUPLING_RTOL, eig_matrix
 
 
 def _small_rotation_config():
@@ -135,6 +135,46 @@ def test_main_exit_code_on_schema_violation(tmp_path, capsys):
     code = cli.main(["assemble", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_SCHEMA
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "system, section, key, literal",
+    [
+        ({"name": "rotation"}, "spectra", "tol", "NaN"),
+        ({"name": "rotation"}, "spectra", "tol", "1e400"),
+        ({"name": "rotation"}, "evaluation", "y", "NaN"),
+        ({"name": "rotation"}, "evaluation", "s", "-Infinity"),
+        ({"name": "rotation"}, "evaluation", "y", "1" + "0" * 400),
+        ({"name": "rotation"}, "system", "params", '{"alpha": NaN}'),
+        ({"name": "gaussian_vortex"}, "system", "params", '{"kappa": NaN}'),
+        ({"name": "torus_translation"}, "system", "params", '{"n": 4, "gtilde": NaN}'),
+    ],
+    ids=[
+        "tol-nan", "tol-overflow", "y-nan", "s-minus-infinity", "y-int-overflow", "alpha-nan", "kappa-nan", "gtilde-nan"
+    ],
+)
+def test_main_exit_code_on_non_finite_numbers(system, section, key, literal, tmp_path, capsys):
+    # json reads these literals as numbers that no schema bound rejects.
+    cutoffs = [3, 3, 3] if system["name"] == "gaussian_vortex" else [3, 3]
+    raw = {"system": system, "truncation": {"cutoffs": cutoffs}}
+    raw.setdefault(section, {})[key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "is not a finite float" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_main_exits_3_when_the_velocity_overflows(tmp_path, capsys):
+    raw = {"system": {"name": "gaussian_vortex", "params": {"kappa": 400}}, "truncation": {"cutoffs": [2, 2, 2]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_main_exit_code_on_invalid_json(tmp_path, capsys):
@@ -283,28 +323,38 @@ def test_full_continuous_pipeline(tmp_path):
     assert doc["max_abs_real_part"] < 1e-8
 
 
+def test_subspace_documents_record_their_rank(tmp_path):
+    raw = _small_rotation_config()
+    raw["decomposition"] = {"d_values": [1, 3]}
+    cli.run_pipeline(cli.resolve_config(raw), tmp_path, cli.ALL_STAGES)
+    docs = [read_matrix(path) for path in sorted(tmp_path.glob("subspace_d*.matrix.json"))]
+    assert len(docs) == 2
+    for doc in docs:
+        assert doc["meta"]["effective_rank"] == doc["shape"][1]
+
+
 def test_eigenoperator_listing_survives_a_roundoff_perturbation(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     cli.run_pipeline(cfg, tmp_path / "plain", cli.ALL_STAGES)
-    samples = []
+    matrices = []
     original = cli.continuous_eigenoperator
 
     def perturbed(*args):
-        sample = original(*args)
+        plain = original(*args)
         # The rank-1 rotation eigenoperator is diagonal. One entry below the
         # diagonal at 1e-12 max|A| keeps it triangular, so its eigenvalues
         # are still exactly its diagonal. But the entry lies above the
         # coupling threshold and is not skew, so it joins the first and
         # last modes into one block that the complex solver lists first.
-        matrix = np.array(sample.matrix)
-        matrix[-1, 0] += 1e-12 * np.max(np.abs(matrix))
-        samples.append((sample, replace(sample, matrix=matrix)))
-        return samples[-1][1]
+        bumped = plain.copy()
+        bumped[-1, 0] += 1e-12 * np.max(np.abs(bumped))
+        matrices.append((plain, bumped))
+        return bumped
 
     monkeypatch.setattr(cli, "continuous_eigenoperator", perturbed)
     cli.run_pipeline(cfg, tmp_path / "perturbed", cli.ALL_STAGES)
-    (plain, bumped), = samples
-    before, after = plain.spectrum().eigenvalues, bumped.spectrum().eigenvalues
+    (plain, bumped), = matrices
+    before, after = eig_matrix(plain).eigenvalues, eig_matrix(bumped).eigenvalues
     assert np.array_equal(np.sort_complex(before), np.sort_complex(after))
     assert not np.array_equal(before, after)
     name = "eigenoperator_spectrum.json"

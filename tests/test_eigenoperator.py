@@ -8,7 +8,6 @@ import pytest
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.eigenoperator import (
     DegenerateEigenvectorError,
-    EigenoperatorSample,
     MissingSubspaceError,
     continuous_eigenoperator,
     discrete_eigenoperator_spectrum,
@@ -19,8 +18,8 @@ from eigenop.eigenoperator import (
     _tolerance_union,
 )
 from eigenop.generator import assemble_fiber_koopman, assemble_generator
-from eigenop.oseledets import RESTRICTED_EIGVECS, FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
-from eigenop.spectra import match_multisets
+from eigenop.oseledets import FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
+from eigenop.spectra import eig_matrix, match_multisets
 from eigenop.systems import (
     make_cyclic_group,
     make_gaussian_vortex,
@@ -37,7 +36,7 @@ TWO_PI = 2.0 * np.pi
 def _mode_subspace(fib, mode, y):
     frame = np.zeros((fib.size, 1), dtype=complex)
     frame[fib.index_of(mode), 0] = 1.0
-    return FiberSubspace(y=float(y), frame=frame, origin=RESTRICTED_EIGVECS, effective_rank=1)
+    return FiberSubspace(y=float(y), frame=frame)
 
 
 def test_fiber_restriction_contracts_base_modes():
@@ -82,8 +81,8 @@ def test_continuous_eigenoperator_matches_product_space_compression(system, cuto
     rng = np.random.default_rng(3)
     fib_size = basis.fiber_subbasis().size
     frame, _ = np.linalg.qr(rng.standard_normal((fib_size, 3)) + 1j * rng.standard_normal((fib_size, 3)))
-    sub = FiberSubspace(ystar, frame, RESTRICTED_EIGVECS, 3)
-    A = continuous_eigenoperator(system, sub, y, s, basis, grid).matrix
+    sub = FiberSubspace(ystar, frame)
+    A = continuous_eigenoperator(system, sub, y, s, basis, grid)
     ref = _product_space_compression(system, sub, ystar, basis, grid)
     assert np.max(np.abs(A)) > 1.0
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(A))
@@ -95,9 +94,9 @@ def test_continuous_eigenoperator_frequency_ladder():
     grid = default_grid(basis)
     y, j = 0.8, 2
     sub = _mode_subspace(basis.fiber_subbasis(), (j,), y)
-    sample = continuous_eigenoperator(sys_, sub, y, 0.0, basis, grid)
+    matrix = continuous_eigenoperator(sys_, sub, y, 0.0, basis, grid)
     ref = [1j * (k + j * ALPHA * (1.0 + BETA * np.cos(y))) for k in range(-3, 4)]
-    ok, worst = match_multisets(sample.spectrum().eigenvalues, ref, 1e-10)
+    ok, worst = match_multisets(eig_matrix(matrix).eigenvalues, ref, 1e-10)
     assert ok, worst
 
 
@@ -113,16 +112,9 @@ def test_continuous_eigenoperator_rejects_misplaced_subspace():
 def test_continuous_eigenoperator_rejects_empty_subspace():
     sys_ = make_rotation(ALPHA, BETA)
     basis = TruncatedBasis((2, 2), ("base", "fiber"))
-    empty = FiberSubspace(0.0, np.zeros((5, 0), dtype=complex), RESTRICTED_EIGVECS, 0)
+    empty = FiberSubspace(0.0, np.zeros((5, 0), dtype=complex))
     with pytest.raises(MissingSubspaceError):
         continuous_eigenoperator(sys_, empty, 0.0, 0.0, basis, default_grid(basis))
-
-
-def test_eigenoperator_sample_guards():
-    with pytest.raises(ValueError):
-        EigenoperatorSample(0.0, np.zeros((2, 3)), "discrete_M", {})
-    with pytest.raises(ValueError):
-        EigenoperatorSample(0.0, np.eye(2), "unknown", {})
 
 
 def test_rank_one_spectrum_constant_mode():
@@ -173,7 +165,7 @@ def _family(map_, y0, fib, fgrid):
     for m, w in enumerate(map_.base_orbit(y0)):
         frame = np.zeros((fib.size, 1), dtype=complex)
         frame[fib.index_of((1,)), 0] = 1.0
-        frames.append(FiberSubspace(float(w), frame, "spectral_bin", 1))
+        frames.append(FiberSubspace(float(w), frame))
     return frames
 
 
@@ -183,12 +175,12 @@ def test_discrete_multiplier_matches_phase():
     fgrid = default_grid(fib)
     y0 = 0.3
     family = _family(map_, y0, fib, fgrid)
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
-    sample = discrete_multiplier(map_, family, transfer, y0, 1)
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
+    matrix = discrete_multiplier(map_, family, transfer, y0, 1)
     # The multiplier restricted to the j=1 mode is the phase e^{i*0.7}.
     row = fib.index_of((1,))
-    assert sample.matrix[row, row] == pytest.approx(np.exp(0.7j), abs=1e-12)
-    assert sample.kind == "discrete_M"
+    assert matrix[row, row] == pytest.approx(np.exp(0.7j), abs=1e-12)
+    assert matrix.shape == (fib.size, fib.size)
 
 
 def test_discrete_multiplier_needs_full_family():
@@ -196,14 +188,14 @@ def test_discrete_multiplier_needs_full_family():
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
     family = _family(map_, 0.3, fib, fgrid)[:2]
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
     with pytest.raises(MissingSubspaceError):
         discrete_multiplier(map_, family, transfer, 0.3, 1)
 
 
 def _family_setup(map_, fib, fgrid, family_fn):
     """setup_fn whose setups carry the given families, one per bin."""
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid).entries
+    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
     calls = []
 
     def setup_fn(y):
@@ -239,7 +231,7 @@ def test_discrete_eigenoperator_spectrum_dimension_guard():
             wide = np.zeros((fib.size, 2), dtype=complex)
             wide[0, 0] = 1.0
             wide[1, 1] = 1.0
-            family = [FiberSubspace(s.y, wide, "spectral_bin", 2) for s in family]
+            family = [FiberSubspace(s.y, wide) for s in family]
         return family
 
     families = lambda y: [_family(map_, y, fib, fgrid), jittery_family(y)]

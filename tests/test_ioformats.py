@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eigenop import cli, ioformats
 from eigenop.basis import FieldSample, Grid, TruncatedBasis
-from eigenop.generator import BlockOperator, OperatorMatrix
+from eigenop.generator import BlockOperator
 from eigenop.ioformats import (
     MATRIX_FORMAT,
     canonical_json,
@@ -46,9 +46,8 @@ def test_encode_decode_round_trip():
 def test_write_read_matrix_round_trip(tmp_path):
     basis = TruncatedBasis((1,), ("fiber",))
     entries = np.arange(9, dtype=float).reshape(3, 3) + 1j
-    op = OperatorMatrix(basis, basis, entries, "generator", {"note": "x"})
     path = tmp_path / "m.matrix.json"
-    write_matrix(path, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+    write_matrix(path, entries, basis.describe(), basis.describe(), "generator", {"note": "x"})
     doc = read_matrix(path)
     assert doc["format"] == MATRIX_FORMAT
     assert doc["provenance"] == "generator"
@@ -65,10 +64,9 @@ def test_read_matrix_rejects_unknown_format(tmp_path):
 
 def test_write_matrix_deterministic_bytes(tmp_path):
     basis = TruncatedBasis((1,), ("fiber",))
-    op = OperatorMatrix(basis, basis, np.eye(3, dtype=complex), "generator")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (p1, p2):
-        write_matrix(path, op.entries, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+        write_matrix(path, np.eye(3, dtype=complex), basis.describe(), basis.describe(), "generator", {})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -179,7 +177,7 @@ def test_block_operator_with_a_signed_zero_writes_the_reference(tmp_path, monkey
     for b, B in zip(blocks, matrices):
         dense[np.ix_(b, b)] = B
     monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", 3)
-    _assert_writes_the_reference(tmp_path, op, dense, (op.rows.describe(), op.cols.describe(), op.provenance, op.meta))
+    _assert_writes_the_reference(tmp_path, op, dense, (basis.describe(), basis.describe(), op.provenance, op.meta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +216,7 @@ def test_writing_the_vortex_generator_holds_a_few_chunks_in_memory(tmp_path):
     op = cli.PipelineContext(cli.bundled_config("gaussian_vortex"), tmp_path).generator_matrix
     tracemalloc.start()
     try:
-        write_matrix(tmp_path / "g.json", op, op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+        write_matrix(tmp_path / "g.json", op, op.basis.describe(), op.basis.describe(), op.provenance, op.meta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

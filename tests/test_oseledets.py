@@ -182,7 +182,7 @@ def test_restrict_at_base_rank_one_product_vector():
     direction = uf / np.linalg.norm(uf)
     overlap = abs(direction.conj() @ sub.frame[:, 0])
     assert overlap == pytest.approx(1.0, abs=1e-12)
-    assert sub.effective_rank == 1
+    assert sub.dim == 1
     assert np.max(np.abs(sub.frame.conj().T @ sub.frame - np.eye(1))) < 1e-12
 
 
@@ -214,9 +214,7 @@ def _torus_setup(y0=0.3):
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((3,), ("fiber",))
     fgrid = default_grid(fib)
-    transfers = [
-        assemble_fiber_koopman(map_, w, fib, fgrid).entries for w in map_.base_orbit(y0)
-    ]
+    transfers = [assemble_fiber_koopman(map_, w, fib, fgrid) for w in map_.base_orbit(y0)]
     return map_, transfers
 
 
@@ -306,11 +304,11 @@ def test_periodic_subspaces_requires_full_orbit():
 
 
 def test_principal_angle_distance():
-    e1 = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, :1], "spectral_bin", 1)
-    e2 = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, 1:2], "spectral_bin", 1)
+    e1 = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, :1])
+    e2 = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, 1:2])
     assert principal_angle_distance(e1, e1) == pytest.approx(0.0, abs=1e-12)
     assert principal_angle_distance(e1, e2) == pytest.approx(1.0)
-    wide = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, :2], "spectral_bin", 2)
+    wide = FiberSubspace(0.0, np.eye(3, dtype=complex)[:, :2])
     assert not np.isfinite(principal_angle_distance(e1, wide))
 
 

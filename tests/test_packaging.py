@@ -34,3 +34,10 @@ def test_package_version_matches_pyproject():
 
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert eigenop.__version__ == project["version"]
+
+
+def test_readme_library_overview_lists_every_module():
+    import eigenop
+
+    section = (ROOT / "README.md").read_text().split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `eigenop\.(\w+)` \|", section, flags=re.M) == eigenop.__all__

@@ -11,7 +11,7 @@ import pytest
 from eigenop import cli, ioformats
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.generator import (
-    OperatorMatrix,
+    BlockOperator,
     SmoothingWeights,
     advection_matrix,
     assemble_generator,
@@ -91,9 +91,17 @@ def test_residual_contract_violation_raises():
     assert info.value.residuals is not None
 
 
+def test_residual_contract_rejects_nan_residuals():
+    # ||M||^2 overflows in the norm estimate, so every relative residual is NaN.
+    M = np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(EigensolveError) as info:
+        eig_matrix(M)
+    assert np.all(np.isnan(info.value.residuals))
+
+
 def test_eig_on_operator_matrix_carries_provenance():
     basis = TruncatedBasis((1,), ("fiber",))
-    op = OperatorMatrix(basis, basis, np.diag([1.0, 2.0, 3.0]).astype(complex), "generator")
+    op = BlockOperator(basis, [np.arange(3)], [np.diag([1.0, 2.0, 3.0]).astype(complex)], "generator")
     report = eig(op)
     assert report.source == "generator"
     assert sorted(report.eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
@@ -190,10 +198,7 @@ def test_coarse_grid_quadrature_error_keeps_vortex_generator_skew():
 
 def test_random_complex_operator_takes_complex_path():
     rng = np.random.default_rng(4)
-    basis = TruncatedBasis((2, 1), ("base", "fiber"))
-    n = basis.size
-    op = OperatorMatrix(basis, basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), "generator")
-    report = eig(op)
+    report = eig_matrix(rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15)))
     assert report.meta["solver"] == "complex"
     assert np.all(report.residuals <= report.tolerance)
 
@@ -218,7 +223,7 @@ def test_skew_similar_generator_takes_hermitian_path(symmetric):
     op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
     report = eig(op, tol=1e-8, weights=w)
     assert report.meta["solver"] == "hermitian"
-    assert report.size == op.rows.size
+    assert report.size == op.basis.size
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op[:]), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
@@ -231,8 +236,7 @@ def test_skew_similar_generator_takes_hermitian_path(symmetric):
 
 def test_mirror_paired_operator_that_is_not_skew_takes_complex_path():
     op = _rotation_generator()
-    shifted = OperatorMatrix(op.rows, op.cols, op[:] + 0.1 * np.eye(op.rows.size), "generator")
-    report = eig(shifted, tol=1e-8)
+    report = eig_matrix(op[:] + 0.1 * np.eye(op.basis.size), tol=1e-8)
     assert report.meta["solver"] == "complex"
     assert np.all(report.residuals <= report.tolerance)
     matched, worst = match_multisets(report.eigenvalues, eig(op).eigenvalues + 0.1, 1e-10)
@@ -389,7 +393,7 @@ def test_block_generator_matches_dense_assembly(name):
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_block_operator_streams_the_dense_document(name, tmp_path, monkeypatch):
     *_, op, _ = _block_case(name)
-    args = (op.rows.describe(), op.cols.describe(), op.provenance, op.meta)
+    args = (op.basis.describe(), op.basis.describe(), op.provenance, op.meta)
     ioformats.write_matrix(tmp_path / "dense.json", op[:], *args)
     # A few rows per chunk, so that chunks end inside blocks.
     monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", 3 * 2 * op.shape[0])
