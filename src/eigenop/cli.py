@@ -5,18 +5,22 @@ eigenop, cocycle-field), the whole pipeline (all), or the acceptance
 suite (validate). Configs are JSON, schema-checked with unknown keys
 rejected; every omitted default is resolved before anything runs and
 recorded in the output manifest. Reruns of the same config produce
-byte-identical artifacts, and a rerun into the same directory reads back
-the certified spectrum instead of solving again.
+byte-identical artifacts. A rerun into the same directory does not run
+a stage whose files the previous manifest lists, for the same config,
+versions and package source, with their bytes unchanged; it carries
+them over. A stage it does run reads back the certified spectrum
+instead of solving again.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from copy import deepcopy
 from dataclasses import replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +225,25 @@ def load_config(path) -> dict:
     return resolve_config(raw)
 
 
+@cache
+def source_sha256() -> str:
+    """sha256 of the package's own .py files, each name and then its bytes, in sorted name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def versions() -> dict:
+    """What a manifest records of the code that wrote it; reuse needs all of it to match."""
+    return {
+        "package": __version__,
+        "numpy": np.__version__,
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "source_sha256": source_sha256(),
+    }
+
+
 class PipelineContext:
     """Lazy shared state for one pipeline run."""
 
@@ -228,6 +251,8 @@ class PipelineContext:
         self.config = config
         self.out = Path(out)
         self.stage_notes: list[str] = []
+        # sha256 of each file of the directory as this run last saw it; None if unreadable.
+        self.current_sha256: dict[str, str | None] = {}
 
     @cached_property
     def system(self):
@@ -315,23 +340,39 @@ class PipelineContext:
         return self.periodic_setup_at(float(self.config["evaluation"]["y"]))
 
     @cached_property
-    def previous_outputs(self) -> dict:
-        """The outputs of the directory's manifest, if this config and package version wrote it."""
+    def previous_manifest(self) -> dict:
+        """The directory's manifest if this config and these versions() wrote it, else {}."""
         try:
             manifest = json.loads((self.out / "manifest.json").read_text())
-            if manifest["config_sha256"] != sha256_of(self.config) or manifest["versions"]["package"] != __version__:
-                return {}
-            return dict(manifest["outputs"])
+            if manifest["config_sha256"] == sha256_of(self.config) and manifest["versions"] == versions():
+                return manifest if isinstance(manifest["outputs"], dict) else {}
         except (ValueError, KeyError, OSError, TypeError):
-            return {}
+            pass
+        return {}
+
+    @property
+    def previous_outputs(self) -> dict:
+        return self.previous_manifest.get("outputs", {})
 
     def is_listed(self, filename: str) -> bool:
-        """Whether the previous manifest lists the file with its current sha256."""
+        """Whether the previous manifest lists the file with its current sha256; each file is hashed once."""
         recorded = self.previous_outputs.get(filename)
-        try:
-            return recorded is not None and recorded == file_sha256(self.out / filename)
-        except OSError:
+        if recorded is None:
             return False
+        if filename not in self.current_sha256:
+            try:
+                self.current_sha256[filename] = file_sha256(self.out / filename)
+            except OSError:
+                self.current_sha256[filename] = None
+        return recorded == self.current_sha256[filename]
+
+    def listed_stage_outputs(self, stage: str) -> list[str] | None:
+        """The file names the previous manifest records for stage, if each is still listed, else None."""
+        recorded = self.previous_manifest.get("stage_outputs")
+        files = recorded.get(stage) if isinstance(recorded, dict) else None
+        if isinstance(files, list) and all(isinstance(name, str) and self.is_listed(name) for name in files):
+            return files
+        return None
 
     def _load_cached(self) -> SpectrumReport | None:
         """The spectrum stage_eig wrote, if the previous manifest lists both of its files.
@@ -518,31 +559,45 @@ STAGE_FUNCS = {
 }
 
 
-def run_pipeline(config: dict, out, stages) -> dict:
+def run_pipeline(config: dict, out, stages) -> tuple[dict, list[str]]:
+    """Run the stages into out; return the manifest written and the stages whose files were reused.
+
+    A stage whose non-empty file list the previous manifest records, with
+    every file's bytes unchanged, is not called: its files are carried
+    over. A stage that writes nothing, and so only leaves a note, runs.
+    """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     ctx = PipelineContext(config, out)
     hashes: dict[str, str] = {}
-    ran = []
+    stage_outputs: dict[str, list[str]] = {}
+    reused = []
     for stage in stages:
-        hashes.update(STAGE_FUNCS[stage](ctx))
-        ran.append(stage)
-    # The files of earlier runs of this config stay listed while their bytes are unchanged.
+        files = ctx.listed_stage_outputs(stage)
+        if files:
+            written = {name: ctx.previous_outputs[name] for name in files}
+            reused.append(stage)
+        else:
+            written = STAGE_FUNCS[stage](ctx)
+            ctx.current_sha256.update(written)
+        hashes.update(written)
+        stage_outputs[stage] = sorted(written)
+    # The stages and files of earlier runs of this config stay listed while their bytes are unchanged.
+    for stage in ALL_STAGES:
+        if stage not in stage_outputs and (files := ctx.listed_stage_outputs(stage)) is not None:
+            stage_outputs[stage] = files
     hashes.update({name: h for name, h in ctx.previous_outputs.items() if name not in hashes and ctx.is_listed(name)})
     manifest = {
         "config": config,
         "config_sha256": sha256_of(config),
-        "versions": {
-            "package": __version__,
-            "numpy": np.__version__,
-            "python": f"{sys.version_info.major}.{sys.version_info.minor}",
-        },
-        "stages": ran,
+        "versions": versions(),
+        "stages": list(stages),
         "notes": ctx.stage_notes,
         "outputs": hashes,
+        "stage_outputs": stage_outputs,
     }
     write_json(out / "manifest.json", manifest)
-    return manifest
+    return manifest, reused
 
 
 def cmd_validate(args) -> int:
@@ -575,7 +630,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         stages = ALL_STAGES if args.command == "all" else (args.command,)
-        manifest = run_pipeline(config, args.out, stages)
+        manifest, reused = run_pipeline(config, args.out, stages)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -585,7 +640,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {args.out}/manifest.json, which lists {len(manifest['outputs'])} artifacts")
+    note = f"; reused: {', '.join(reused)}" if reused else ""
+    print(f"wrote {args.out}/manifest.json, which lists {len(manifest['outputs'])} artifacts{note}")
     return 0
 
 

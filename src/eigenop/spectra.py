@@ -109,13 +109,23 @@ class SpectrumReport:
 def matrix_norm_estimate(A: np.ndarray | BlockOperator) -> float:
     """Deterministic 50-step power-iteration estimate of the spectral norm.
 
-    A block operator is applied block by block.
+    A block operator is applied block by block. B^H B v is of size
+    ||A||^2, and its norm squares that again, so the iteration leaves the
+    float range once ||A|| passes about 1e77 or falls below about 1e-77.
+    When A's largest entry lies outside [1e-50, 1e50], it therefore runs
+    on 2^-k A, where k is the binary exponent of that entry, and scales
+    the estimate back by 2^k.
     """
     n = len(A)
     if n == 0:
         return 0.0
     # (rows, matrix) pairs whose direct sum is A; a dense A is one part.
     parts = list(zip(A.blocks, A.matrices)) if isinstance(A, BlockOperator) else [(slice(None), A)]
+    top = max((np.max(np.abs(B), initial=0.0) for _, B in parts), default=0.0)
+    k = 0 if 1e-50 <= top <= 1e50 else int(np.frexp(top)[1])  # 0 for a NaN or infinite top
+    if k:
+        # ldexp scales by a power of two exactly, over the whole float range.
+        parts = [(b, np.ldexp(B.real, -k) + 1j * np.ldexp(B.imag, -k)) for b, B in parts]
     # Fixed, seed-free start vector keeps reruns byte-identical.
     v = np.cos(np.arange(1, n + 1, dtype=float)) + 1j * np.sin(np.arange(1, n + 1, dtype=float) / 3.0)
     v /= np.linalg.norm(v)
@@ -130,7 +140,7 @@ def matrix_norm_estimate(A: np.ndarray | BlockOperator) -> float:
             return 0.0
         sigma = np.sqrt(nw)
         v = w / nw
-    return float(sigma)
+    return float(np.ldexp(sigma, k))
 
 
 def eig(A: BlockOperator, tol: float = 1e-8, weights: np.ndarray | None = None) -> SpectrumReport:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from eigenop import cli, eigenoperator, oseledets, systems
+from eigenop import cli, eigenoperator, ioformats, oseledets, systems
 from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
@@ -310,7 +310,7 @@ def test_bundled_generators_solve_hermitian_blocks(name, cutoff, blocks, largest
 def test_full_continuous_pipeline(tmp_path):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    manifest = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    manifest, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     assert manifest["config_sha256"] == sha256_of(cfg)
     assert (out / "manifest.json").exists()
     assert (out / "generator.matrix.json").exists()
@@ -373,7 +373,7 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 
 def test_manifest_has_no_timestamps(tmp_path):
     cfg = cli.resolve_config(_small_rotation_config())
-    manifest = cli.run_pipeline(cfg, tmp_path / "run", ("assemble",))
+    manifest, _ = cli.run_pipeline(cfg, tmp_path / "run", ("assemble",))
     text = json.dumps(manifest)
     assert "timestamp" not in text and "created" not in text and "date" not in text
 
@@ -533,15 +533,15 @@ def test_manifest_drops_a_carried_file_whose_bytes_changed(tmp_path):
     cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     (out / "spectrum.json").write_text("{}")
     (out / "generator.matrix.json").unlink()
-    manifest = cli.run_pipeline(cfg, out, ("eigenop",))
+    manifest, _ = cli.run_pipeline(cfg, out, ("eigenop",))
     assert set(manifest["outputs"]) == {"eigenoperator_spectrum.json", "leading_vectors.matrix.json", "subspace_d1.matrix.json"}
 
 
 def test_rerun_into_same_directory_reproduces_every_artifact(tmp_path):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
-    first = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
-    second = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    first, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    second, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     assert "generator.matrix.json" in first["outputs"]
     assert second["outputs"] == first["outputs"]
 
@@ -597,14 +597,165 @@ def test_cocycle_field_stage_flows_once(tmp_path, monkeypatch):
     calls = _count_flows(monkeypatch)
     cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     assert len(calls) == 1
+    # A missing field makes the stage run again, for every d.
+    (out / "field_d2.csv").unlink()
     cli.run_pipeline(cfg, out, ("cocycle-field",))
     assert len(calls) == 2
+
+
+def _count_stage_calls(monkeypatch) -> list:
+    """Record the name of every stage function the pipeline calls."""
+    calls = []
+    for stage, func in cli.STAGE_FUNCS.items():
+
+        def counting(ctx, stage=stage, func=func):
+            calls.append(stage)
+            return func(ctx)
+
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, counting)
+    return calls
+
+
+def _record_writes(monkeypatch) -> list:
+    """Record the name of every file the package writes."""
+    written = []
+    original = ioformats._write
+
+    def recording(path, chunks):
+        written.append(Path(path).name)
+        return original(path, chunks)
+
+    monkeypatch.setattr(ioformats, "_write", recording)
+    return written
+
+
+def test_reruns_after_all_call_no_stage_function(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    first = (out / "manifest.json").read_bytes()
+    artifacts = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"}
+    calls, written = _count_stage_calls(monkeypatch), _record_writes(monkeypatch)
+    flows, assembled, solved = _count_flows(monkeypatch), _count_assembly(monkeypatch), _count_eigensolves(monkeypatch)
+    for stage in cli.ALL_STAGES:
+        manifest, reused = cli.run_pipeline(cfg, out, (stage,))
+        assert reused == [stage]
+        assert manifest["stages"] == [stage]
+    manifest, reused = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert reused == list(cli.ALL_STAGES)
+    assert (calls, flows, assembled, solved) == ([], [], [], [])
+    assert written == ["manifest.json"] * (len(cli.ALL_STAGES) + 1)
+    assert (out / "manifest.json").read_bytes() == first
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"} == artifacts
+
+
+def test_a_rewritten_subspace_reruns_oseledets_only(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    first = (out / "manifest.json").read_bytes()
+    path = out / "subspace_d2.matrix.json"
+    original = path.read_bytes()
+    path.write_text(path.read_text().replace("{", "{ ", 1))
+    calls = _count_stage_calls(monkeypatch)
+    _, reused = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert calls == ["oseledets"]
+    assert reused == [stage for stage in cli.ALL_STAGES if stage != "oseledets"]
+    assert path.read_bytes() == original
+    assert (out / "manifest.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("key", ["numpy", "source_sha256"])
+def test_no_reuse_when_the_manifest_versions_differ(key, tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["versions"][key] = "0" * len(manifest["versions"][key])
+    path.write_text(json.dumps(manifest))
+    calls, solved = _count_stage_calls(monkeypatch), _count_eigensolves(monkeypatch)
+    _, reused = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert (reused, calls, len(solved)) == ([], list(cli.ALL_STAGES), 1)
+
+
+def test_versions_record_the_package_source():
+    versions = cli.versions()
+    assert set(versions) == {"package", "numpy", "python", "source_sha256"}
+    digest = hashlib.sha256()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert versions["source_sha256"] == digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "stage_outputs",
+    [
+        ["spectrum.json", "leading_vectors.matrix.json"],
+        {"eig": "spectrum.json"},
+        {"eig": [["spectrum.json"]]},
+        {"eig": [1, "spectrum.json"]},
+        {"eig": ["spectrum.json", "leading_vectors.matrix.json", "missing.json"]},
+        {"eig": []},
+    ],
+    ids=["list", "string", "nested", "number", "unlisted-file", "empty"],
+)
+def test_a_malformed_stage_record_runs_the_stage(stage_outputs, tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    first = (out / "manifest.json").read_bytes()
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stage_outputs"] = stage_outputs
+    path.write_text(json.dumps(manifest))
+    calls = _count_stage_calls(monkeypatch)
+    manifest, reused = cli.run_pipeline(cfg, out, ("eig",))
+    assert (calls, reused) == (["eig"], [])
+    assert manifest["stage_outputs"]["eig"] == ["leading_vectors.matrix.json", "spectrum.json"]
+    # The one eig rerun restores the record: a second all rewrites the first manifest.
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert (out / "manifest.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("config", [_small_vortex_config, _small_discrete_config], ids=["vortex", "discrete"])
+def test_stage_outputs_partition_outputs(config, tmp_path):
+    manifest, _ = cli.run_pipeline(cli.resolve_config(config()), tmp_path / "run", cli.ALL_STAGES)
+    record = manifest["stage_outputs"]
+    assert list(record) == list(cli.ALL_STAGES)
+    names = [name for files in record.values() for name in files]
+    assert sorted(names) == sorted(manifest["outputs"])
+    assert all(files == sorted(files) for files in record.values())
+
+
+def test_discrete_reruns_run_only_the_stages_that_write_nothing(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_discrete_config())
+    out = tmp_path / "run"
+    first, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    calls = _count_stage_calls(monkeypatch)
+    second, reused = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert reused == ["oseledets", "eigenop"]
+    assert calls == ["assemble", "eig", "cocycle-field"]
+    assert second == first
+
+
+def test_main_names_the_reused_stages(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_rotation_config()))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}/manifest.json, which lists 5 artifacts"
+    (out / "subspace_d1.matrix.json").unlink()
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == f"wrote {out}/manifest.json, which lists 5 artifacts; reused: assemble, eig, eigenop"
+    assert "reused" not in (out / "manifest.json").read_text()
 
 
 def test_discrete_pipeline_stages(tmp_path):
     cfg = cli.resolve_config(_small_discrete_config())
     out = tmp_path / "run"
-    manifest = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    manifest, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     assert (out / "bins.json").exists()
     bins = json.loads((out / "bins.json").read_text())
     assert len(bins["orbit"]) == 4
