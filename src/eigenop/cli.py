@@ -7,9 +7,9 @@ rejected; every omitted default is resolved before anything runs and
 recorded in the output manifest. Reruns of the same config produce
 byte-identical artifacts. A rerun into the same directory does not run
 a stage whose files the previous manifest lists, for the same config,
-versions and package source, with their bytes unchanged; it carries
-them over. A stage it does run reads back the certified spectrum
-instead of solving again.
+versions, package source and BLAS thread settings, with their bytes
+unchanged; it carries them over. A stage it does run reads back the
+certified spectrum instead of solving again.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from copy import deepcopy
 from dataclasses import replace
@@ -234,13 +235,21 @@ def source_sha256() -> str:
     return digest.hexdigest()
 
 
+# Artifacts of the dense eigensolves depend on the BLAS thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def versions() -> dict:
-    """What a manifest records of the code that wrote it; reuse needs all of it to match."""
+    """What a manifest records of the code that wrote it; reuse needs all of it to match.
+
+    blas_threads holds each thread-count variable's value, None when unset.
+    """
     return {
         "package": __version__,
         "numpy": np.__version__,
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "source_sha256": source_sha256(),
+        "blas_threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
 
 

@@ -21,6 +21,7 @@ import base64
 import hashlib
 import json
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +149,10 @@ def write_field_csv(path, sample: FieldSample) -> str:
     if sample.grid.ndim != 2:
         raise ValueError("field CSV export requires a 2-d fiber grid")
     vals = sample.values.ravel()
-    rows = map("{}{:.17g},{:.17g}".format, _node_prefixes(sample.grid), vals.real.tolist(), vals.imag.tolist())
-    return _write(path, [("z1,z2,re,im\n" + "\n".join(rows) + "\n").encode("ascii")])
+    prefixes = _node_prefixes(sample.grid)
+    # One %-format over every row; "%.17g" gives the same text as "{:.17g}".
+    cells = tuple(chain.from_iterable(zip(prefixes, vals.real.tolist(), vals.imag.tolist())))
+    return _write(path, [("z1,z2,re,im\n" + "%s%.17g,%.17g\n" * len(prefixes) % cells).encode("ascii")])
 
 
 def _diverging_rgb(t: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ block components of each bin's eigenvectors give an equivariant
 subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
 transfers, the one block eigensolve, isolating bins and families, which
-depend on that point only. Either way a FiberSubspace is a base point
-and an orthonormal frame, whose column count is its dim; a periodic
-family's members also record their bin in meta.
+depend on that point only. orthonormalize is the one Gram-Schmidt
+routine and works on a stack of column arrays: a restriction passes a
+stack of one, and a periodic setup passes every (bin, orbit point)
+block at once. Either way a FiberSubspace is a base point and an
+orthonormal frame, whose column count is its dim; a periodic family's
+members also record their bin in meta.
 """
 
 from __future__ import annotations
@@ -118,10 +121,12 @@ def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     lam = lam[np.abs(lam) > 0.5]
-    powers = lam**n
+    # Python scalars: the same IEEE arithmetic as numpy's, at a fraction of
+    # the per-element cost.
+    powers = (lam**n).tolist()
     labels = -np.ones(len(lam), dtype=int)
     reps: list[complex] = []
-    for idx in np.lexsort((lam.imag, lam.real)):
+    for idx in np.lexsort((lam.imag, lam.real)).tolist():
         for gi, rep in enumerate(reps):
             if abs(powers[idx] - rep) <= CLUSTER_TOL:
                 labels[idx] = gi
@@ -134,8 +139,8 @@ def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
 
     phases = _phase(lam)
     order = np.argsort(phases, kind="stable")
-    ph = phases[order]
-    gr = labels[order]
+    ph = phases[order].tolist()
+    gr = labels[order].tolist()
     m = len(ph)
     # Cut between circular neighbors of different groups; a run of equal
     # groups stays inside one arc. Each cut is tagged with the group that
@@ -148,7 +153,7 @@ def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
                 mid = np.mod((ph[k] + ph[nxt] + TWO_PI) / 2.0, TWO_PI)
             else:
                 mid = (ph[k] + ph[nxt]) / 2.0
-            cuts.append((float(mid), int(gr[nxt])))
+            cuts.append((float(mid), gr[nxt]))
     cuts.sort()
     group_arcs: dict[int, list] = {}
     for k, (start, owner) in enumerate(cuts):
@@ -189,28 +194,39 @@ class FiberSubspace:
         return self.frame @ self.frame.conj().T
 
 
-def orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+def orthonormalize(stack: np.ndarray) -> list[np.ndarray]:
+    """Gram-Schmidt with one reorthogonalization pass on each array of a stack.
 
-    Columns falling below RANK_THRESHOLD (relative to the largest
-    incoming column norm) are dropped; the result has orthonormal columns.
+    stack is (batch, m, k); returns one (m, rank) frame with orthonormal
+    columns per array. The loop runs over the k columns only, each
+    projected twice against the columns kept so far. A column is dropped
+    when its residual falls below RANK_THRESHOLD times the larger of 1
+    and its own array's largest incoming column norm, so a zero column
+    is dropped and changes nothing: arrays of different widths can be
+    padded with zeros.
     """
-    cols = np.asarray(columns, dtype=complex)
-    if cols.ndim != 2 or cols.shape[1] == 0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    scale = max(np.linalg.norm(cols, axis=0).max(), 1.0)
-    kept = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        for _ in range(2):
-            for q in kept:
-                v -= q * (q.conj() @ v)
-        nv = np.linalg.norm(v)
-        if nv > RANK_THRESHOLD * scale:
-            kept.append(v / nv)
-    if not kept:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    return np.stack(kept, axis=1)
+    cols = np.asarray(stack, dtype=complex)
+    if cols.ndim != 3:
+        raise ValueError("orthonormalize takes a (batch, m, k) stack")
+    batch, _, k = cols.shape
+    scale = np.maximum(np.linalg.norm(cols, axis=1).max(axis=1, initial=0.0), 1.0)
+    # Kept columns are packed to the left; the columns past an array's
+    # rank stay zero and project out nothing.
+    q = np.zeros_like(cols)
+    rank = np.zeros(batch, dtype=int)
+    every = np.arange(batch)
+    for j in range(k):
+        v = cols[:, :, j : j + 1]
+        Q = q[:, :, : rank.max(initial=0)]
+        if Q.shape[2]:
+            Qh = Q.conj().transpose(0, 2, 1)
+            for _ in range(2):
+                v = v - Q @ (Qh @ v)
+        nv = np.linalg.norm(v[:, :, 0], axis=1)
+        keep = nv > RANK_THRESHOLD * scale
+        q[every[keep], :, rank[keep]] = v[keep, :, 0] / nv[keep, None]
+        rank += keep
+    return [frame[:, :r] for frame, r in zip(q, rank.tolist())]
 
 
 def restrict_coefficients(coeffs: np.ndarray, basis: TruncatedBasis, y: float) -> np.ndarray:
@@ -245,7 +261,7 @@ def restrict_at_base(
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    frame = orthonormalize(restrict_coefficients(np.asarray(eigvecs, dtype=complex)[:, :d], basis, y))
+    (frame,) = orthonormalize(restrict_coefficients(np.asarray(eigvecs, dtype=complex)[:, :d], basis, y)[None])
     if frame.shape[1] < d:
         warnings.warn(
             f"restriction at y={y:.6f} is rank deficient: kept {frame.shape[1]} of {d}",
@@ -298,8 +314,7 @@ def periodic_subspaces(
     phases = _phase(values)
     live = np.abs(values) > 0.5
 
-    orbit = map_.base_orbit(y)
-    families: list[list[FiberSubspace]] = []
+    groups = []
     for b in bins:
         if np.any((b.boundary_distance(phases) < BOUNDARY_TOL) & live):
             warnings.warn(
@@ -307,16 +322,21 @@ def periodic_subspaces(
                 BinBoundaryWarning,
                 stacklevel=2,
             )
-        group = vectors[:, b.contains(phases)]
-        family = []
-        # Block j of an eigenvector stacks the subspace at h^{j+1}(y):
-        # row j reads (transfer at h^{j+1}(y)) block_{j+1} = lambda block_j.
-        for point_index in range(n):
-            j = (point_index - 1) % n
-            block = group[j * N : (j + 1) * N, :]
-            family.append(FiberSubspace(float(orbit[point_index]), orthonormalize(block), {"bin": b.describe()}))
-        families.append(family)
-    return families
+        groups.append(vectors[:, b.contains(phases)])
+    # One zero-padded stack of every bin's blocks: stack[b, j] is block j
+    # of bin b's eigenvectors, so one orthonormalize call serves them all.
+    stack = np.zeros((len(bins), n, N, max(g.shape[1] for g in groups)), dtype=complex)
+    for slot, group in zip(stack, groups):
+        slot[..., : group.shape[1]] = group.reshape(n, N, group.shape[1])
+    # Block j of an eigenvector stacks the subspace at h^{j+1}(y):
+    # row j reads (transfer at h^{j+1}(y)) block_{j+1} = lambda block_j.
+    # Rolling by one puts the block for orbit point p in slot p.
+    frames = orthonormalize(np.roll(stack, 1, axis=1).reshape(len(bins) * n, N, -1))
+    orbit = map_.base_orbit(y)
+    return [
+        [FiberSubspace(float(orbit[p]), frames[bi * n + p], {"bin": b.describe()}) for p in range(n)]
+        for bi, b in enumerate(bins)
+    ]
 
 
 @dataclass(frozen=True)

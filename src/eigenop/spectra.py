@@ -194,6 +194,12 @@ def eig_matrix(
     scale = matrix_norm_estimate(M)
     if scale == 0.0:
         scale = 1.0
+    # The norm squares defect entries, which scale with ||M||, so it
+    # overflows past about 1e154. It is taken of 2^-k defect instead, k the
+    # binary exponent of scale (0 for a NaN or infinite scale), and divided
+    # by 2^-k scale: both scalings are exact, so the quotient is unchanged.
+    k = int(np.frexp(scale)[1])
+    unit = np.ldexp(scale, -k)
     values = np.empty(n, dtype=complex)
     vectors = []
     residuals = np.empty(n)
@@ -223,7 +229,7 @@ def eig_matrix(
             defect = M[:, b] @ Z
             defect[b] -= Z * lam[None, :]
         cols = slice(start, start + len(b))
-        residuals[cols] = np.linalg.norm(defect, axis=0) / scale
+        residuals[cols] = np.linalg.norm(np.ldexp(defect.view(float), -k).view(complex), axis=0) / unit
         values[cols] = lam
         vectors.append(Z)
         start += len(b)

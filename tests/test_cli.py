@@ -681,11 +681,38 @@ def test_no_reuse_when_the_manifest_versions_differ(key, tmp_path, monkeypatch):
 
 def test_versions_record_the_package_source():
     versions = cli.versions()
-    assert set(versions) == {"package", "numpy", "python", "source_sha256"}
+    assert set(versions) == {"package", "numpy", "python", "source_sha256", "blas_threads"}
     digest = hashlib.sha256()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert versions["source_sha256"] == digest.hexdigest()
+
+
+def test_versions_record_the_blas_thread_variables(monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    expected = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    assert cli.versions()["blas_threads"] == expected
+
+
+def test_no_reuse_at_another_blas_thread_count(tmp_path):
+    # Dense eigensolves differ across BLAS thread counts, so a directory
+    # written at one count must not be reused at another.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_vortex_config()))
+    out = tmp_path / "out"
+    pythonpath = str(Path(cli.__file__).parents[1])
+
+    def last_line(threads):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+        cmd = [sys.executable, "-m", "eigenop.cli", "all", "--config", str(path), "--out", str(out)]
+        result = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True, timeout=120)
+        return result.stdout.splitlines()[-1]
+
+    assert "reused" not in last_line("1")
+    assert "reused" not in last_line("2")
+    assert last_line("2").endswith("reused: assemble, eig, oseledets, eigenop, cocycle-field")
 
 
 @pytest.mark.parametrize(

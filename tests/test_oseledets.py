@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eigenop import oseledets
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.generator import assemble_fiber_koopman, cyclic_fiber_koopman
 from eigenop.oseledets import (
@@ -124,7 +125,7 @@ def test_isolating_bins_ignores_tiny_eigenvalues():
 def test_orthonormalize_produces_orthonormal_frame():
     rng = np.random.default_rng(0)
     cols = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    q = orthonormalize(cols)
+    (q,) = orthonormalize(cols[None])
     assert q.shape == (8, 4)
     assert np.max(np.abs(q.conj().T @ q - np.eye(4))) < 1e-12
 
@@ -132,7 +133,7 @@ def test_orthonormalize_produces_orthonormal_frame():
 def test_orthonormalize_drops_dependent_columns():
     v = np.ones((5, 1), dtype=complex)
     cols = np.concatenate([v, 2 * v, v + 1e-14], axis=1)
-    q = orthonormalize(cols)
+    (q,) = orthonormalize(cols[None])
     assert q.shape[1] == 1
 
 
@@ -151,7 +152,7 @@ def test_orthonormalize_spans_input_property(seed, nrows, ncols, rank, log_scale
     left = rng.standard_normal((nrows, rank)) + 1j * rng.standard_normal((nrows, rank))
     right = rng.standard_normal((rank, ncols)) + 1j * rng.standard_normal((rank, ncols))
     cols = (left @ right) * 10.0 ** log_scale
-    q = orthonormalize(cols)
+    (q,) = orthonormalize(cols[None])
     assert q.shape[0] == nrows and q.shape[1] <= ncols
     assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
     # Every input column lies in the span of the output frame, up to the
@@ -159,6 +160,77 @@ def test_orthonormalize_spans_input_property(seed, nrows, ncols, rank, log_scale
     scale = max(np.linalg.norm(cols, axis=0).max(), 1.0)
     resid = np.linalg.norm(cols - q @ (q.conj().T @ cols), axis=0)
     assert np.all(resid <= RANK_THRESHOLD * scale * (1.0 + 1e-6))
+
+
+def _reference_mgs(cols):
+    """Per-array modified Gram-Schmidt, one column at a time, with one reorthogonalization pass."""
+    scale = max(np.linalg.norm(cols, axis=0).max(initial=0.0), 1.0)
+    kept = []
+    for j in range(cols.shape[1]):
+        v = cols[:, j].copy()
+        for _ in range(2):
+            for q in kept:
+                v -= q * (q.conj() @ v)
+        nv = np.linalg.norm(v)
+        if nv > RANK_THRESHOLD * scale:
+            kept.append(v / nv)
+    return np.stack(kept, axis=1) if kept else np.zeros((cols.shape[0], 0), dtype=complex)
+
+
+def _padded(arrays, width, extra=0):
+    """The arrays in one zero-padded (len + extra, m, width) stack."""
+    stack = np.zeros((len(arrays) + extra, arrays[0].shape[0], width), dtype=complex)
+    for slot, a in zip(stack, arrays):
+        slot[:, : a.shape[1]] = a
+    return stack
+
+
+def _mixed_arrays(seed, m=9):
+    # (rank, width) pairs: rank-deficient, full-rank and all-zero arrays of several widths.
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for rank, width in [(1, 4), (2, 3), (3, 3), (0, 2), (4, 5), (1, 1)]:
+        left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        right = rng.standard_normal((rank, width)) + 1j * rng.standard_normal((rank, width))
+        arrays.append((left @ right) * 10.0 ** rng.uniform(-6, 6))
+    return arrays
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orthonormalize_matches_a_per_array_reference(seed):
+    arrays = _mixed_arrays(seed)
+    frames = orthonormalize(_padded(arrays, 5))
+    assert len(frames) == len(arrays)
+    for a, frame in zip(arrays, frames):
+        ref = _reference_mgs(a)
+        assert frame.shape == ref.shape
+        assert np.max(np.abs(frame - ref), initial=0.0) <= 1e-14
+
+
+def test_zero_padding_changes_no_frame():
+    arrays = _mixed_arrays(7)
+    tight = orthonormalize(_padded(arrays, 5))
+    wide = orthonormalize(_padded(arrays, 8, extra=3))
+    for a, b in zip(tight, wide):
+        assert np.array_equal(a, b)
+    assert [f.shape for f in wide[len(arrays) :]] == [(9, 0)] * 3
+
+
+def test_each_array_drops_columns_on_its_own_scale():
+    rng = np.random.default_rng(3)
+    small = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) * 1e-6
+    large = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) * 1e12
+    # Against the large array's norm the small columns would fall below the threshold.
+    assert np.linalg.norm(small, axis=0).max() < RANK_THRESHOLD * np.linalg.norm(large, axis=0).max()
+    frames = orthonormalize(np.stack([large, small]))
+    assert [f.shape[1] for f in frames] == [3, 3]
+    (alone,) = orthonormalize(small[None])
+    assert np.array_equal(frames[1], alone)
+
+
+def test_orthonormalize_rejects_a_single_array():
+    with pytest.raises(ValueError):
+        orthonormalize(np.eye(3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,6 +365,23 @@ def test_periodic_setup_solves_the_block_matrix_once(monkeypatch):
     fib = TruncatedBasis((3,), ("fiber",))
     periodic_setup(map_, 0.3, fib, default_grid(fib))
     assert calls == {"eig": [(4 * fib.size, 4 * fib.size)], "eigvals": []}
+
+
+def test_periodic_setup_orthonormalizes_once(monkeypatch):
+    calls = []
+    original = oseledets.orthonormalize
+
+    def counting(stack):
+        calls.append(np.shape(stack))
+        return original(stack)
+
+    monkeypatch.setattr(oseledets, "orthonormalize", counting)
+    map_ = make_torus_translation(4)
+    fib = TruncatedBasis((3,), ("fiber",))
+    setup = periodic_setup(map_, 0.3, fib, default_grid(fib))
+    # One stack entry per (bin, orbit point), each a fiber-sized block.
+    assert len(calls) == 1
+    assert calls[0][:2] == (len(setup.bins) * 4, fib.size)
 
 
 def test_periodic_subspaces_requires_full_orbit():

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,6 +60,17 @@ def test_matrix_norm_estimate_stays_in_range(entry):
     assert matrix_norm_estimate(M) == pytest.approx(entry, rel=1e-14, abs=0.0)
     op = BlockOperator(TruncatedBasis((1,), ("fiber",)), [np.arange(2), np.array([2])], [M, np.zeros((1, 1))], "generator")
     assert matrix_norm_estimate(op) == pytest.approx(entry, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e300], ids=["1e200", "1e300"])
+def test_eig_matrix_residuals_stay_finite_near_the_float_limit(entry):
+    # The defect's norm squares entries of size ||M||; the relative residual must not overflow.
+    M = np.array([[0.0, 1 + 2j], [-1 + 2j, 0.0]]) * entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = eig_matrix(M)
+    assert np.all(report.residuals <= 1e-14)
+    assert np.sort(report.eigenvalues.imag / entry) == pytest.approx([-np.sqrt(5), np.sqrt(5)], rel=1e-14)
 
 
 def test_matrix_norm_estimate_deterministic():
