@@ -206,12 +206,12 @@ def discrete_eigenoperator_spectrum(
     """Per-bin aggregated spectra of the frame-compressed multipliers over y samples.
 
     setup_fn(y) returns the PeriodicSetup at base point y. Each sample
-    builds one setup and one transfer at h^i(y), then updates every
-    bin's aggregate; bin b takes the setup's family min(b, count - 1).
-    The compression maps the subspace at h^{i+1}(y) into the one at
-    h^i(y). A bin whose subspace dimension drifts across samples gets an
-    {"i", "error"} entry and stops aggregating; sampling ends once every
-    bin has one.
+    builds one setup, whose transfers[i mod n] is the transfer at h^i(y),
+    then updates every bin's aggregate; bin b takes the setup's family
+    min(b, count - 1). The compression maps the subspace at h^{i+1}(y)
+    into the one at h^i(y). A bin whose subspace dimension drifts across
+    samples gets an {"i", "error"} entry and stops aggregating; sampling
+    ends once every bin has one.
     """
     n = map_.base_period
     if n is None:
@@ -223,7 +223,7 @@ def discrete_eigenoperator_spectrum(
         if len(errors) == bin_count:
             break
         setup = setup_fn(float(y))
-        U = np.asarray(setup.transfer(map_.base_iterate(float(y), i)), dtype=complex)
+        U = np.asarray(setup.transfers[i % n], dtype=complex)
         fams = setup.families
         for b in range(bin_count):
             if b in errors:

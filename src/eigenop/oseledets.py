@@ -5,22 +5,23 @@ the (smoothed) generator over the product basis are restricted at a base
 point, which contracts the base frequencies against e^{iky} and leaves a
 frame in fiber-coefficient space; restrict_coefficients is the one place
 that contraction is done. For discrete maps with a periodic base, the
-block-cyclic operator built from the per-step fiber transfer matrices is
-diagonalized once: its eigen-phases give the isolating bins, and the
-block components of each bin's eigenvectors give an equivariant
-subspace family along the whole base orbit. periodic_setup
+monodromy M = T_0 T_1 ... T_{n-1} of the per-step fiber transfers is
+diagonalized once: the n-th roots of its eigenvalues give the isolating
+bins, and its eigenvectors, carried backward along the orbit, give an
+equivariant subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
-transfers, the one block eigensolve, isolating bins and families, which
-depend on that point only. orthonormalize is the one Gram-Schmidt
+transfers, the one monodromy eigensolve, isolating bins and families,
+which depend on that point only. orthonormalize is the one Gram-Schmidt
 routine and works on a stack of column arrays: a restriction passes a
-stack of one, and a periodic setup passes every (bin, orbit point)
-block at once. Either way a FiberSubspace is a base point and an
-orthonormal frame, whose column count is its dim; a periodic family's
-members also record their bin in meta.
+stack of one, and a periodic setup passes every (bin, orbit point) block
+at once. Either way a FiberSubspace is a base point and an orthonormal
+frame, whose column count is its dim; a periodic family's members also
+record their bin in meta.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,14 +43,22 @@ class BinBoundaryWarning(UserWarning):
     """Eigen-phase within tolerance of a spectral bin boundary."""
 
 
-def _phase(values):
-    """Eigenvalue phases in [0, 2pi).
-
-    np.mod maps angles in about (-4e-16, 0) to exactly 2pi, a phase that
-    no half-open bin contains; those fold to 0.
-    """
-    phases = np.mod(np.angle(values), TWO_PI)
+def _fold(angles):
+    """Angles as phases in [0, 2pi): the 2pi that np.mod gives for angles in about (-4e-16, 0) becomes 0."""
+    phases = np.mod(angles, TWO_PI)
     return np.where(phases == TWO_PI, 0.0, phases)
+
+
+def _root_phases(mu, n: int) -> np.ndarray:
+    """(len(mu), n) phases of the n-th roots of each mu; column 0 is the principal root's.
+
+    The principal root is |mu|^{1/n} e^{i angle(mu)/n}, angle(mu) in (-pi, pi],
+    but an angle within CLUSTER_TOL of -pi counts as past +pi, so rounding
+    near the negative axis cannot move it from e^{i pi/n} to e^{-i pi/n}.
+    """
+    angle = np.angle(mu)
+    angle = np.where(angle <= CLUSTER_TOL - np.pi, angle + TWO_PI, angle)
+    return _fold((angle[:, None] + TWO_PI * np.arange(n)) / n)
 
 
 @dataclass(frozen=True)
@@ -107,40 +116,42 @@ def check_bin_family(bins: list[SpectralBin]):
             raise ValueError("bin family must be disjoint and gap-free")
 
 
-def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
+def isolating_bins(mu: np.ndarray, n: int) -> list[SpectralBin]:
     """Bin family separating the invariant mode groups of a period-n cocycle.
 
-    Eigenvalues of the block-cyclic operator come in n-th-root ladders:
-    raising to the n-th power collapses each ladder to one point, and
-    ladders whose n-th powers coincide cannot be separated by any phase
-    window. Phases are therefore grouped by clustered n-th power, the
-    circle is cut midway between neighboring phases of different groups,
+    mu are the eigenvalues of the monodromy, the transfers taken once
+    around the orbit; each stands for the ladder of its n n-th roots, the
+    per-step eigenvalues. Ladders whose mu coincide cannot be separated
+    by any phase window, so the mu are grouped by CLUSTER_TOL, the circle
+    is cut midway between neighboring root phases of different groups,
     and each bin is the union of its group's arcs. The family is
     disjoint, covers [0, 2pi), and every root of a group falls in that
-    group's bin, so summed bin projections resolve the identity.
+    group's bin, so summed bin projections resolve the identity. Bins are
+    listed by their first arc, an order rounding cannot change since a cut
+    within BOUNDARY_TOL of the 0/2pi seam goes on it. Roots of modulus at
+    most 0.5 cut nothing.
     """
-    lam = np.asarray(eigenvalues, dtype=complex)
-    lam = lam[np.abs(lam) > 0.5]
+    mu = np.asarray(mu, dtype=complex)
+    mu = mu[np.abs(mu) > 0.5**n]
     # Python scalars: the same IEEE arithmetic as numpy's, at a fraction of
     # the per-element cost.
-    powers = (lam**n).tolist()
-    labels = -np.ones(len(lam), dtype=int)
+    labels = []
     reps: list[complex] = []
-    for idx in np.lexsort((lam.imag, lam.real)).tolist():
+    for value in mu.tolist():
         for gi, rep in enumerate(reps):
-            if abs(powers[idx] - rep) <= CLUSTER_TOL:
-                labels[idx] = gi
+            if abs(value - rep) <= CLUSTER_TOL:
+                labels.append(gi)
                 break
         else:
-            labels[idx] = len(reps)
-            reps.append(powers[idx])
+            labels.append(len(reps))
+            reps.append(value)
     if len(reps) == 1:
         return [arc_bin(0.0, TWO_PI)]
 
-    phases = _phase(lam)
+    phases = _root_phases(mu, n).ravel()
     order = np.argsort(phases, kind="stable")
     ph = phases[order].tolist()
-    gr = labels[order].tolist()
+    gr = np.repeat(labels, n)[order].tolist()
     m = len(ph)
     # Cut between circular neighbors of different groups; a run of equal
     # groups stays inside one arc. Each cut is tagged with the group that
@@ -150,10 +161,11 @@ def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
         nxt = (k + 1) % m
         if gr[k] != gr[nxt]:
             if nxt == 0:
-                mid = np.mod((ph[k] + ph[nxt] + TWO_PI) / 2.0, TWO_PI)
+                mid = (ph[k] + ph[nxt] + TWO_PI) / 2.0 - TWO_PI
+                mid = 0.0 if abs(mid) < BOUNDARY_TOL else mid % TWO_PI
             else:
                 mid = (ph[k] + ph[nxt]) / 2.0
-            cuts.append((float(mid), gr[nxt]))
+            cuts.append((mid, gr[nxt]))
     cuts.sort()
     group_arcs: dict[int, list] = {}
     for k, (start, owner) in enumerate(cuts):
@@ -166,7 +178,7 @@ def isolating_bins(eigenvalues: np.ndarray, n: int) -> list[SpectralBin]:
                 arcs.append((start, TWO_PI))
             if end > 0.0:
                 arcs.append((0.0, end))
-    return [SpectralBin(tuple(sorted(arcs))) for _, arcs in sorted(group_arcs.items())]
+    return sorted((SpectralBin(tuple(sorted(arcs))) for arcs in group_arcs.values()), key=lambda b: b.arcs[0])
 
 
 @dataclass(frozen=True)
@@ -270,68 +282,56 @@ def restrict_at_base(
     return FiberSubspace(y=float(y), frame=frame)
 
 
-def cyclic_block_matrix(fiber_koopmans: list[np.ndarray]) -> np.ndarray:
-    """Block-cyclic operator of a periodic orbit's fiber transfers.
-
-    Row k carries the transfer at h^{k+1}(y) acting on block k+1 mod n,
-    so the wrap-around row applies the transfer at y itself.
-    """
-    n = len(fiber_koopmans)
-    N = fiber_koopmans[0].shape[0]
-    big = np.zeros((n * N, n * N), dtype=complex)
-    for k in range(n):
-        blk = np.asarray(fiber_koopmans[(k + 1) % n], dtype=complex)
-        big[k * N : (k + 1) * N, ((k + 1) % n) * N : ((k + 1) % n + 1) * N] = blk
-    return big
-
-
 def periodic_subspaces(
     map_: DiscreteSkewMap,
     y: float,
-    values: np.ndarray,
+    transfers: list[np.ndarray],
+    mu: np.ndarray,
     vectors: np.ndarray,
     bins: list[SpectralBin],
 ) -> list[list[FiberSubspace]]:
     """Equivariant subspace families along a periodic base orbit.
 
-    values and vectors are the eigendecomposition of the block-cyclic
-    operator cyclic_block_matrix(transfers), where transfers[k] is the
-    fiber transfer matrix at h^k(y), k = 0..n-1. Returns one family per
-    bin; family[m] lives at h^m(y), so family[0] is the subspace at y
-    itself.
+    transfers[p] is the fiber transfer matrix T_p at h^p(y), p = 0..n-1,
+    and mu, vectors are the eigendecomposition of the monodromy
+    M = T_0 T_1 ... T_{n-1}. Returns one family per bin; family[p] lives
+    at h^p(y), so family[0] is the subspace at y itself.
 
-    The block matrix has row k mapping block k+1 (mod n): blocks
-    1..n-1 carry the transfer matrices at h(y)..h^{n-1}(y) and the
-    wrap-around block carries the one at y, so its eigenvectors stack
-    the subspaces along the orbit and grouping by eigen-phase yields
-    families with transfer-equivariant members.
+    An eigenvector z_0 of M with principal n-th root lambda of its mu is
+    carried backward along the orbit, z_p = T_p z_{p+1} / lambda for
+    p = n-1..1 with z_n = z_0, so T_p z_{p+1} = lambda z_p at every step.
+    Each bin takes the eigenvectors whose principal root it contains, and
+    its members are spanned by their z_p, so they are transfer-equivariant
+    and every per-step compression has the principal roots as eigenvalues.
+    Eigenvectors whose mu has modulus at most 0.5^n cut no bin and join
+    no family, so every lambda divided by exceeds 1/2 in modulus.
     """
     n = map_.base_period
-    if n is None or vectors.shape[0] % n != 0:
-        raise ValueError("the decomposition must split into one block per orbit point")
+    if n is None or len(transfers) != n:
+        raise ValueError("the decomposition needs one transfer per orbit point")
     check_bin_family(bins)
-    N = vectors.shape[0] // n
-    phases = _phase(values)
-    live = np.abs(values) > 0.5
-
-    groups = []
+    live = np.abs(mu) > 0.5**n
+    mu, vectors = mu[live], vectors[:, live]
+    phases = _root_phases(mu, n)
     for b in bins:
-        if np.any((b.boundary_distance(phases) < BOUNDARY_TOL) & live):
+        if np.any(b.boundary_distance(phases) < BOUNDARY_TOL):
             warnings.warn(
                 f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {b.describe()}",
                 BinBoundaryWarning,
                 stacklevel=2,
             )
-        groups.append(vectors[:, b.contains(phases)])
-    # One zero-padded stack of every bin's blocks: stack[b, j] is block j
-    # of bin b's eigenvectors, so one orthonormalize call serves them all.
-    stack = np.zeros((len(bins), n, N, max(g.shape[1] for g in groups)), dtype=complex)
-    for slot, group in zip(stack, groups):
-        slot[..., : group.shape[1]] = group.reshape(n, N, group.shape[1])
-    # Block j of an eigenvector stacks the subspace at h^{j+1}(y):
-    # row j reads (transfer at h^{j+1}(y)) block_{j+1} = lambda block_j.
-    # Rolling by one puts the block for orbit point p in slot p.
-    frames = orthonormalize(np.roll(stack, 1, axis=1).reshape(len(bins) * n, N, -1))
+    lam = np.abs(mu) ** (1.0 / n) * np.exp(1j * phases[:, 0])
+    z = np.empty((n,) + vectors.shape, dtype=complex)
+    z[0] = vectors
+    for p in range(n - 1, 0, -1):
+        z[p] = transfers[p] @ z[(p + 1) % n] / lam
+    members = [b.contains(phases[:, 0]) for b in bins]
+    # One zero-padded stack of every bin's columns: stack[b, p] holds bin
+    # b's z_p, so one orthonormalize call serves them all.
+    stack = np.zeros((len(bins), n, len(vectors), max(int(m.sum()) for m in members)), dtype=complex)
+    for slot, m in zip(stack, members):
+        slot[..., : m.sum()] = z[:, :, m]
+    frames = orthonormalize(stack.reshape(len(bins) * n, len(vectors), -1))
     orbit = map_.base_orbit(y)
     return [
         [FiberSubspace(float(orbit[p]), frames[bi * n + p], {"bin": b.describe()}) for p in range(n)]
@@ -377,9 +377,9 @@ def periodic_setup(
         raise ValueError(f"no periodic decomposition for fiber kind '{map_.fiber_kind}'")
     orbit = map_.base_orbit(y)
     transfers = [transfer(w) for w in orbit]
-    values, vectors = np.linalg.eig(cyclic_block_matrix(transfers))
-    bins = isolating_bins(values, map_.base_period)
-    families = periodic_subspaces(map_, y, values, vectors, bins)
+    mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
+    bins = isolating_bins(mu, map_.base_period)
+    families = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
     return PeriodicSetup(float(y), orbit, transfers, transfer, bins, families)
 
 

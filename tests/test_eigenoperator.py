@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eigenop import oseledets
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.eigenoperator import (
     DegenerateEigenvectorError,
@@ -200,7 +201,8 @@ def _family_setup(map_, fib, fgrid, family_fn):
 
     def setup_fn(y):
         calls.append(y)
-        return PeriodicSetup(y, map_.base_orbit(y), [], transfer, [], family_fn(y))
+        orbit = map_.base_orbit(y)
+        return PeriodicSetup(y, orbit, [transfer(w) for w in orbit], transfer, [], family_fn(y))
 
     return setup_fn, calls
 
@@ -292,3 +294,27 @@ def test_discrete_eigenoperator_spectrum_matches_per_bin_reference(kind):
             assert entry["eigenvalues"] == expected
     if kind == "torus":
         assert all(expected is not None for expected in ref)
+
+
+@pytest.mark.parametrize("i", [1, 3, -1, 5])
+def test_discrete_aggregation_reuses_the_setup_transfer(i, monkeypatch):
+    # A setup assembles the 4 transfers along the orbit and the
+    # aggregation assembles none: the base has period 4.
+    calls = []
+    original = oseledets.assemble_fiber_koopman
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(oseledets, "assemble_fiber_koopman", counting)
+    map_ = make_torus_translation(4, gtilde=0.7)
+    fib = TruncatedBasis((3,), ("fiber",))
+    setup_at = lambda y: periodic_setup(map_, y, fib, default_grid(fib))
+    ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    bin_count = len(setup_at(0.3).bins)
+    calls.clear()
+    got = discrete_eigenoperator_spectrum(map_, ys, i, setup_at, bin_count)
+    assert len(calls) == 4 * len(ys)
+    # The setup's transfer is the one base_iterate reaches, bit for bit.
+    assert [entry["eigenvalues"] for entry in got] == _per_bin_reference(map_, ys, i, setup_at, bin_count)

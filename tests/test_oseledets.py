@@ -1,5 +1,6 @@
 """Tests for spectral bins and base-indexed fiber subspace families."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -18,11 +19,11 @@ from eigenop.oseledets import (
     arc_bin,
     check_bin_family,
     completeness_defect,
-    cyclic_block_matrix,
     equivariance_residual,
     isolating_bins,
     orthonormalize,
-    _phase,
+    _fold,
+    _root_phases,
     periodic_setup,
     periodic_subspaces,
     principal_angle_distance,
@@ -69,7 +70,7 @@ def test_bin_tests_are_elementwise_on_arrays():
 
 def test_phase_folds_the_seam_to_zero():
     assert np.mod(np.angle(np.exp(-1e-17j)), TWO_PI) == TWO_PI
-    assert _phase(np.exp(-1e-17j)) == 0.0
+    assert _fold(np.angle(np.exp(-1e-17j))) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["torus", "cyclic"])
@@ -83,8 +84,8 @@ def test_every_block_eigenvector_lands_in_one_bin(kind):
         map_, args = make_cyclic_group(6, 3), ()
     for y in np.linspace(0.0, TWO_PI, 64, endpoint=False):
         setup = periodic_setup(map_, y, *args)
-        values = _decomposition(setup.transfers).eigenvalues
-        hits = sum(b.contains(_phase(values)).astype(int) for b in setup.bins)
+        values, _ = _block_eig(setup.transfers)
+        hits = sum(b.contains(_fold(np.angle(values))).astype(int) for b in setup.bins)
         assert np.all(hits == 1), y
 
 
@@ -101,7 +102,7 @@ def test_isolating_bins_separates_root_ladders():
     n = 3
     roots_a = [np.exp(2j * np.pi * k / n) for k in range(n)]
     roots_b = [np.exp(1j * (1.0 + 2 * np.pi * k) / n) for k in range(n)]
-    bins = isolating_bins(np.array(roots_a + roots_b), n)
+    bins = isolating_bins(np.array(roots_a + roots_b) ** n, n)
     assert len(bins) == 2
     check_bin_family(bins)
     for lam_set in (roots_a, roots_b):
@@ -111,14 +112,14 @@ def test_isolating_bins_separates_root_ladders():
 
 def test_isolating_bins_single_group_is_full_circle():
     lam = np.exp(2j * np.pi * np.arange(4) / 4)
-    bins = isolating_bins(lam, 4)
+    bins = isolating_bins(lam**4, 4)
     assert len(bins) == 1
     assert bins[0].width == pytest.approx(TWO_PI)
 
 
 def test_isolating_bins_ignores_tiny_eigenvalues():
     lam = np.array([1.0, -1.0, 1e-12, 1j * 1e-9])
-    bins = isolating_bins(lam, 2)
+    bins = isolating_bins(lam**2, 2)
     assert len(bins) == 1
 
 
@@ -237,7 +238,7 @@ def test_orthonormalize_rejects_a_single_array():
 @given(st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=16))
 @example([complex(1.0, -1e-17), complex(1.0, -0.0), complex(-1.0, -0.0), 0j])
 def test_phase_lies_in_half_open_circle(values):
-    phases = _phase(np.array(values, dtype=complex))
+    phases = _fold(np.angle(np.array(values, dtype=complex)))
     assert np.all((phases >= 0.0) & (phases < TWO_PI))
 
 
@@ -267,9 +268,22 @@ def test_restrict_at_base_warns_on_rank_deficiency():
         restrict_at_base(vec, basis, 0.0, 2)
 
 
+def _cyclic_block_matrix(transfers):
+    """Block-cyclic operator of a periodic orbit's fiber transfers.
+
+    Row k carries the transfer at h^{k+1}(y) acting on block k+1 mod n,
+    so the wrap-around row applies the transfer at y itself.
+    """
+    n, N = len(transfers), transfers[0].shape[0]
+    big = np.zeros((n * N, n * N), dtype=complex)
+    for k in range(n):
+        big[k * N : (k + 1) * N, ((k + 1) % n) * N : ((k + 1) % n + 1) * N] = transfers[(k + 1) % n]
+    return big
+
+
 def test_cyclic_block_matrix_layout():
     mats = [np.full((2, 2), float(k)) for k in (1, 2, 3)]
-    big = cyclic_block_matrix(mats)
+    big = _cyclic_block_matrix(mats)
     # Row 0 holds the transfer at the next orbit point in block column 1.
     assert np.allclose(big[0:2, 2:4], mats[1])
     assert np.allclose(big[2:4, 4:6], mats[2])
@@ -277,9 +291,30 @@ def test_cyclic_block_matrix_layout():
     assert np.allclose(big[4:6, 0:2], mats[0])
 
 
+def _block_eig(transfers):
+    """Eigenvalues and eigenvectors of the nN x nN block-cyclic operator."""
+    return np.linalg.eig(_cyclic_block_matrix(transfers))
+
+
+def _block_reference(transfers):
+    """Bins and frames from one eigensolve of the block-cyclic operator.
+
+    Block j of an eigenvector holds the subspace at h^{j+1}(y). Each bin
+    takes the eigenvectors whose eigenvalue phase it contains, and each
+    (bin, orbit point) block gets its own _reference_mgs frame. The bins
+    come from the block eigenvalues' n-th powers.
+    """
+    n, N = len(transfers), transfers[0].shape[0]
+    values, vectors = _block_eig(transfers)
+    bins = isolating_bins(values**n, n)
+    blocks = vectors.reshape(n, N, -1)
+    phases = _fold(np.angle(values))
+    return bins, [[_reference_mgs(blocks[p - 1][:, b.contains(phases)]) for p in range(n)] for b in bins]
+
+
 def _decomposition(transfers):
-    """Eigenvalues and eigenvectors of the block-cyclic operator, solved once."""
-    return np.linalg.eig(cyclic_block_matrix(transfers))
+    """Eigenvalues and eigenvectors of the monodromy transfers[0] @ ... @ transfers[-1]."""
+    return np.linalg.eig(functools.reduce(np.matmul, transfers))
 
 
 def _torus_setup(y0=0.3):
@@ -290,6 +325,88 @@ def _torus_setup(y0=0.3):
     return map_, transfers
 
 
+def _unitary(rng, N):
+    q, r = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _reference_case(case):
+    """(map, base point, transfers along its orbit) for the block-reference comparison."""
+    if case.startswith("random"):
+        # Seeded non-commuting unitary transfers, n = 3 and N = 5; the map
+        # supplies only the period-3 orbit.
+        rng = np.random.default_rng(int(case.split("-")[1]))
+        return make_torus_translation(3), 0.3, [_unitary(rng, 5) for _ in range(3)]
+    if case == "torus":
+        map_, transfers = _torus_setup()
+        return map_, 0.3, transfers
+    # The fiber shifts sum to 4 around the orbit of y = 0.5 (3 bins of
+    # dimension 2) and to 5 around that of y = 1.5 (6 bins of dimension 1).
+    map_, y = make_cyclic_group(6, 3), {"cyclic-3-bins": 0.5, "cyclic-6-bins": 1.5}[case]
+    return map_, y, [cyclic_fiber_koopman(map_, w) for w in map_.base_orbit(y)]
+
+
+@pytest.mark.parametrize("case", ["random-0", "random-1", "random-2", "torus", "cyclic-3-bins", "cyclic-6-bins"])
+def test_monodromy_setup_matches_the_block_reference(case):
+    map_, y, transfers = _reference_case(case)
+    n = len(transfers)
+    mu, vectors = _decomposition(transfers)
+    bins = isolating_bins(mu, n)
+    families = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
+    ref_bins, ref_frames = _block_reference(transfers)
+    assert len(bins) == len(ref_bins) > 1
+    # The same arcs, matched as sets: only the listing order may differ.
+    for b, family in zip(bins, families):
+        (match,) = [
+            i
+            for i, ref in enumerate(ref_bins)
+            if len(ref.arcs) == len(b.arcs) and np.max(np.abs(np.subtract(ref.arcs, b.arcs))) <= 1e-12
+        ]
+        for sub, ref in zip(family, ref_frames[match]):
+            assert np.max(np.abs(sub.projection - ref @ ref.conj().T)) <= 1e-12
+    # Every per-step compression has its bin's principal roots as eigenvalues.
+    lam = np.abs(mu) ** (1.0 / n) * np.exp(1j * _root_phases(mu, n)[:, 0])
+    assert np.max(np.abs(lam**n - mu)) <= 1e-12
+    for b, family in zip(bins, families):
+        roots = np.sort_complex(lam[b.contains(_root_phases(mu, n)[:, 0])])
+        for p in range(n):
+            compressed = family[p].frame.conj().T @ transfers[p] @ family[(p + 1) % n].frame
+            assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(compressed)) - roots)) <= 1e-12
+
+
+def test_principal_root_stays_on_the_upper_side_of_the_negative_axis():
+    mu = np.array([-1.0 - 1e-17j, -1.0 + 0j, -1.0 + 1e-17j, np.exp(-1j * (np.pi - 1e-9))])
+    assert np.max(np.abs(_root_phases(mu, 3)[:, 0] - np.pi / 3)) < 1e-9
+    # Away from the axis the root follows angle(mu) in (-pi, pi].
+    assert _root_phases(np.array([np.exp(-2.0j)]), 2)[0].tolist() == pytest.approx([TWO_PI - 1.0, np.pi - 1.0])
+
+
+def _same_bins(a, b, tol=1e-14):
+    return len(a) == len(b) and all(
+        len(x.arcs) == len(y.arcs) and np.max(np.abs(np.subtract(x.arcs, y.arcs))) <= tol for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "mu, n",
+    [
+        (_decomposition(_torus_setup(0.3)[1])[0], 4),
+        (_decomposition(_torus_setup(2.1)[1])[0], 4),
+        (_decomposition(_reference_case("cyclic-6-bins")[2])[0], 3),
+        # A conjugate pair with no root at phase 0 puts a cut on the 0/2pi seam.
+        (np.exp(1j * np.array([1.0, -1.0, 2.5, -2.5])), 2),
+    ],
+    ids=["torus-0.3", "torus-2.1", "cyclic", "seam-cut"],
+)
+def test_bin_order_survives_a_roundoff_perturbation(mu, n):
+    bins = isolating_bins(mu, n)
+    assert [b.arcs[0] for b in bins] == sorted(b.arcs[0] for b in bins)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        bumped = mu * (1.0 + 1e-15 * (rng.standard_normal(mu.shape) + 1j * rng.standard_normal(mu.shape)))
+        assert _same_bins(isolating_bins(bumped, n), bins)
+
+
 def test_periodic_subspaces_equivariant_and_complete():
     y0 = 0.3
     map_, transfers = _torus_setup(y0)
@@ -297,7 +414,7 @@ def test_periodic_subspaces_equivariant_and_complete():
     bins = isolating_bins(values, map_.base_period)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, values, vectors, bins)
+        families = periodic_subspaces(map_, y0, transfers, values, vectors, bins)
     n = map_.base_period
     for family in families:
         assert family[0].y == pytest.approx(y0)
@@ -315,27 +432,27 @@ def test_periodic_subspaces_cyclic_fiber():
     bins = isolating_bins(values, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, values, vectors, bins)
+        families = periodic_subspaces(map_, y0, transfers, values, vectors, bins)
     for m in range(3):
         assert completeness_defect([f[m] for f in families]) < 1e-10
 
 
 def test_wraparound_bin_does_not_warn_at_phase_zero():
-    # The constant mode gives block eigenvalue 1, phase 0, inside the
-    # wrap-around bin and far from its real edges.
+    # The constant mode gives monodromy eigenvalue 1 and root phase 0,
+    # inside the wrap-around bin and far from its real edges.
     map_, transfers = _torus_setup()
     bins = [SpectralBin(((0.0, 0.25), (TWO_PI - 0.25, TWO_PI))), arc_bin(0.25, TWO_PI - 0.25)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", BinBoundaryWarning)
-        periodic_subspaces(map_, 0.3, *_decomposition(transfers), bins)
+        periodic_subspaces(map_, 0.3, transfers, *_decomposition(transfers), bins)
 
 
 def test_phase_near_an_interior_edge_warns():
-    # Block eigenvalue i has phase pi/2; put an edge 5e-11 above it.
+    # The fourth root i of monodromy eigenvalue 1 has phase pi/2; put an edge 5e-11 above it.
     map_, transfers = _torus_setup()
     edge = np.pi / 2 + 5e-11
     with pytest.warns(BinBoundaryWarning):
-        periodic_subspaces(map_, 0.3, *_decomposition(transfers), [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
+        periodic_subspaces(map_, 0.3, transfers, *_decomposition(transfers), [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
 
 
 def test_periodic_setup_matches_its_parts():
@@ -352,7 +469,7 @@ def test_periodic_setup_matches_its_parts():
         periodic_setup(map_, 0.3)
 
 
-def test_periodic_setup_solves_the_block_matrix_once(monkeypatch):
+def test_periodic_setup_solves_the_monodromy_once(monkeypatch):
     calls = {"eig": [], "eigvals": []}
     for name in calls:
 
@@ -364,7 +481,7 @@ def test_periodic_setup_solves_the_block_matrix_once(monkeypatch):
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((3,), ("fiber",))
     periodic_setup(map_, 0.3, fib, default_grid(fib))
-    assert calls == {"eig": [(4 * fib.size, 4 * fib.size)], "eigvals": []}
+    assert calls == {"eig": [(fib.size, fib.size)], "eigvals": []}
 
 
 def test_periodic_setup_orthonormalizes_once(monkeypatch):
@@ -384,12 +501,37 @@ def test_periodic_setup_orthonormalizes_once(monkeypatch):
     assert calls[0][:2] == (len(setup.bins) * 4, fib.size)
 
 
+@pytest.mark.parametrize("dead", [0.0, 1e-12])
+def test_dead_monodromy_eigenvectors_join_no_family(dead):
+    # Unitary 4 x 4 blocks plus a fifth mode each transfer scales by dead;
+    # the last transfer also couples that mode into the unitary block, so
+    # its eigenvector carried back by the root dead would blow up.
+    rng = np.random.default_rng(7)
+    map_ = make_torus_translation(3)
+    transfers = []
+    for p in range(3):
+        T = np.zeros((5, 5), dtype=complex)
+        T[:4, :4], T[4, 4] = _unitary(rng, 4), dead
+        transfers.append(T)
+    transfers[2][:4, 4] = 0.5
+    mu, vectors = _decomposition(transfers)
+    bins = isolating_bins(mu, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        families = periodic_subspaces(map_, 0.3, transfers, mu, vectors, bins)
+    for p in range(3):
+        members = [family[p] for family in families]
+        assert sum(sub.dim for sub in members) == 4
+        assert all(np.all(np.isfinite(sub.frame)) for sub in members)
+        for family in families:
+            assert equivariance_residual(family[(p + 1) % 3], family[p], transfers[p]) < 1e-10
+
+
 def test_periodic_subspaces_requires_full_orbit():
-    # Two 7x7 transfers make a 14-row decomposition, which does not split
-    # into four orbit blocks.
+    # Two transfers cannot cover a period-4 orbit.
     map_, transfers = _torus_setup()
     with pytest.raises(ValueError):
-        periodic_subspaces(map_, 0.3, *_decomposition(transfers[:2]), [arc_bin(0.0, TWO_PI)])
+        periodic_subspaces(map_, 0.3, transfers[:2], *_decomposition(transfers[:2]), [arc_bin(0.0, TWO_PI)])
 
 
 def test_principal_angle_distance():
