@@ -337,11 +337,8 @@ class PipelineContext:
         return self.sorted_spectrum.eigenvectors
 
     def periodic_setup_at(self, y: float) -> PeriodicSetup:
-        map_ = self.system
-        if map_.base_period is None:
-            raise ConfigError("periodic decomposition needs a declared base period")
         fib = self.basis.fiber_subbasis()
-        return periodic_setup(map_, y, fib, default_grid(fib, self.config["grid"]["multiplier"]))
+        return periodic_setup(self.system, y, fib, default_grid(fib, self.config["grid"]["multiplier"]))
 
     @cached_property
     def periodic_setup(self) -> PeriodicSetup:
@@ -483,7 +480,7 @@ def stage_oseledets(ctx: PipelineContext) -> dict[str, str]:
                 desc,
                 {"columns": sub.dim},
                 "projection",
-                {"y": sub.y, "bin": sub.meta.get("bin"), "orbit_index": m},
+                {"y": sub.y, "bin": setup.bins[bi].describe(), "orbit_index": m},
             )
     written["bins.json"] = write_json(ctx.out / "bins.json", report)
     return written
@@ -514,18 +511,9 @@ def stage_eigenop(ctx: PipelineContext) -> dict[str, str]:
     else:
         bins = ctx.periodic_setup.bins
         ys = np.linspace(0.0, 2 * np.pi, int(ev["y_sample_count"]), endpoint=False)
+        setups = (ctx.periodic_setup_at(float(y)) for y in ys)
         # Dimension drift across samples comes back as a per-bin error entry.
-        aggregated = discrete_eigenoperator_spectrum(ctx.system, ys, int(ev["i"]), ctx.periodic_setup_at, len(bins))
-        for agg in aggregated:
-            if "eigenvalues" in agg:
-                agg["eigenvalues"] = [
-                    {
-                        "value": [c["value"].real, c["value"].imag],
-                        "support": c["support"],
-                        "spread": c["spread"],
-                    }
-                    for c in agg["eigenvalues"]
-                ]
+        aggregated = discrete_eigenoperator_spectrum(setups, int(ev["i"]), len(bins))
         doc = {"kind": DISCRETE_M, "bins": [b.describe() for b in bins], "aggregated": aggregated}
     return {"eigenoperator_spectrum.json": write_json(ctx.out / "eigenoperator_spectrum.json", doc)}
 

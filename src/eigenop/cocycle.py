@@ -1,7 +1,8 @@
 """Ordered products of fiber transfer operators along base orbits.
 
-The discrete cocycle at step i is the product of per-step fiber transfer
-matrices along the orbit of y (adjoints for negative steps). The
+The discrete cocycle at step i is the product of the per-step fiber
+transfers that a periodic setup holds along the orbit of y (adjoints for
+negative steps), so it assembles no transfer of its own. The
 continuous analogue applies the time-s fiber flow by pointwise
 composition, which avoids a second truncation: continuous_w flows the
 fiber grid once and builds the per-axis mode factors at the flowed
@@ -31,26 +32,22 @@ def build_test_vector(sorted_eigvecs: np.ndarray, basis: TruncatedBasis, y: floa
     return restrict_coefficients(sorted_eigvecs[:, :d], basis, y).mean(axis=1)
 
 
-def discrete_w(
-    map_: DiscreteSkewMap,
-    y: float,
-    i: int,
-    transfer_fn,
-    dim: int,
-) -> np.ndarray:
+def discrete_w(transfers: list[np.ndarray], i: int) -> np.ndarray:
     """Cocycle product at integer step i; i=0 gives the identity.
 
-    transfer_fn(base_point) returns the fiber transfer matrix there.
-    Positive i multiplies transfers at y, h(y), ..., h^{i-1}(y) left to
-    right; negative i multiplies adjoints at h^{-1}(y), h^{-2}(y), ...
+    transfers[m] is the fiber transfer matrix at h^m(y) along a period-n
+    orbit, as PeriodicSetup.transfers holds it. Positive i multiplies
+    transfers[0], ..., transfers[(i - 1) mod n] left to right; negative i
+    multiplies the adjoints of transfers[-1 mod n], transfers[-2 mod n], ...
     """
-    out = np.eye(dim, dtype=complex)
+    n = len(transfers)
+    out = np.eye(len(transfers[0]), dtype=complex)
     if i >= 0:
         for k in range(i):
-            out = out @ np.asarray(transfer_fn(map_.base_iterate(y, k)), dtype=complex)
+            out = out @ transfers[k % n]
     else:
         for k in range(-1, i - 1, -1):
-            out = out @ np.asarray(transfer_fn(map_.base_iterate(y, k)), dtype=complex).conj().T
+            out = out @ transfers[k % n].conj().T
     return out
 
 

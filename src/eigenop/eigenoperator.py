@@ -2,9 +2,10 @@
 
 Discrete side: at base point y and step offset i, the multiplier is the
 fiber transfer matrix at h^i(y) composed with the subspace projection
-there; its frame compression carries the spectrum. The aggregate over
-y-samples builds one periodic setup per sample and serves every bin
-from it. Continuous side: base advection plus the fiber generator at the
+there; its frame compression carries the spectrum. Both read the
+transfers and families of a periodic setup, and the aggregate over
+y-samples reads one setup per sample and serves every bin from it.
+Continuous side: base advection plus the fiber generator at the
 advanced base point h_s(y), in the tensor form
 kron(G_b, I) + kron(I, F* G_f F) on subspace sections; for the closed-form
 benchmark this reproduces the analytic frequency ladder exactly. A
@@ -24,7 +25,7 @@ from .basis import Grid, TruncatedBasis, synthesize
 from .generator import advection_matrix
 from .oseledets import FiberSubspace, restrict_coefficients
 from .spectra import eig_matrix, hausdorff_distance
-from .systems import ContinuousSkewSystem, DiscreteSkewMap
+from .systems import ContinuousSkewSystem
 
 DISCRETE_M = "discrete_M"
 CONTINUOUS_N = "continuous_N"
@@ -159,27 +160,26 @@ def shift_invariance_check(
     return distances
 
 
-def discrete_multiplier(
-    map_: DiscreteSkewMap,
-    family: list[FiberSubspace],
-    transfer_fn,
-    y: float,
-    i: int,
-) -> np.ndarray:
+def discrete_multiplier(transfers: list[np.ndarray], family: list[FiberSubspace], i: int) -> np.ndarray:
     """Full fiber-space multiplier matrix U_{g(h^i(y))} p(h^i(y)).
 
-    family[m] must be the subspace at h^m(y) (period-length list);
-    transfer_fn(base_point) returns the fiber transfer matrix there.
+    transfers[m] and family[m] are the fiber transfer matrix and the
+    subspace at h^m(y) along a period-n orbit: a periodic setup's
+    transfers and one of its families.
     """
-    n = map_.base_period
-    if n is None or len(family) != n:
+    n = len(transfers)
+    if len(family) != n:
         raise MissingSubspaceError("need one subspace per orbit point")
-    U = np.asarray(transfer_fn(map_.base_iterate(y, i)), dtype=complex)
-    return U @ family[i % n].projection
+    return transfers[i % n] @ family[i % n].projection
 
 
 def _tolerance_union(points: list[np.ndarray], tol: float) -> list[dict]:
-    """Cluster eigenvalues across samples; deterministic ordering."""
+    """Cluster eigenvalues across samples; deterministic ordering.
+
+    Each cluster is written as {"value": [re, im], "support", "spread"}:
+    its mean, its member count and its members' largest distance from
+    the mean.
+    """
     clusters: list[list[complex]] = []
     for arr in points:
         for lam in sorted(arr, key=lambda z: (z.real, z.imag)):
@@ -190,40 +190,32 @@ def _tolerance_union(points: list[np.ndarray], tol: float) -> list[dict]:
             else:
                 clusters.append([lam])
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return [
-        {"value": complex(np.mean(c)), "support": len(c), "spread": float(max(abs(x - np.mean(c)) for x in c))}
-        for c in clusters
-    ]
+    out = []
+    for c in clusters:
+        mean = complex(np.mean(c))
+        out.append({"value": [mean.real, mean.imag], "support": len(c), "spread": float(max(abs(x - mean) for x in c))})
+    return out
 
 
-def discrete_eigenoperator_spectrum(
-    map_: DiscreteSkewMap,
-    y_samples,
-    i: int,
-    setup_fn,
-    bin_count: int,
-) -> list[dict]:
+def discrete_eigenoperator_spectrum(setups, i: int, bin_count: int) -> list[dict]:
     """Per-bin aggregated spectra of the frame-compressed multipliers over y samples.
 
-    setup_fn(y) returns the PeriodicSetup at base point y. Each sample
-    builds one setup, whose transfers[i mod n] is the transfer at h^i(y),
-    then updates every bin's aggregate; bin b takes the setup's family
-    min(b, count - 1). The compression maps the subspace at h^{i+1}(y)
-    into the one at h^i(y). A bin whose subspace dimension drifts across
-    samples gets an {"i", "error"} entry and stops aggregating; sampling
-    ends once every bin has one.
+    setups yields one PeriodicSetup per y-sample and is read lazily, one
+    setup at a time. The setup's transfers[i mod n] is the transfer at
+    h^i(y); each setup updates every bin's aggregate, and bin b takes the
+    setup's family min(b, count - 1). The compression maps the subspace
+    at h^{i+1}(y) into the one at h^i(y). A bin whose subspace dimension
+    drifts across samples gets an {"i", "error"} entry and stops
+    aggregating; no further setup is read once every bin has one.
     """
-    n = map_.base_period
-    if n is None:
-        raise ValueError("aggregation requires a periodic base")
     per_sample: list[list[np.ndarray]] = [[] for _ in range(bin_count)]
     dims: list = [None] * bin_count
     errors: dict[int, str] = {}
-    for y in np.asarray(y_samples, dtype=float):
-        if len(errors) == bin_count:
-            break
-        setup = setup_fn(float(y))
-        U = np.asarray(setup.transfers[i % n], dtype=complex)
+    y_samples = []
+    for setup in setups:
+        y_samples.append(setup.y)
+        n = len(setup.transfers)
+        U = setup.transfers[i % n]
         fams = setup.families
         for b in range(bin_count):
             if b in errors:
@@ -238,13 +230,15 @@ def discrete_eigenoperator_spectrum(
                 continue
             C = sub_w.frame.conj().T @ U @ sub_hw.frame
             per_sample[b].append(np.linalg.eigvals(C))
+        if len(errors) == bin_count:
+            break
     return [
         {"i": int(i), "error": errors[b]}
         if b in errors
         else {
             "i": int(i),
             "dimension": int(dims[b] or 0),
-            "y_samples": [float(y) for y in y_samples],
+            "y_samples": y_samples,
             "eigenvalues": _tolerance_union(per_sample[b], 1e-8),
         }
         for b in range(bin_count)

@@ -15,16 +15,17 @@ which depend on that point only. orthonormalize is the one Gram-Schmidt
 routine and works on a stack of column arrays: a restriction passes a
 stack of one, and a periodic setup passes every (bin, orbit point) block
 at once. Either way a FiberSubspace is a base point and an orthonormal
-frame, whose column count is its dim; a periodic family's members also
-record their bin in meta.
+frame, whose column count is its dim. A PeriodicSetup is what every
+discrete consumer reads: the cocycle, the multiplier and the aggregate
+over y-samples all take their transfers from it.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -187,7 +188,6 @@ class FiberSubspace:
 
     y: float
     frame: np.ndarray  # (fiber_dim_coeffs, rank) orthonormal columns
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         frame = np.asarray(self.frame, dtype=complex)
@@ -307,7 +307,7 @@ def periodic_subspaces(
     no family, so every lambda divided by exceeds 1/2 in modulus.
     """
     n = map_.base_period
-    if n is None or len(transfers) != n:
+    if len(transfers) != n:
         raise ValueError("the decomposition needs one transfer per orbit point")
     check_bin_family(bins)
     live = np.abs(mu) > 0.5**n
@@ -334,8 +334,7 @@ def periodic_subspaces(
     frames = orthonormalize(stack.reshape(len(bins) * n, len(vectors), -1))
     orbit = map_.base_orbit(y)
     return [
-        [FiberSubspace(float(orbit[p]), frames[bi * n + p], {"bin": b.describe()}) for p in range(n)]
-        for bi, b in enumerate(bins)
+        [FiberSubspace(float(orbit[p]), frames[bi * n + p]) for p in range(n)] for bi in range(len(bins))
     ]
 
 
@@ -343,15 +342,13 @@ def periodic_subspaces(
 class PeriodicSetup:
     """Discrete decomposition along the periodic base orbit of one base point.
 
-    transfers[m] is the fiber transfer matrix at orbit[m] = h^m(y);
-    transfer(w) gives it at any base point w. families[b][m] is bin b's
-    subspace at orbit[m].
+    transfers[m] is the fiber transfer matrix at orbit[m] = h^m(y), and
+    families[b][m] is bins[b]'s subspace at orbit[m].
     """
 
     y: float
     orbit: list
     transfers: list
-    transfer: Callable[[float], np.ndarray]
     bins: list
     families: list
 
@@ -380,7 +377,7 @@ def periodic_setup(
     mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
     bins = isolating_bins(mu, map_.base_period)
     families = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
-    return PeriodicSetup(float(y), orbit, transfers, transfer, bins, families)
+    return PeriodicSetup(float(y), orbit, transfers, bins, families)
 
 
 def equivariance_residual(

@@ -60,27 +60,16 @@ class DiscreteSkewMap:
     fiber_kind: str  # "torus" | "cyclic"
     base_map: Callable[[np.ndarray], np.ndarray]
     fiber_map: Callable[[float, np.ndarray], np.ndarray]
-    base_period: Optional[int] = None
+    base_period: int
     fiber_size: Optional[int] = None  # cyclic only
     parameters: dict = field(default_factory=dict)
 
     def base_orbit(self, y: float) -> list[float]:
-        if self.base_period is None:
-            raise ValueError("base_orbit requires a declared base period")
+        """y, h(y), ..., h^{n-1}(y) for the base period n."""
         orbit = [float(y)]
         for _ in range(self.base_period - 1):
             orbit.append(float(self.base_map(orbit[-1])))
         return orbit
-
-    def base_iterate(self, y: float, i: int) -> float:
-        """h^i(y); negative i uses the declared period."""
-        if i < 0:
-            if self.base_period is None:
-                raise ValueError("negative iterates require a declared base period")
-            i = i % self.base_period
-        for _ in range(i):
-            y = float(self.base_map(y))
-        return float(y)
 
 
 def fiber_velocity_from_stream(dstream_dz1, dstream_dz2):
@@ -397,12 +386,11 @@ def validate_system(system) -> dict:
                 worst = max(worst, float(np.max(np.abs(numeric - exact))))
             record("closed_form_flow_agreement", worst, 1e-9)
     elif isinstance(system, DiscreteSkewMap):
-        if system.base_period is not None:
-            y0 = rng.uniform(0, TWO_PI)
-            y = y0
-            for _ in range(system.base_period):
-                y = float(system.base_map(y))
-            res = min(abs(y - y0), TWO_PI - abs(y - y0))
-            record("base_period", res, 1e-12)
+        y0 = rng.uniform(0, TWO_PI)
+        y = y0
+        for _ in range(system.base_period):
+            y = float(system.base_map(y))
+        res = min(abs(y - y0), TWO_PI - abs(y - y0))
+        record("base_period", res, 1e-12)
     report = {"system": system.name, "checks": checks, "all_passed": all(c["passed"] for c in checks)}
     return report

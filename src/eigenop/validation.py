@@ -219,15 +219,13 @@ def check_decomposition_identity():
     worst = 0.0
     for map_, setup in _periodic_cases():
         n = map_.base_period
-        y0, transfer_fn = setup.y, setup.transfer
-        dim = setup.transfers[0].shape[0]
         for family in setup.families:
             for i in range(-2, 3):
-                w_i = discrete_w(map_, y0, i, transfer_fn, dim)
-                w_next = discrete_w(map_, y0, i + 1, transfer_fn, dim)
+                w_i = discrete_w(setup.transfers, i)
+                w_next = discrete_w(setup.transfers, i + 1)
                 hatw_i = w_i @ family[i % n].projection
                 hatw_next = w_next @ family[(i + 1) % n].projection
-                mult = discrete_multiplier(map_, family, transfer_fn, y0, i)
+                mult = discrete_multiplier(setup.transfers, family, i)
                 worst = max(worst, float(np.max(np.abs(hatw_i @ mult - hatw_next))))
     return _result(
         7,

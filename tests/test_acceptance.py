@@ -7,7 +7,8 @@ the test output.
 
 import pytest
 
-from eigenop import validation
+from eigenop import cocycle, generator, oseledets, validation
+from eigenop.systems import make_torus_translation
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +34,19 @@ def test_all_criteria_pass(summary):
 def test_every_check_reports_seconds(summary):
     for res in summary["results"]:
         assert isinstance(res["seconds"], float) and res["seconds"] >= 0.0, res["id"]
+
+
+def test_decomposition_identity_assembles_each_orbit_transfer_once(monkeypatch):
+    # The cocycle and the multiplier read the torus setup's transfers, so
+    # the only assemblies are the setup's own, one per orbit point.
+    calls = []
+    original = generator.assemble_fiber_koopman
+
+    def counting(map_, y, *args):
+        calls.append(y)
+        return original(map_, y, *args)
+
+    for module in (generator, oseledets, cocycle):
+        monkeypatch.setattr(module, "assemble_fiber_koopman", counting)
+    assert validation.check_decomposition_identity()["passed"]
+    assert calls == make_torus_translation(4).base_orbit(0.3)

@@ -840,8 +840,8 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
     raw = _small_discrete_config()
     raw["evaluation"]["y_sample_count"] = 8
     cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
-    # The evaluation point once, shared by two stages, plus one per sample.
-    assert 0 < len(calls) <= 9
+    # The evaluation point once, shared by two stages, then each sample in order.
+    assert calls == [0.3] + np.linspace(0.0, 2 * np.pi, 8, endpoint=False).tolist()
 
 
 @pytest.mark.parametrize("name", sorted({**systems.CONTINUOUS_BUILTINS, **systems.DISCRETE_BUILTINS}))

@@ -20,43 +20,46 @@ BETA = 0.5
 TWO_PI = 2.0 * np.pi
 
 
-def _torus_transfer(map_, fib, fgrid):
-    return lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
+def _orbit_transfers(map_, fib, y):
+    """The fiber transfers at y, h(y), ..., h^{n-1}(y), as a periodic setup holds them."""
+    fgrid = default_grid(fib)
+    return [assemble_fiber_koopman(map_, w, fib, fgrid) for w in map_.base_orbit(y)]
+
+
+# A shift that varies with y, so each orbit point has its own transfer.
+VARYING_SHIFT = lambda y: 0.7 + 0.3 * np.sin(y)
 
 
 def test_discrete_w_identity_at_zero():
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((2,), ("fiber",))
-    fgrid = default_grid(fib)
-    w0 = discrete_w(map_, 0.3, 0, _torus_transfer(map_, fib, fgrid), fib.size)
+    w0 = discrete_w(_orbit_transfers(map_, fib, 0.3), 0)
     assert np.allclose(w0, np.eye(fib.size))
 
 
 def test_discrete_w_cocycle_property():
-    # w_{i+j}(y) = w_i(y) w_j(h^i(y)) for nonnegative steps.
-    map_ = make_torus_translation(4)
+    # w_{i+j}(y) = w_i(y) w_j(h^i(y)) for nonnegative steps; the orbit of
+    # h^i(y) visits the same points, starting i steps later.
+    map_ = make_torus_translation(4, gtilde=VARYING_SHIFT)
     fib = TruncatedBasis((3,), ("fiber",))
-    fgrid = default_grid(fib)
-    transfer = _torus_transfer(map_, fib, fgrid)
-    y = 0.9
+    transfers = _orbit_transfers(map_, fib, 0.9)
     i, j = 2, 3
-    left = discrete_w(map_, y, i + j, transfer, fib.size)
-    right = (
-        discrete_w(map_, y, i, transfer, fib.size)
-        @ discrete_w(map_, map_.base_iterate(y, i), j, transfer, fib.size)
-    )
+    shifted = transfers[i:] + transfers[:i]
+    left = discrete_w(transfers, i + j)
+    right = discrete_w(transfers, i) @ discrete_w(shifted, j)
     assert np.max(np.abs(left - right)) < 1e-12
+    # Without the shift the product takes the wrong transfers.
+    assert np.max(np.abs(left - discrete_w(transfers, i) @ discrete_w(transfers, j))) > 1e-3
 
 
 def test_discrete_w_negative_inverts_positive():
     # For unitary transfers, w_{-i}(h^i(y)) inverts w_i(y).
-    map_ = make_torus_translation(4)
+    map_ = make_torus_translation(4, gtilde=VARYING_SHIFT)
     fib = TruncatedBasis((3,), ("fiber",))
-    fgrid = default_grid(fib)
-    transfer = _torus_transfer(map_, fib, fgrid)
-    y, i = 0.4, 2
-    forward = discrete_w(map_, y, i, transfer, fib.size)
-    backward = discrete_w(map_, map_.base_iterate(y, i), -i, transfer, fib.size)
+    transfers = _orbit_transfers(map_, fib, 0.4)
+    i = 2
+    forward = discrete_w(transfers, i)
+    backward = discrete_w(transfers[i:] + transfers[:i], -i)
     assert np.max(np.abs(forward @ backward - np.eye(fib.size))) < 1e-10
 
 

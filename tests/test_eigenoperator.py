@@ -18,7 +18,7 @@ from eigenop.eigenoperator import (
     shift_invariance_check,
     _tolerance_union,
 )
-from eigenop.generator import assemble_fiber_koopman, assemble_generator
+from eigenop.generator import assemble_fiber_koopman, assemble_generator, cyclic_fiber_koopman
 from eigenop.oseledets import FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
 from eigenop.spectra import eig_matrix, match_multisets
 from eigenop.systems import (
@@ -170,14 +170,17 @@ def _family(map_, y0, fib, fgrid):
     return frames
 
 
+def _orbit_transfers(map_, y0, fib, fgrid):
+    return [assemble_fiber_koopman(map_, w, fib, fgrid) for w in map_.base_orbit(y0)]
+
+
 def test_discrete_multiplier_matches_phase():
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
     y0 = 0.3
     family = _family(map_, y0, fib, fgrid)
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
-    matrix = discrete_multiplier(map_, family, transfer, y0, 1)
+    matrix = discrete_multiplier(_orbit_transfers(map_, y0, fib, fgrid), family, 1)
     # The multiplier restricted to the j=1 mode is the phase e^{i*0.7}.
     row = fib.index_of((1,))
     assert matrix[row, row] == pytest.approx(np.exp(0.7j), abs=1e-12)
@@ -189,37 +192,36 @@ def test_discrete_multiplier_needs_full_family():
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
     family = _family(map_, 0.3, fib, fgrid)[:2]
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
     with pytest.raises(MissingSubspaceError):
-        discrete_multiplier(map_, family, transfer, 0.3, 1)
+        discrete_multiplier(_orbit_transfers(map_, 0.3, fib, fgrid), family, 1)
 
 
-def _family_setup(map_, fib, fgrid, family_fn):
-    """setup_fn whose setups carry the given families, one per bin."""
-    transfer = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
+def _family_setups(map_, fib, fgrid, family_fn, ys):
+    """Setups at ys, built lazily, that carry the given families, one per bin; calls lists each y set up."""
     calls = []
 
-    def setup_fn(y):
-        calls.append(y)
-        orbit = map_.base_orbit(y)
-        return PeriodicSetup(y, orbit, [transfer(w) for w in orbit], transfer, [], family_fn(y))
+    def setups():
+        for y in ys:
+            calls.append(y)
+            yield PeriodicSetup(y, map_.base_orbit(y), _orbit_transfers(map_, y, fib, fgrid), [], family_fn(y))
 
-    return setup_fn, calls
+    return setups(), calls
 
 
 def test_discrete_eigenoperator_spectrum_constant_shift():
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((2,), ("fiber",))
     fgrid = default_grid(fib)
-    setup_fn, _ = _family_setup(map_, fib, fgrid, lambda y: [_family(map_, y, fib, fgrid)])
-    ys = np.linspace(0.0, TWO_PI, 6, endpoint=False)
-    (out,) = discrete_eigenoperator_spectrum(map_, ys, 1, setup_fn, 1)
+    ys = [float(y) for y in np.linspace(0.0, TWO_PI, 6, endpoint=False)]
+    setups, _ = _family_setups(map_, fib, fgrid, lambda y: [_family(map_, y, fib, fgrid)], ys)
+    (out,) = discrete_eigenoperator_spectrum(setups, 1, 1)
     assert out["dimension"] == 1
+    assert out["y_samples"] == ys
     # A constant shift gives the same compressed phase at every sample.
     assert len(out["eigenvalues"]) == 1
     cluster = out["eigenvalues"][0]
     assert cluster["support"] == len(ys)
-    assert abs(cluster["value"] - np.exp(0.7j)) < 1e-10
+    assert abs(complex(*cluster["value"]) - np.exp(0.7j)) < 1e-10
 
 
 def test_discrete_eigenoperator_spectrum_dimension_guard():
@@ -237,35 +239,38 @@ def test_discrete_eigenoperator_spectrum_dimension_guard():
         return family
 
     families = lambda y: [_family(map_, y, fib, fgrid), jittery_family(y)]
-    setup_fn, _ = _family_setup(map_, fib, fgrid, families)
-    ys = np.array([0.5, 4.0])
-    stable, drifting = discrete_eigenoperator_spectrum(map_, ys, 1, setup_fn, 2)
+    ys = [0.5, 4.0]
+    setups, _ = _family_setups(map_, fib, fgrid, families, ys)
+    stable, drifting = discrete_eigenoperator_spectrum(setups, 1, 2)
     assert drifting == {"i": 1, "error": "subspace dimension varies across samples (2 vs 1)"}
     assert stable["dimension"] == 1
     assert sum(c["support"] for c in stable["eigenvalues"]) == len(ys)
 
     # Once every bin has drifted, no further sample is set up.
-    setup_fn, calls = _family_setup(map_, fib, fgrid, lambda y: [jittery_family(y)])
-    (only,) = discrete_eigenoperator_spectrum(map_, [0.5, 4.0, 4.5, 5.0], 1, setup_fn, 1)
+    setups, calls = _family_setups(map_, fib, fgrid, lambda y: [jittery_family(y)], [0.5, 4.0, 4.5, 5.0])
+    (only,) = discrete_eigenoperator_spectrum(setups, 1, 1)
     assert "error" in only
     assert calls == [0.5, 4.0]
 
 
-def _per_bin_reference(map_, ys, i, setup_at, bin_count, tol=1e-8):
-    """Bin-outer aggregation straight from periodic setups; None marks drift."""
-    n = map_.base_period
+def _per_bin_reference(setups, i, bin_count, transfer_at, tol=1e-8):
+    """Bin-outer aggregation from periodic setups' families; None marks drift.
+
+    transfer_at(w) assembles the fiber transfer at base point w, so the
+    transfer at h^i(y) is built here rather than read from the setup.
+    """
     out = []
     for b in range(bin_count):
         dim, samples = None, []
-        for y in ys:
-            setup = setup_at(float(y))
+        for setup in setups:
+            n = len(setup.orbit)
             family = setup.families[min(b, len(setup.families) - 1)]
             sub_w, sub_hw = family[i % n], family[(i + 1) % n]
             dim = sub_w.dim if dim is None else dim
             if sub_w.dim != dim or sub_hw.dim != dim:
                 samples = None
                 break
-            U = setup.transfer(map_.base_iterate(float(y), i))
+            U = transfer_at(setup.orbit[i % n])
             samples.append(np.linalg.eigvals(sub_w.frame.conj().T @ U @ sub_hw.frame))
         out.append(None if samples is None else _tolerance_union(samples, tol))
     return out
@@ -276,22 +281,26 @@ def test_discrete_eigenoperator_spectrum_matches_per_bin_reference(kind):
     if kind == "torus":
         map_ = make_torus_translation(4, gtilde=0.7)
         fib = TruncatedBasis((3,), ("fiber",))
-        setup_at = lambda y: periodic_setup(map_, y, fib, default_grid(fib))
+        fgrid = default_grid(fib)
+        setup_at = lambda y: periodic_setup(map_, y, fib, fgrid)
+        transfer_at = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
         y0 = 0.3
     else:
         map_ = make_cyclic_group(6, 3)
         setup_at = lambda y: periodic_setup(map_, y)
+        transfer_at = lambda w: cyclic_fiber_koopman(map_, w)
         y0 = 0.5
     ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     bin_count = len(setup_at(y0).bins)
-    got = discrete_eigenoperator_spectrum(map_, ys, 1, setup_at, bin_count)
-    ref = _per_bin_reference(map_, ys, 1, setup_at, bin_count)
+    got = discrete_eigenoperator_spectrum((setup_at(y) for y in ys), 1, bin_count)
+    ref = _per_bin_reference([setup_at(y) for y in ys], 1, bin_count, transfer_at)
     assert len(got) == bin_count
     for entry, expected in zip(got, ref):
         if expected is None:
             assert set(entry) == {"i", "error"}
         else:
             assert entry["eigenvalues"] == expected
+            assert entry["y_samples"] == ys.tolist()
     if kind == "torus":
         assert all(expected is not None for expected in ref)
 
@@ -310,11 +319,14 @@ def test_discrete_aggregation_reuses_the_setup_transfer(i, monkeypatch):
     monkeypatch.setattr(oseledets, "assemble_fiber_koopman", counting)
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((3,), ("fiber",))
-    setup_at = lambda y: periodic_setup(map_, y, fib, default_grid(fib))
+    fgrid = default_grid(fib)
+    setup_at = lambda y: periodic_setup(map_, y, fib, fgrid)
     ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     bin_count = len(setup_at(0.3).bins)
     calls.clear()
-    got = discrete_eigenoperator_spectrum(map_, ys, i, setup_at, bin_count)
+    got = discrete_eigenoperator_spectrum((setup_at(y) for y in ys), i, bin_count)
     assert len(calls) == 4 * len(ys)
-    # The setup's transfer is the one base_iterate reaches, bit for bit.
-    assert [entry["eigenvalues"] for entry in got] == _per_bin_reference(map_, ys, i, setup_at, bin_count)
+    # The setup's transfers[i mod n] is the transfer assembled at h^i(y), bit for bit.
+    transfer_at = lambda w: original(map_, w, fib, fgrid)
+    ref = _per_bin_reference([setup_at(y) for y in ys], i, bin_count, transfer_at)
+    assert [entry["eigenvalues"] for entry in got] == ref

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from eigenop.basis import TruncatedBasis, default_grid
+from eigenop.cocycle import discrete_w
+from eigenop.generator import assemble_fiber_koopman
 from eigenop.systems import (
     ContinuousSkewSystem,
     DiscreteSkewMap,
@@ -112,19 +115,19 @@ def test_torus_translation_orbit_and_period():
     orbit = map_.base_orbit(0.3)
     assert len(orbit) == 4
     assert orbit[1] == pytest.approx(0.3 + TWO_PI / 4)
-    back = map_.base_iterate(orbit[0], 4)
+    back = orbit[0]
+    for _ in range(4):
+        back = float(map_.base_map(back))
     assert back == pytest.approx(0.3, abs=1e-12)
 
 
 def test_negative_iterate_uses_period():
-    map_ = make_torus_translation(4)
-    assert map_.base_iterate(0.3, -1) == pytest.approx(map_.base_iterate(0.3, 3), abs=1e-12)
-
-
-def test_negative_iterate_without_period_rejected():
-    map_ = replace(make_torus_translation(4), base_period=None)
-    with pytest.raises(ValueError):
-        map_.base_iterate(0.3, -1)
+    # One step back from y is the last step of the period-n orbit: w_{-1}(y) = T_{n-1}^H.
+    map_ = make_torus_translation(4, gtilde=lambda y: 0.7 + 0.3 * np.sin(y))
+    fib = TruncatedBasis((2,), ("fiber",))
+    fgrid = default_grid(fib)
+    transfers = [assemble_fiber_koopman(map_, w, fib, fgrid) for w in map_.base_orbit(0.3)]
+    assert np.array_equal(discrete_w(transfers, -1), transfers[3].conj().T)
 
 
 def test_cyclic_group_fiber_map_is_mod_m():
