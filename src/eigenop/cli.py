@@ -3,8 +3,9 @@
 Subcommands run individual pipeline stages (assemble, eig, oseledets,
 eigenop, cocycle-field), the whole pipeline (all), or the acceptance
 suite (validate). Configs are JSON, schema-checked with unknown keys
-rejected; every omitted default is resolved before anything runs and
-recorded in the output manifest. Reruns of the same config produce
+rejected, and with them every key the named system never reads; every
+omitted default is resolved before anything runs and recorded in the
+output manifest. Reruns of the same config produce
 byte-identical artifacts. A rerun into the same directory does not run
 a stage whose files the previous manifest lists, for the same config,
 versions, package source and BLAS thread settings, with their bytes
@@ -53,6 +54,25 @@ EXIT_IO = 4
 
 ALL_STAGES = ("assemble", "eig", "oseledets", "eigenop", "cocycle-field")
 SPECTRUM_FILES = ("spectrum.json", "leading_vectors.matrix.json")
+
+
+def _reads(names: list[str], sections: list[str], **keys: list[str]) -> dict:
+    """The rule that a config naming a system in names sets only the given sections and keys.
+
+    keys maps a section to the only keys it may hold. A config without a
+    system name matches no rule, so its error names the missing key.
+    """
+    return {
+        "if": {
+            "required": ["system"],
+            "properties": {"system": {"required": ["name"], "properties": {"name": {"enum": names}}}},
+        },
+        "then": {
+            "propertyNames": {"enum": sections},
+            "properties": {section: {"propertyNames": {"enum": listed}} for section, listed in keys.items()},
+        },
+    }
+
 
 SCHEMA = {
     "type": "object",
@@ -149,6 +169,30 @@ SCHEMA = {
             },
         },
     },
+    # The keys each registered system reads: a config naming it may set no
+    # other. A torus map builds its fiber grid from the multiplier alone, and
+    # rotation's 1-d fiber writes no field. cyclic_group reads no
+    # truncation.cutoffs, which stay accepted while the benchmark's cyclic
+    # config passes them.
+    "allOf": [
+        _reads(["cyclic_group"], ["system", "truncation", "evaluation"], evaluation=["y", "i", "y_sample_count"]),
+        _reads(
+            ["torus_translation"],
+            ["system", "truncation", "grid", "evaluation"],
+            grid=["multiplier"],
+            evaluation=["y", "i", "y_sample_count"],
+        ),
+        _reads(
+            ["rotation"],
+            ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation"],
+            evaluation=["y", "s"],
+        ),
+        _reads(
+            ["gaussian_vortex", "stratospheric"],
+            ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation", "output"],
+            evaluation=["y", "s", "steps_per_unit_time", "field_grid"],
+        ),
+    ],
 }
 
 
@@ -198,7 +242,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"{where} is not a finite float")
     error = best_match(SCHEMA_VALIDATOR.iter_errors(raw))
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        at = f" at {'.'.join(map(str, error.absolute_path))}" if error.absolute_path else ""
+        raise ConfigError(f"config schema violation{at}: {error.message}")
     cfg = _fill_defaults(SCHEMA, raw)
     dec = cfg["decomposition"]
     needed = max(dec["d_values"] + [dec["subspace_rank"]])
@@ -219,7 +264,7 @@ def bundled_config(name: str) -> dict:
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

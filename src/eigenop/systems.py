@@ -260,18 +260,17 @@ def _step_gtilde(values, breaks):
     return gtilde
 
 
-def make_torus_translation(n: int = 4, gtilde=None) -> DiscreteSkewMap:
+def make_torus_translation(n: int = 4, gtilde=0.7) -> DiscreteSkewMap:
     """h(y) = y + 2pi/n, g(y, z) = z + gtilde(y) on the circle fiber.
 
-    gtilde defaults to a constant real shift.
+    gtilde is a function of y or a constant real shift.
     """
     _check_positive_int("n", n)
-    if gtilde is None:
-        shift = 0.7
-        gtilde = lambda y: shift
-    elif np.isscalar(gtilde):
+    if np.isscalar(gtilde):
         shift = float(gtilde)
         gtilde = lambda y: shift
+    elif not callable(gtilde):
+        raise TypeError(f"gtilde must be a number or a function of y, got {gtilde!r}")
 
     def h(y):
         return np.mod(np.asarray(y, dtype=float) + TWO_PI / n, TWO_PI)
@@ -301,6 +300,8 @@ def make_cyclic_group(m: int = 6, n: int = 3, gtilde=None) -> DiscreteSkewMap:
     elif np.isscalar(gtilde):
         val = int(gtilde)
         gtilde = lambda y: val
+    elif not callable(gtilde):
+        raise TypeError(f"gtilde must be a number or a function of y, got {gtilde!r}")
 
     def h(y):
         return np.mod(np.asarray(y, dtype=float) + TWO_PI / n, TWO_PI)

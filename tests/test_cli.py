@@ -72,21 +72,84 @@ def test_resolved_key_tree_is_the_schema_property_tree():
     assert cli.resolve_config(minimal)["output"]["formats"] == ["csv", "ppm"]
 
 
+# Small evaluation settings of the keys each registered system reads.
+SMALL_EVALUATION = {
+    "cyclic_group": {"y_sample_count": 4},
+    "torus_translation": {"y_sample_count": 4},
+    "rotation": {},
+    "gaussian_vortex": {"field_grid": [8, 8]},
+    "stratospheric": {"field_grid": [8, 8]},
+}
+
+
+def _minimal_config(name):
+    """A small config of the named system that sets only keys the system reads."""
+    fiber_dim = getattr(systems.make_system(name), "fiber_dim", 1)
+    return {
+        "system": {"name": name},
+        "truncation": {"cutoffs": [2] * (1 + fiber_dim)},
+        "evaluation": dict(SMALL_EVALUATION[name]),
+    }
+
+
 @pytest.mark.parametrize(
-    "section, entry",
+    "name, section, entry, named",
     [
-        ("decomposition", {"bin_count": 2}),
-        ("output", {"formats": ["csv", "json"]}),
-        ("output", {"formats": ["matrix"]}),
+        ("rotation", "decomposition", {"bin_count": 2}, "'bin_count'"),
+        ("gaussian_vortex", "output", {"formats": ["csv", "json"]}, "'json'"),
+        ("gaussian_vortex", "output", {"formats": ["matrix"]}, "'matrix'"),
+        ("torus_translation", "smoothing", {"tau": 0.1, "p": 0.1}, "'smoothing'"),
+        ("torus_translation", "spectra", {"tol": 1e-3}, "'spectra'"),
+        ("torus_translation", "grid", {"points": [9, 9]}, "at grid: 'points'"),
+        ("torus_translation", "evaluation", {"s": 0.1}, "at evaluation: 's'"),
+        ("cyclic_group", "grid", {"multiplier": 9}, "'grid'"),
+        ("cyclic_group", "decomposition", {"d_values": [1]}, "'decomposition'"),
+        ("rotation", "evaluation", {"field_grid": [8, 8]}, "at evaluation: 'field_grid'"),
+        ("rotation", "evaluation", {"steps_per_unit_time": 50}, "at evaluation: 'steps_per_unit_time'"),
+        ("rotation", "output", {"formats": ["csv"]}, "'output'"),
+        ("gaussian_vortex", "evaluation", {"i": 1}, "at evaluation: 'i'"),
+        ("stratospheric", "evaluation", {"y_sample_count": 4}, "at evaluation: 'y_sample_count'"),
     ],
-    ids=["bin_count", "formats-json", "formats-matrix"],
+    ids=[
+        "bin_count",
+        "formats-json",
+        "formats-matrix",
+        "torus-smoothing",
+        "torus-spectra",
+        "torus-grid-points",
+        "torus-s",
+        "cyclic-grid",
+        "cyclic-decomposition",
+        "rotation-field_grid",
+        "rotation-steps",
+        "rotation-output",
+        "vortex-i",
+        "stratospheric-y_sample_count",
+    ],
 )
-def test_main_exit_code_on_keys_nothing_reads(section, entry, tmp_path):
-    raw = _small_rotation_config()
+def test_main_exit_code_on_keys_nothing_reads(name, section, entry, named, tmp_path, capsys):
+    raw = _minimal_config(name)
+    cli.resolve_config(raw)  # valid without the entry
     raw.setdefault(section, {}).update(entry)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_every_registered_system_is_matched_by_exactly_one_key_rule():
+    rules = cli.SCHEMA["allOf"]
+    for name in systems.CONTINUOUS_BUILTINS | systems.DISCRETE_BUILTINS:
+        matched = [rule for rule in rules if validator_for(rule["if"])(rule["if"]).is_valid({"system": {"name": name}})]
+        assert len(matched) == 1, name
+    # A rule lists only declared sections and keys.
+    for rule in rules:
+        assert set(rule["then"]["propertyNames"]["enum"]) <= set(cli.SCHEMA["properties"])
+        for section, sub in rule["then"]["properties"].items():
+            assert set(sub["propertyNames"]["enum"]) <= set(cli.SCHEMA["properties"][section]["properties"])
 
 
 def test_main_exit_code_on_n_leading_below_the_largest_d(tmp_path, capsys):
@@ -112,12 +175,15 @@ def test_schema_rejects_unknown_keys():
 def test_schema_rejects_missing_required():
     with pytest.raises(cli.ConfigError):
         cli.resolve_config({"system": {"name": "rotation"}})
+    # No per-system rule applies without a system name, so the error names the missing key.
+    with pytest.raises(cli.ConfigError, match="at system: 'name' is a required property"):
+        cli.resolve_config({"system": {}, "truncation": {"cutoffs": [2, 2]}, "grid": {"points": [5, 5]}})
 
 
 def test_schema_rejects_bad_types():
     raw = _small_rotation_config()
     raw["truncation"] = {"cutoffs": ["three"]}
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(cli.ConfigError, match="violation at truncation.cutoffs.0: 'three' is not of type"):
         cli.resolve_config(raw)
 
 
@@ -182,6 +248,34 @@ def test_main_exit_code_on_invalid_json(tmp_path, capsys):
     bad.write_text("{not json")
     code = cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_SCHEMA
+
+
+def test_main_exit_code_on_a_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(bad), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"name": "torus_translation", "params": {"gtilde": None}},
+        {"name": "torus_translation", "params": {"gtilde": [0.1, 0.2]}},
+        {"name": "cyclic_group", "params": {"gtilde": [1, 2]}},
+    ],
+    ids=["torus-null", "torus-list", "cyclic-list"],
+)
+def test_main_exit_code_on_a_gtilde_that_is_no_number(system, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_small_discrete_config(), "system": system}))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "gtilde must be a number or a function of y" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_main_exit_code_on_wrong_cutoff_count(tmp_path):
@@ -846,14 +940,8 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted({**systems.CONTINUOUS_BUILTINS, **systems.DISCRETE_BUILTINS}))
 def test_every_registered_system_runs_the_pipeline(name, tmp_path):
-    fiber_dim = getattr(systems.make_system(name), "fiber_dim", 1)
     path = tmp_path / "cfg.json"
-    raw = {
-        "system": {"name": name},
-        "truncation": {"cutoffs": [2] * (1 + fiber_dim)},
-        "evaluation": {"y_sample_count": 4, "field_grid": [8, 8]},
-    }
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(_minimal_config(name)))
     assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
