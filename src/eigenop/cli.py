@@ -5,11 +5,12 @@ eigenop, cocycle-field), the whole pipeline (all), or the acceptance
 suite (validate). Configs are JSON, schema-checked with unknown keys
 rejected, and with them every key the named system never reads; every
 omitted default is resolved before anything runs and recorded in the
-output manifest. Reruns of the same config produce
-byte-identical artifacts. A rerun into the same directory does not run
-a stage whose files the previous manifest lists, for the same config,
-versions, package source and BLAS thread settings, with their bytes
-unchanged; it carries them over. A stage it does run reads back the
+output manifest; smoothing weights that underflow to 0 are a config
+error, found before the generator is assembled. Reruns of the same
+config produce byte-identical artifacts. A rerun into the same directory
+does not run a stage whose files the previous manifest lists, for the
+same config, versions, package source and BLAS thread settings, with
+their bytes unchanged; it carries them over. A stage it does run reads back the
 certified spectrum instead of solving again.
 """
 
@@ -112,8 +113,6 @@ SCHEMA = {
             "properties": {
                 "tau": {"type": "number", "exclusiveMinimum": 0},
                 "p": {"type": "number", "exclusiveMinimum": 0},
-                "rule": {"enum": ["power_law", "heat_kernel"], "default": "power_law"},
-                "symmetric": {"type": "boolean", "default": False},
             },
         },
         "spectra": {
@@ -121,13 +120,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
-                "sort_target": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                    "default": [1e-10, 0.0],
-                },
             },
         },
         "decomposition": {
@@ -353,15 +345,21 @@ class PipelineContext:
         return assemble_generator(self.system, self.basis, self.grid)
 
     @cached_property
-    def weights(self):
+    def weights(self) -> SmoothingWeights | None:
         sm = self.config["smoothing"]
-        return None if sm is None else SmoothingWeights(self.basis, sm["tau"], sm["p"], sm["rule"])
+        if sm is None:
+            return None
+        try:
+            return SmoothingWeights(self.basis, sm["tau"], sm["p"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @cached_property
     def operator_for_spectra(self):
+        """diag(w) V, or V unsmoothed; the weights are built, and checked, before V is assembled."""
         if self.weights is None:
             return self.generator_matrix
-        return smoothed_generator(self.generator_matrix, self.weights, self.config["smoothing"]["symmetric"])
+        return smoothed_generator(self.generator_matrix, self.weights)
 
     @cached_property
     def sorted_spectrum(self):
@@ -369,11 +367,9 @@ class PipelineContext:
         cached = self._load_cached()
         if cached is not None:
             return cached
-        target = complex(*self.config["spectra"]["sort_target"])
-        # diag(w) V is similar to a skew-adjoint matrix by diag(sqrt(w)); the
-        # symmetric form sqrt(w) V sqrt(w) needs no scaling.
-        left = None if self.weights is None or self.config["smoothing"]["symmetric"] else self.weights.values
-        report = sort_by_target(eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"], weights=left), target)
+        # diag(w) V is similar to a skew-adjoint matrix by diag(sqrt(w)).
+        weights = None if self.weights is None else self.weights.values
+        report = sort_by_target(eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"], weights=weights))
         n = min(self.config["decomposition"]["n_leading"], report.size)
         return replace(report, eigenvectors=np.asarray(report.eigenvectors[:, :n]))
 
@@ -457,9 +453,9 @@ def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("assemble skipped: discrete map has no flow generator")
         return {}
-    operators = {"generator.matrix.json": ctx.generator_matrix}
-    if ctx.config["smoothing"] is not None:
-        operators["smoothed_generator.matrix.json"] = ctx.operator_for_spectra
+    # The weights come first, so weights that underflow stop the run before assembly.
+    operators = {} if ctx.weights is None else {"smoothed_generator.matrix.json": ctx.operator_for_spectra}
+    operators["generator.matrix.json"] = ctx.generator_matrix
     return {
         fname: write_matrix(ctx.out / fname, op, op.basis.describe(), op.basis.describe(), op.provenance, op.meta)
         for fname, op in operators.items()

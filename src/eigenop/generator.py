@@ -14,10 +14,11 @@ joins m and m + s for every difference s in the velocity's support,
 gathers entries only inside each class so joined, and splits each class
 into the components of its coupling graph. The result is a
 BlockOperator, which never holds the N x N array; its dropped_bound
-bounds the spectral norm of every entry it leaves out. Smoothing is
-diagonal, so it acts block by block. BlockOperator is the one operator
-type; fiber transfer matrices, like every other dense matrix, are plain
-arrays.
+bounds the spectral norm of every entry it leaves out. The one
+smoothing, diag(w) V with the power-law weights of the RKHS
+compactification (Das, Giannakis & Slawinska 2021), acts block by block.
+BlockOperator is the one operator type; fiber transfer matrices, like
+every other dense matrix, are plain arrays.
 """
 
 from __future__ import annotations
@@ -234,47 +235,39 @@ def assemble_generator(
 
 @dataclass(frozen=True)
 class SmoothingWeights:
-    """Per-mode damping weights for kernel-smoothed operator sections."""
+    """Power-law weights e^{-tau sum_d |m_d|^p}; ValueError if one underflows to 0, as eig needs w > 0."""
 
     basis: TruncatedBasis
     tau: float
     p: float
-    rule: str = "power_law"
 
     def __post_init__(self):
         if self.tau <= 0 or self.p <= 0:
             raise ValueError("tau and p must be positive")
-        if self.rule not in ("power_law", "heat_kernel"):
-            raise ValueError(f"unknown smoothing rule '{self.rule}'")
+        if zero := np.sum(self.values == 0.0):
+            raise ValueError(
+                f"smoothing tau = {self.tau:g}, p = {self.p:g} underflows {zero} of {len(self.values)} weights to 0"
+            )
 
     @cached_property
     def values(self) -> np.ndarray:
         absm = np.abs(self.basis.modes).astype(float)
-        if self.rule == "power_law":
-            w = np.exp(-self.tau * np.sum(absm**self.p, axis=1))
-        else:
-            # Alternate rule: kernel eigenvalues e^{-|i|} per factor give
-            # the weight e^{tau*(1 - prod_d e^{|i_d|})}.
-            w = np.exp(self.tau * (1.0 - np.exp(np.sum(absm, axis=1))))
+        w = np.exp(-self.tau * np.sum(absm**self.p, axis=1))
         w.setflags(write=False)
         return w
 
 
-def smoothed_generator(V: BlockOperator, w: SmoothingWeights, symmetric: bool = False) -> BlockOperator:
-    """Left-smoothed operator diag(w) V; optionally sqrt(w)-symmetrized.
+def smoothed_generator(V: BlockOperator, w: SmoothingWeights) -> BlockOperator:
+    """Left-smoothed operator diag(w) V.
 
-    Both scalings are diagonal, so each acts block by block, and neither
-    raises a spectral norm by more than max w.
+    The scaling is diagonal, so it acts block by block, and it raises no
+    spectral norm by more than max w.
     """
     if V.basis.size != w.basis.size:
         raise ValueError("weights do not match the operator basis")
-    if symmetric:
-        root = np.sqrt(w.values)
-        matrices = [root[b][:, None] * B * root[b][None, :] for b, B in zip(V.blocks, V.matrices)]
-    else:
-        matrices = [w.values[b][:, None] * B for b, B in zip(V.blocks, V.matrices)]
+    matrices = [w.values[b][:, None] * B for b, B in zip(V.blocks, V.matrices)]
     meta = dict(V.meta)
-    meta.update({"tau": w.tau, "p": w.p, "rule": w.rule, "symmetric": symmetric})
+    meta.update({"tau": w.tau, "p": w.p})
     dropped = V.dropped_bound * float(np.max(w.values, initial=0.0))
     return BlockOperator(V.basis, V.blocks, matrices, SMOOTHED_GENERATOR, meta, dropped)
 

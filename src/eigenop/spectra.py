@@ -7,19 +7,19 @@ split, as generator.BlockOperator; a dense array is split here into the
 connected components of its coupling graph |M_ij| > COUPLING_RTOL * max|M|.
 Generators of measure-preserving flows are skew-adjoint, and a
 left-smoothed generator diag(w) V is similar to the skew-adjoint D V D
-with D = diag(sqrt(w)). When every scaled block D^-1 M_b D is
-skew-Hermitian to rounding level, the Hermitian eigensolve of i D^-1 M_b D
-puts every eigenvalue exactly on the imaginary axis. Otherwise every
-block goes to the complex solver.
+with D = diag(sqrt(w)). The one solver, the Hermitian eigensolve of
+i D^-1 M_b D, puts every eigenvalue exactly on the imaginary axis; a
+scaled block that is not skew-Hermitian to rounding level, or a weight
+that is not positive, raises EigensolveError with the measured defect.
 
-Every structure is measured, not assumed. Whichever solver ran,
-residuals are recomputed from scratch: on full columns of a dense array,
-so a coupling dropped from the graph still shows in them, and on each
-block of a block operator, whose dropped_bound then enters the contract.
-The matrix norm entering the relative residual is estimated by a
-deterministic power iteration, so the certificate does not trust solver
-internals. Eigenvectors stay in block form (BlockColumns); only the
-columns a caller selects are ever made dense.
+Every structure is measured, not assumed. Residuals are recomputed from
+scratch: on full columns of a dense array, so a coupling dropped from
+the graph still shows in them, and on each block of a block operator,
+whose dropped_bound then enters the contract. The matrix norm entering
+the relative residual is estimated by a deterministic power iteration,
+so the certificate does not trust solver internals. Eigenvectors stay
+in block form (BlockColumns); only the columns a caller selects are ever
+made dense.
 """
 
 from __future__ import annotations
@@ -164,9 +164,11 @@ def eig_matrix(
     and the same blocks give bit-identical pairs either way. weights, when
     given, declares M = diag(weights) V, so that the skew test runs on the
     blocks of D^-1 M D with D = diag(sqrt(weights)); without it D = I.
+    A weight that is not positive, or a scaled block S with max|S + S*|
+    above COUPLING_RTOL max|S|, raises EigensolveError before any solve.
     Pairs are listed block by block. The contract is max residual plus
-    M.dropped_bound / ||M|| <= tol. meta records the solver that ran,
-    "hermitian" or "complex", the block count and the largest block.
+    M.dropped_bound / ||M|| <= tol. meta records the block count and the
+    largest block.
     """
     if isinstance(M, BlockOperator):
         blocks, raw, dropped = M.blocks, M.matrices, M.dropped_bound
@@ -177,19 +179,24 @@ def eig_matrix(
         blocks = coupling_blocks(M)
         raw, dropped = [M[np.ix_(b, b)] for b in blocks], 0.0
     n = len(M)
-    d = np.ones(n) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if not np.all(w > 0):
+        raise EigensolveError(f"{np.sum(~(w > 0))} of {n} weights are not positive; the smallest is {np.min(w):.3e}")
+    d = np.sqrt(w)
 
     def scaled(b, B):
         return B * (d[b][None, :] / d[b][:, None])
 
-    hermitian = bool(np.all(d > 0))
-    if hermitian:
-        # Largest entry and largest skew defect of each scaled block, which
-        # is rebuilt when it is solved rather than held for all blocks.
-        measured = [(np.max(np.abs(S)), np.max(np.abs(S + S.conj().T))) for S in map(scaled, blocks, raw)]
-        # Relative to the whole scaled matrix, so a block of rounding noise passes.
-        level = COUPLING_RTOL * max((top for top, _ in measured), default=0.0)
-        hermitian = all(defect <= level for _, defect in measured)
+    # Largest entry and skew defect over the scaled blocks, each rebuilt when
+    # it is solved rather than held. The test is relative to the whole scaled
+    # matrix, so a block of rounding noise passes, and a NaN entry fails it.
+    pairs = [(np.max(np.abs(S)), np.max(np.abs(S + S.conj().T))) for S in map(scaled, blocks, raw)]
+    top, defect = np.max(np.reshape(pairs, (-1, 2)), axis=0, initial=0.0)
+    if not defect <= COUPLING_RTOL * top:
+        raise EigensolveError(
+            f"operator is not skew-Hermitian: max|S + S*| = {defect:.3e} > COUPLING_RTOL * max|S| ="
+            f" {COUPLING_RTOL * top:.3e} over its scaled blocks S"
+        )
 
     scale = matrix_norm_estimate(M)
     if scale == 0.0:
@@ -206,21 +213,15 @@ def eig_matrix(
     start = 0
     for b, R in zip(blocks, raw):
         try:
-            if hermitian:
-                # The scaled block S is skew-Hermitian, so iS is Hermitian:
-                # iS z = mu z gives S z = -i mu z.
-                mu, Z = np.linalg.eigh(1j * scaled(b, R))
-                lam = np.zeros(len(b), dtype=complex)
-                lam.imag = 0.0 - mu  # not -mu, which would list mu = 0 as -0.0
-                Z *= d[b][:, None]
-            else:
-                lam, Z = np.linalg.eig(R)
+            # The scaled block S is skew-Hermitian, so iS is Hermitian:
+            # iS z = mu z gives S z = -i mu z.
+            mu, Z = np.linalg.eigh(1j * scaled(b, R))
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense eigensolve failed: {exc}") from exc
-        norms = np.linalg.norm(Z, axis=0)
-        if np.any(norms == 0):
-            raise EigensolveError("eigensolver returned a zero vector")
-        Z /= norms[None, :]
+        lam = np.zeros(len(b), dtype=complex)
+        lam.imag = 0.0 - mu  # not -mu, which would list mu = 0 as -0.0
+        Z *= d[b][:, None]
+        Z /= np.linalg.norm(Z, axis=0)[None, :]
         if isinstance(M, BlockOperator):
             defect = R @ Z - Z * lam[None, :]
         else:
@@ -250,15 +251,17 @@ def eig_matrix(
         source=source,
         meta={
             **(meta or {}),
-            "solver": "hermitian" if hermitian else "complex",
             "blocks": len(blocks),
             "largest_block": max((len(b) for b in blocks), default=0),
         },
     )
 
 
-def sort_by_target(report: SpectrumReport, target: complex = 1e-10) -> SpectrumReport:
+def sort_by_target(report: SpectrumReport, target: complex = 1e-10 + 0j) -> SpectrumReport:
     """Ascending distance to the target, then Im, then Re.
+
+    The pipeline sorts to the default target, which sort_rule records as
+    "target:(1e-10+0j)".
 
     Each key is rounded to a multiple of ORDER_RTOL * max|lambda|, so
     roundoff in the solve cannot reorder a +-i mu pair; exact ties keep

@@ -105,15 +105,17 @@ def flow_fiber(system: ContinuousSkewSystem, y: float, z, s: float, steps: int =
     def rhs(yc, zc):
         return float(system.base_velocity(np.asarray(yc))), system.fiber_velocity(yc, zc)
 
-    for _ in range(steps):
-        ky1, kz1 = rhs(yv, zb)
-        ky2, kz2 = rhs(yv + 0.5 * h * ky1, zb + 0.5 * h * kz1)
-        ky3, kz3 = rhs(yv + 0.5 * h * ky2, zb + 0.5 * h * kz2)
-        ky4, kz4 = rhs(yv + h * ky3, zb + h * kz3)
-        yv = yv + (h / 6.0) * (ky1 + 2 * ky2 + 2 * ky3 + ky4)
-        zb = zb + (h / 6.0) * (kz1 + 2 * kz2 + 2 * kz3 + kz4)
-        if not np.all(np.isfinite(zb)):
-            raise IntegrationError(f"non-finite fiber state in {system.name} flow")
+    # An overflowing state fails the finiteness check: one error, not a warning per operation.
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            ky1, kz1 = rhs(yv, zb)
+            ky2, kz2 = rhs(yv + 0.5 * h * ky1, zb + 0.5 * h * kz1)
+            ky3, kz3 = rhs(yv + 0.5 * h * ky2, zb + 0.5 * h * kz2)
+            ky4, kz4 = rhs(yv + h * ky3, zb + h * kz3)
+            yv = yv + (h / 6.0) * (ky1 + 2 * ky2 + 2 * ky3 + ky4)
+            zb = zb + (h / 6.0) * (kz1 + 2 * kz2 + 2 * kz3 + kz4)
+            if not np.all(np.isfinite(zb)):
+                raise IntegrationError(f"non-finite fiber state in {system.name} flow")
     return zb[0] if single else zb
 
 

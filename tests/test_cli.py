@@ -109,6 +109,9 @@ def _minimal_config(name):
         ("rotation", "output", {"formats": ["csv"]}, "'output'"),
         ("gaussian_vortex", "evaluation", {"i": 1}, "at evaluation: 'i'"),
         ("stratospheric", "evaluation", {"y_sample_count": 4}, "at evaluation: 'y_sample_count'"),
+        ("gaussian_vortex", "smoothing", {"tau": 0.1, "p": 0.1, "rule": "power_law"}, "'rule'"),
+        ("stratospheric", "smoothing", {"tau": 0.1, "p": 0.1, "symmetric": False}, "'symmetric'"),
+        ("rotation", "spectra", {"sort_target": [1e-10, 0.0]}, "'sort_target'"),
     ],
     ids=[
         "bin_count",
@@ -125,6 +128,9 @@ def _minimal_config(name):
         "rotation-output",
         "vortex-i",
         "stratospheric-y_sample_count",
+        "smoothing-rule",
+        "smoothing-symmetric",
+        "spectra-sort_target",
     ],
 )
 def test_main_exit_code_on_keys_nothing_reads(name, section, entry, named, tmp_path, capsys):
@@ -372,7 +378,7 @@ def test_spectrum_keeps_every_value_and_the_leading_vectors():
     spec = ctx.sorted_spectrum
     assert spec.size == len(spec.residuals) == ctx.basis.size
     assert spec.eigenvectors.shape == (ctx.basis.size, cfg["decomposition"]["n_leading"])
-    assert spec.meta["solver"] == "hermitian"
+    assert spec.sort_rule == "target:(1e-10+0j)"
 
 
 @pytest.mark.parametrize(
@@ -395,7 +401,6 @@ def test_bundled_generators_solve_hermitian_blocks(name, cutoff, blocks, largest
     if cutoff is not None:
         cfg["truncation"]["cutoffs"] = [cutoff] * 3
     spec = cli.PipelineContext(cfg, Path("unused")).sorted_spectrum
-    assert spec.meta["solver"] == "hermitian"
     assert (spec.meta["blocks"], spec.meta["largest_block"]) == (blocks, largest)
     assert np.all(spec.eigenvalues.real == 0.0)
     assert np.all(spec.residuals <= spec.tolerance)
@@ -435,13 +440,11 @@ def test_eigenoperator_listing_survives_a_roundoff_perturbation(tmp_path, monkey
 
     def perturbed(*args):
         plain = original(*args)
-        # The rank-1 rotation eigenoperator is diagonal. One entry below the
-        # diagonal at 1e-12 max|A| keeps it triangular, so its eigenvalues
-        # are still exactly its diagonal. But the entry lies above the
-        # coupling threshold and is not skew, so it joins the first and
-        # last modes into one block that the complex solver lists first.
-        bumped = plain.copy()
-        bumped[-1, 0] += 1e-12 * np.max(np.abs(bumped))
+        # The rank-1 rotation eigenoperator is diagonal, so each mode is a
+        # block of its own. Reversing the modes is a permutation similarity:
+        # it keeps the matrix skew and its eigenvalues exact, but the solver
+        # lists the blocks, and so the eigenvalues, in reverse.
+        bumped = plain[::-1, ::-1]
         matrices.append((plain, bumped))
         return bumped
 
@@ -453,6 +456,23 @@ def test_eigenoperator_listing_survives_a_roundoff_perturbation(tmp_path, monkey
     assert not np.array_equal(before, after)
     name = "eigenoperator_spectrum.json"
     assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "perturbed" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["all", "eig"])
+def test_main_exit_code_on_smoothing_weights_that_underflow(command, tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the generator was assembled")
+
+    monkeypatch.setattr(cli, "assemble_generator", never)
+    raw = json.loads((Path(cli.__file__).parent / "configs" / "gaussian_vortex.json").read_text())
+    raw["smoothing"] = {"tau": 2, "p": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == "config error: smoothing tau = 2, p = 3 underflows 220 of 2197 weights to 0\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_pipeline_reruns_are_byte_identical(tmp_path):

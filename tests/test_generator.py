@@ -92,15 +92,12 @@ def test_smoothing_weights_values_and_guards():
     assert np.allclose(w.values, expected)
     with pytest.raises(ValueError):
         SmoothingWeights(basis, tau=-1.0, p=1.0)
-    with pytest.raises(ValueError):
-        SmoothingWeights(basis, tau=0.1, p=1.0, rule="bogus")
-
-
-def test_alternate_smoothing_rule():
-    basis = TruncatedBasis((1,), ("fiber",))
-    w = SmoothingWeights(basis, tau=0.2, p=1.0, rule="heat_kernel")
-    expected = np.exp(0.2 * (1.0 - np.exp(np.abs(np.arange(-1, 2)))))
-    assert np.allclose(w.values, expected)
+    # sum_d |m_d|^3 is 81 at the 8 corners (+-3, +-3, +-3) and at most 62
+    # elsewhere; e^-x underflows to 0 past x = 745.
+    cube = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
+    assert np.all(SmoothingWeights(cube, tau=9.0, p=3.0).values > 0)
+    with pytest.raises(ValueError, match=r"tau = 10, p = 3 underflows 8 of 343 weights to 0"):
+        SmoothingWeights(cube, tau=10.0, p=3.0)
 
 
 def test_smoothed_generator_scalings():
@@ -109,9 +106,8 @@ def test_smoothed_generator_scalings():
     w = SmoothingWeights(basis, tau=0.1, p=0.5)
     left = smoothed_generator(V, w)
     assert np.allclose(left[:], w.values[:, None] * V[:])
-    sym = smoothed_generator(V, w, symmetric=True)
-    root = np.sqrt(w.values)
-    assert np.allclose(sym[:], root[:, None] * V[:] * root[None, :])
+    assert {key: left.meta[key] for key in ("tau", "p")} == {"tau": 0.1, "p": 0.5}
+    assert not {"rule", "symmetric"} & set(left.meta)
 
 
 def test_fiber_koopman_torus_translation_is_diagonal_phase():

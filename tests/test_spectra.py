@@ -1,6 +1,7 @@
 """Tests for the certified eigensolver and spectral set utilities."""
 
 import hashlib
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -38,12 +39,17 @@ def _rotation_generator():
     return assemble_generator(make_rotation(0.7, 0.5), basis, default_grid(basis))
 
 
-def _smoothed_generator(system, symmetric, multiplier=4):
-    """(diag(w) V or sqrt(w) V sqrt(w), w) at cutoffs 3; w is None for the symmetric form."""
+def _smoothed_generator(system, multiplier=4):
+    """(diag(w) V, w) at cutoffs 3."""
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     V = assemble_generator(system, basis, default_grid(basis, multiplier))
     w = SmoothingWeights(basis, 0.1, 0.1)
-    return smoothed_generator(V, w, symmetric), None if symmetric else w.values
+    return smoothed_generator(V, w), w.values
+
+
+def _skew_hermitian(rng, n):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return X - X.conj().T
 
 
 def test_matrix_norm_estimate_matches_svd():
@@ -80,7 +86,7 @@ def test_matrix_norm_estimate_deterministic():
 
 
 def test_eig_matrix_diagonal_exact():
-    lam = np.array([2.0, -1.0, 0.5j])
+    lam = np.array([2j, -1j, 0.5j])
     report = eig_matrix(np.diag(lam))
     matched, worst = match_multisets(report.eigenvalues, lam, 1e-12)
     assert matched
@@ -88,8 +94,7 @@ def test_eig_matrix_diagonal_exact():
 
 
 def test_eig_matrix_residuals_recomputed_independently():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    A = _skew_hermitian(np.random.default_rng(2), 12)
     report = eig_matrix(A)
     scale = np.linalg.norm(A, ord=2)
     for lam, v, r in zip(report.eigenvalues, np.asarray(report.eigenvectors).T, report.residuals):
@@ -105,11 +110,10 @@ def test_eig_matrix_rejects_non_square():
 def test_residual_contract_violation_raises():
     # Rounding makes residuals of a generic matrix nonzero, so an absurd
     # tolerance must trip the contract and carry the residuals.
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-    with pytest.raises(EigensolveError) as info:
+    A = _skew_hermitian(np.random.default_rng(9), 10)
+    with pytest.raises(EigensolveError, match="residual contract violated") as info:
         eig_matrix(A, tol=1e-300)
-    assert info.value.residuals is not None
+    assert info.value.residuals is not None and np.max(info.value.residuals) > 0
 
 
 def test_residual_contract_rejects_nan_residuals(monkeypatch):
@@ -123,17 +127,18 @@ def test_residual_contract_rejects_nan_residuals(monkeypatch):
 
 def test_eig_on_operator_matrix_carries_provenance():
     basis = TruncatedBasis((1,), ("fiber",))
-    op = BlockOperator(basis, [np.arange(3)], [np.diag([1.0, 2.0, 3.0]).astype(complex)], "generator")
+    op = BlockOperator(basis, [np.arange(3)], [np.diag([1j, 2j, 3j])], "generator")
     report = eig(op)
     assert report.source == "generator"
-    assert sorted(report.eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
+    assert sorted(report.eigenvalues.imag) == pytest.approx([1.0, 2.0, 3.0])
 
 
 def test_sort_by_target_orders_by_distance():
-    report = eig_matrix(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    ordered = sort_by_target(report, target=1.1)
-    assert np.allclose(ordered.eigenvalues.real, [1.0, 2.0, 3.0])
-    assert ordered.sort_rule.startswith("target:")
+    report = eig_matrix(np.diag([3j, 1j, 2j]))
+    ordered = sort_by_target(report, target=1.1j)
+    assert np.allclose(ordered.eigenvalues.imag, [1.0, 2.0, 3.0])
+    assert ordered.sort_rule == "target:1.1j"
+    assert sort_by_target(report).sort_rule == "target:(1e-10+0j)"
 
 
 def test_sort_by_target_tie_break_is_lexicographic():
@@ -176,9 +181,9 @@ def test_hausdorff_distance_empty_sets():
 
 
 def test_spectrum_report_json_round_trip():
-    report = eig_matrix(np.diag([1.0 + 2.0j]).astype(complex))
+    report = eig_matrix(np.diag([2.0j]))
     doc = report.to_json_dict()
-    assert doc["eigenvalues"] == [[1.0, 2.0]]
+    assert doc["eigenvalues"] == [[0.0, 2.0]]
     assert doc["tolerance"] == report.tolerance
 
 
@@ -187,16 +192,14 @@ def test_spectrum_report_json_round_trip():
     [
         lambda: (_rotation_generator(), None),
         # Grid multiplier 4: the quadrature is not exact for these velocities.
-        lambda: _smoothed_generator(make_gaussian_vortex(0.5), False),
-        lambda: _smoothed_generator(make_gaussian_vortex(0.5), True),
-        lambda: _smoothed_generator(make_stratospheric(), False),
+        lambda: _smoothed_generator(make_gaussian_vortex(0.5)),
+        lambda: _smoothed_generator(make_stratospheric()),
     ],
-    ids=["rotation", "vortex", "vortex-symmetric", "stratospheric"],
+    ids=["rotation", "vortex", "stratospheric"],
 )
 def test_real_velocity_generators_take_hermitian_path(make_op):
     op, w = make_op()
     report = eig(op, tol=1e-8, weights=w)
-    assert report.meta["solver"] == "hermitian"
     assert report.meta["blocks"] > 1
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op[:]), 1e-10)
     assert matched, worst
@@ -207,22 +210,25 @@ def test_real_velocity_generators_take_hermitian_path(make_op):
 def test_coarse_grid_quadrature_error_keeps_vortex_generator_skew():
     # At grid multiplier 4 the vortex entries carry a quadrature error of
     # about 7e-6 against multiplier 8, yet the skew-symmetric assembly keeps
-    # V + V* at rounding level, so the coarse operator needs no fallback.
+    # V + V* at rounding level, so the coarse operator passes the skew test.
     basis = TruncatedBasis((3, 3, 3), ("base", "fiber", "fiber"))
     vortex = make_gaussian_vortex(0.5)
     coarse = assemble_generator(vortex, basis, default_grid(basis, 4))[:]
     fine = assemble_generator(vortex, basis, default_grid(basis, 8))[:]
     assert np.max(np.abs(coarse - fine)) > 1e-7
     assert np.max(np.abs(coarse + coarse.conj().T)) < 1e-14
-    op, w = _smoothed_generator(vortex, False)
-    assert eig(op, tol=1e-8, weights=w).meta["solver"] == "hermitian"
+    op, w = _smoothed_generator(vortex)
+    assert np.all(eig(op, tol=1e-8, weights=w).eigenvalues.real == 0.0)
 
 
-def test_random_complex_operator_takes_complex_path():
+def test_random_complex_operator_is_rejected():
     rng = np.random.default_rng(4)
-    report = eig_matrix(rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15)))
-    assert report.meta["solver"] == "complex"
-    assert np.all(report.residuals <= report.tolerance)
+    M = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
+    defect = np.max(np.abs(M + M.conj().T))
+    with pytest.raises(EigensolveError, match=rf"not skew-Hermitian: .* = {re.escape(f'{defect:.3e}')} > ") as info:
+        eig_matrix(M)
+    # Raised before any solve, so there are no residuals to carry.
+    assert info.value.residuals is None
 
 
 def test_hermitian_path_keeps_residual_contract():
@@ -231,61 +237,67 @@ def test_hermitian_path_keeps_residual_contract():
     assert info.value.residuals is not None
 
 
-def test_solver_is_recorded_in_json():
+def test_block_counts_are_recorded_in_json():
     doc = eig(_rotation_generator()).to_json_dict()
-    assert doc["meta"]["solver"] == "hermitian"
     assert (doc["meta"]["blocks"], doc["meta"]["largest_block"]) == (33, 17)
+    assert "solver" not in doc["meta"]
     assert len(doc["eigenvalues"]) == len(doc["residuals"]) == 17 * 17
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["left", "symmetric"])
-def test_skew_similar_generator_takes_hermitian_path(symmetric):
-    # The smoothed vortex generator, scaled by sqrt(w), is skew-Hermitian
-    # to ~1e-16; the dense complex solver is the oracle.
-    op, w = _smoothed_generator(make_gaussian_vortex(0.5), symmetric, multiplier=8)
-    report = eig(op, tol=1e-8, weights=w)
-    assert report.meta["solver"] == "hermitian"
+@pytest.mark.parametrize("form", ["left", "symmetric"])
+def test_skew_similar_generator_takes_hermitian_path(form):
+    # The smoothed vortex generator diag(w) V, scaled by sqrt(w), is
+    # skew-Hermitian to ~1e-16. The similar sqrt(w) V sqrt(w), built here, is
+    # skew-Hermitian itself and is solved without weights. numpy's dense
+    # general eigensolver on diag(w) V is the oracle for both.
+    op, w = _smoothed_generator(make_gaussian_vortex(0.5), multiplier=8)
+    M = op[:]
+    if form == "left":
+        report = eig(op, tol=1e-8, weights=w)
+    else:
+        root = np.sqrt(w)
+        M = M * (root[None, :] / root[:, None])
+        report = eig_matrix(M, tol=1e-8)
     assert report.size == op.basis.size
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(op[:]), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
     assert np.all(report.residuals <= 1e-13)
-    scale = np.linalg.norm(op[:], ord=2)
+    scale = np.linalg.norm(M, ord=2)
     vectors = np.asarray(report.eigenvectors)
-    direct = np.linalg.norm(op[:] @ vectors - vectors * report.eigenvalues, axis=0)
+    direct = np.linalg.norm(M @ vectors - vectors * report.eigenvalues, axis=0)
     assert np.max(direct) / scale < 1e-13
 
 
-def test_mirror_paired_operator_that_is_not_skew_takes_complex_path():
+def test_mirror_paired_operator_that_is_not_skew_is_rejected():
+    # A real shift keeps the mirror pairing but puts 0.2 on the diagonal of S + S*.
     op = _rotation_generator()
-    report = eig_matrix(op[:] + 0.1 * np.eye(op.basis.size), tol=1e-8)
-    assert report.meta["solver"] == "complex"
-    assert np.all(report.residuals <= report.tolerance)
-    matched, worst = match_multisets(report.eigenvalues, eig(op).eigenvalues + 0.1, 1e-10)
+    with pytest.raises(EigensolveError, match=r"not skew-Hermitian: .* = 2\.000e-01 > "):
+        eig_matrix(op[:] + 0.1 * np.eye(op.basis.size), tol=1e-8)
+    # An imaginary shift keeps the operator skew and shifts every eigenvalue.
+    report = eig_matrix(op[:] + 0.1j * np.eye(op.basis.size), tol=1e-8)
+    matched, worst = match_multisets(report.eigenvalues, eig(op).eigenvalues + 0.1j, 1e-10)
     assert matched, worst
 
 
 def test_skew_path_needs_positive_weights_that_describe_the_operator():
-    op, w = _smoothed_generator(make_gaussian_vortex(0.5), False, multiplier=8)
+    op, w = _smoothed_generator(make_gaussian_vortex(0.5), multiplier=8)
     underflowed = w.copy()
     underflowed[[0, -1]] = 0.0
+    with pytest.raises(EigensolveError, match=r"^2 of 343 weights are not positive; the smallest is 0\.000e\+00$"):
+        eig(op, tol=1e-8, weights=underflowed)
     ramped = w * np.linspace(1.0, 2.0, len(w))
-    for bad in (underflowed, ramped):
-        report = eig(op, tol=1e-8, weights=bad)
-        assert report.meta["solver"] == "complex"
-        assert np.all(report.residuals <= report.tolerance)
+    with pytest.raises(EigensolveError, match=r"not skew-Hermitian: .* = \d\.\d{3}e[-+]\d\d > "):
+        eig(op, tol=1e-8, weights=ramped)
     # Positive weights need no mirror symmetry when they do describe the operator.
     ramped_op = ramped[:, None] * (op[:] / w[:, None])
-    assert eig_matrix(ramped_op, tol=1e-8, weights=ramped).meta["solver"] == "hermitian"
+    report = eig_matrix(ramped_op, tol=1e-8, weights=ramped)
+    assert np.all(report.eigenvalues.real == 0.0)
+    assert np.all(report.residuals <= report.tolerance)
 
 
-def _skew_hermitian(rng, n):
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return X - X.conj().T
-
-
-@pytest.mark.parametrize("skew", [True, False], ids=["skew", "shifted"])
-def test_permuted_block_diagonal_operator_matches_dense_oracle(skew):
+@pytest.mark.parametrize("shift", [0.0, 0.3j], ids=["skew", "shifted"])
+def test_permuted_block_diagonal_operator_matches_dense_oracle(shift):
     rng = np.random.default_rng(12)
     sizes = [3, 5, 1, 7, 2]
     n = sum(sizes)
@@ -294,14 +306,14 @@ def test_permuted_block_diagonal_operator_matches_dense_oracle(skew):
     for k in sizes:
         V[start : start + k, start : start + k] = _skew_hermitian(rng, k)
         start += k
-    if not skew:
-        V += 0.3 * np.eye(n)
+    # An imaginary shift keeps V skew-Hermitian.
+    V += shift * np.eye(n)
     perm = rng.permutation(n)
     V = V[np.ix_(perm, perm)]
     w = rng.uniform(0.5, 2.0, n)
     M = w[:, None] * V
     report = eig_matrix(M, weights=w)
-    assert report.meta == {"solver": "hermitian" if skew else "complex", "blocks": 5, "largest_block": 7}
+    assert report.meta == {"blocks": 5, "largest_block": 7}
     assert sorted(len(b) for b in coupling_blocks(M)) == sorted(sizes)
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(M), 1e-10)
     assert matched, worst
@@ -309,14 +321,13 @@ def test_permuted_block_diagonal_operator_matches_dense_oracle(skew):
     vectors = np.asarray(report.eigenvectors)
     direct = np.linalg.norm(M @ vectors - vectors * report.eigenvalues, axis=0)
     assert np.max(direct) / np.linalg.norm(M, ord=2) < 1e-13
-    if skew:
-        assert np.all(report.eigenvalues.real == 0.0)
+    assert np.all(report.eigenvalues.real == 0.0)
 
 
 def test_dense_random_skew_hermitian_operator_is_one_block():
     M = _skew_hermitian(np.random.default_rng(13), 40)
     report = eig_matrix(M)
-    assert report.meta == {"solver": "hermitian", "blocks": 1, "largest_block": 40}
+    assert report.meta == {"blocks": 1, "largest_block": 40}
     matched, worst = match_multisets(report.eigenvalues, np.linalg.eigvals(M), 1e-10)
     assert matched, worst
     assert np.all(report.eigenvalues.real == 0.0)
@@ -342,7 +353,7 @@ def test_block_of_rounding_noise_keeps_the_hermitian_path():
     # The singleton block [[1e-17]] is far from skew on its own scale, but
     # the skew test is relative to the whole matrix.
     report = eig_matrix(np.diag([2j, 1e-17]))
-    assert report.meta == {"solver": "hermitian", "blocks": 2, "largest_block": 1}
+    assert report.meta == {"blocks": 2, "largest_block": 1}
     assert np.array_equal(report.eigenvalues, [2j, 0.0])
     assert np.all(report.residuals <= 1e-16)
 
@@ -374,25 +385,24 @@ def _velocity(system, grid):
 
 
 BLOCK_CASES = {
-    # name: (system, cutoffs, grid multiplier, smoothing: None, "left" or "symmetric")
-    "rotation": (lambda: make_rotation(0.7, 0.5), (4, 4), 4, None),
-    "vortex": (lambda: make_gaussian_vortex(0.5), (3, 3, 3), 4, "left"),
-    "stratospheric": (make_stratospheric, (2, 3, 3), 8, "symmetric"),
+    # name: (system, cutoffs, grid multiplier, smoothed)
+    "rotation": (lambda: make_rotation(0.7, 0.5), (4, 4), 4, False),
+    "vortex": (lambda: make_gaussian_vortex(0.5), (3, 3, 3), 4, True),
+    "stratospheric": (make_stratospheric, (2, 3, 3), 8, True),
 }
 
 
 def _block_case(name):
     """(system, basis, grid, generator, operator to solve, left weights or None)."""
-    make, cutoffs, multiplier, smoothing = BLOCK_CASES[name]
+    make, cutoffs, multiplier, smoothed = BLOCK_CASES[name]
     system = make()
     basis = TruncatedBasis(cutoffs, ("base",) + ("fiber",) * (len(cutoffs) - 1))
     grid = default_grid(basis, multiplier)
     V = assemble_generator(system, basis, grid)
-    if smoothing is None:
+    if not smoothed:
         return system, basis, grid, V, V, None
     w = SmoothingWeights(basis, 0.1, 0.1)
-    op = smoothed_generator(V, w, symmetric=smoothing == "symmetric")
-    return system, basis, grid, V, op, None if smoothing == "symmetric" else w.values
+    return system, basis, grid, V, smoothed_generator(V, w), w.values
 
 
 @pytest.mark.parametrize("name", BLOCK_CASES)
@@ -433,7 +443,6 @@ def test_block_and_dense_solves_are_bitwise_equal(name):
     assert np.array_equal(block.eigenvalues, dense.eigenvalues)
     assert np.array_equal(np.asarray(block.eigenvectors), np.asarray(dense.eigenvectors))
     assert block.meta == dense.meta
-    assert block.meta["solver"] == "hermitian"
     assert np.max(np.abs(block.residuals - dense.residuals)) < 1e-15
     # Sorting and keeping the leading columns commute with densifying.
     leading = sort_by_target(block).eigenvectors[:, :7]
