@@ -7,11 +7,11 @@ rejected, and with them every key the named system never reads; every
 omitted default is resolved before anything runs and recorded in the
 output manifest; smoothing weights that underflow to 0 are a config
 error, found before the generator is assembled. Reruns of the same
-config produce byte-identical artifacts. A rerun into the same directory
-does not run a stage whose files the previous manifest lists, for the
-same config, versions, package source and BLAS thread settings, with
-their bytes unchanged; it carries them over. A stage it does run reads back the
-certified spectrum instead of solving again.
+config produce byte-identical artifacts. The stage is the only unit of
+reuse: a rerun into the same directory, for the same config, versions,
+package source and BLAS thread settings, keeps each stage record whose
+files are unchanged. Its stage is not run, and a stage that does run
+reads the leading vectors back from a kept eig record instead of solving.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import __version__
-from .basis import Grid, TruncatedBasis, default_grid
+from .basis import AliasingError, Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, continuous_w, hatw_field
 from .eigenoperator import CONTINUOUS_N, DISCRETE_M, continuous_eigenoperator, discrete_eigenoperator_spectrum
 from .generator import SmoothingWeights, assemble_generator, smoothed_generator
@@ -46,7 +46,7 @@ from .ioformats import (
     write_matrix,
 )
 from .oseledets import PeriodicSetup, equivariance_residual, periodic_setup, restrict_at_base
-from .spectra import ORDER_RTOL, EigensolveError, SpectrumReport, eig, eig_matrix, sort_by_target
+from .spectra import EigensolveError, eig, eig_matrix, sort_by_target
 from .systems import ContinuousSkewSystem, IntegrationError, make_system
 
 EXIT_SCHEMA = 2
@@ -54,7 +54,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 ALL_STAGES = ("assemble", "eig", "oseledets", "eigenop", "cocycle-field")
-SPECTRUM_FILES = ("spectrum.json", "leading_vectors.matrix.json")
 
 
 def _reads(names: list[str], sections: list[str], **keys: list[str]) -> dict:
@@ -336,7 +335,10 @@ class PipelineContext:
             if len(points) != self.basis.ndim:
                 raise ConfigError("grid points length must match the cutoffs")
             g = Grid(tuple(points))
-            g.check_no_aliasing(self.basis)
+            try:
+                g.check_no_aliasing(self.basis)
+            except AliasingError as exc:
+                raise ConfigError(f"grid.points: {exc}") from exc
             return g
         return default_grid(self.basis, self.config["grid"]["multiplier"])
 
@@ -364,18 +366,17 @@ class PipelineContext:
     @cached_property
     def sorted_spectrum(self):
         """Every eigenvalue, target-sorted, with only the n_leading eigenvector columns any stage reads."""
-        cached = self._load_cached()
-        if cached is not None:
-            return cached
         # diag(w) V is similar to a skew-adjoint matrix by diag(sqrt(w)).
         weights = None if self.weights is None else self.weights.values
         report = sort_by_target(eig(self.operator_for_spectra, tol=self.config["spectra"]["tol"], weights=weights))
         n = min(self.config["decomposition"]["n_leading"], report.size)
         return replace(report, eigenvectors=np.asarray(report.eigenvectors[:, :n]))
 
-    @property
+    @cached_property
     def leading_vectors(self) -> np.ndarray:
-        return self.sorted_spectrum.eigenvectors
+        """The n_leading sorted eigenvectors: those this run solved, else read back from a kept eig record."""
+        cached = None if "sorted_spectrum" in vars(self) else self._load_cached()
+        return self.sorted_spectrum.eigenvectors if cached is None else cached
 
     def periodic_setup_at(self, y: float) -> PeriodicSetup:
         fib = self.basis.fiber_subbasis()
@@ -421,32 +422,22 @@ class PipelineContext:
             return files
         return None
 
-    def _load_cached(self) -> SpectrumReport | None:
-        """The spectrum stage_eig wrote, if the previous manifest lists both of its files.
+    def _load_cached(self) -> np.ndarray | None:
+        """The leading vectors stage_eig wrote, if the kept eig record lists them, else None.
 
-        eig_matrix certified every pair when it was computed. JSON and
-        the base64 float64 payload round-trip every value bit for bit,
-        signed zeros included, so a hit rewrites the leading vectors
-        byte for byte.
+        eig_matrix certified every pair when it was computed, and the base64
+        float64 payload round-trips every entry bit for bit, signed zeros
+        included, so a hit rewrites the leading vectors byte for byte.
         """
-        if not all(self.is_listed(name) for name in SPECTRUM_FILES):
+        name = "leading_vectors.matrix.json"
+        if name not in (self.listed_stage_outputs("eig") or ()):
             return None
         try:
-            doc = json.loads((self.out / "spectrum.json").read_text())
-            report = SpectrumReport(
-                np.array([complex(re, im) for re, im in doc["eigenvalues"]], dtype=complex),
-                read_matrix(self.out / "leading_vectors.matrix.json")["entries"],
-                np.array(doc["residuals"], dtype=float),
-                doc["tolerance"],
-                doc["sort_rule"],
-                doc["source"],
-                doc["meta"],
-            )
+            vectors = read_matrix(self.out / name)["entries"]
         except (ValueError, KeyError, OSError, TypeError):
             return None
         n = self.basis.size
-        shapes = (report.eigenvalues.shape, report.residuals.shape, report.eigenvectors.shape)
-        return report if shapes == ((n,), (n,), (n, min(self.config["decomposition"]["n_leading"], n))) else None
+        return vectors if vectors.shape == (n, min(self.config["decomposition"]["n_leading"], n)) else None
 
 
 def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
@@ -468,10 +459,10 @@ def stage_eig(ctx: PipelineContext) -> dict[str, str]:
         return {}
     report = ctx.sorted_spectrum
     written = {"spectrum.json": write_json(ctx.out / "spectrum.json", report.to_json_dict())}
-    count = int(ctx.leading_vectors.shape[1])
+    count = int(report.eigenvectors.shape[1])
     written["leading_vectors.matrix.json"] = write_matrix(
         ctx.out / "leading_vectors.matrix.json",
-        ctx.leading_vectors,
+        report.eigenvectors,
         ctx.basis.describe(),
         {"columns": count},
         "projection",
@@ -536,10 +527,8 @@ def stage_eigenop(ctx: PipelineContext) -> dict[str, str]:
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, rank)
         matrix = continuous_eigenoperator(ctx.system, sub, y, s, ctx.basis, ctx.grid)
         spec = eig_matrix(matrix, tol=ctx.config["spectra"]["tol"], source=CONTINUOUS_N)
-        values = spec.eigenvalues
-        # Listed by (Im, Re), each rounded to a multiple of ORDER_RTOL * max|lambda|.
-        key = np.round(values / (ORDER_RTOL * np.max(np.abs(values)) or 1.0))
-        values = values[np.lexsort((values.real, values.imag, key.real, key.imag))]
+        # Listed by (Im, Re). Every value is on the imaginary axis, so Re is 0.0 throughout.
+        values = spec.eigenvalues[np.lexsort((spec.eigenvalues.real, spec.eigenvalues.imag))]
         doc = {
             "kind": CONTINUOUS_N,
             "y": y,
@@ -600,9 +589,10 @@ STAGE_FUNCS = {
 def run_pipeline(config: dict, out, stages) -> tuple[dict, list[str]]:
     """Run the stages into out; return the manifest written and the stages whose files were reused.
 
-    A stage whose non-empty file list the previous manifest records, with
-    every file's bytes unchanged, is not called: its files are carried
-    over. A stage that writes nothing, and so only leaves a note, runs.
+    listed_stage_outputs decides everything: a requested stage with a
+    non-empty kept record is not called, and every kept record is carried
+    over with its files, so outputs is the union of stage_outputs. A
+    stage that writes nothing, and so only leaves a note, runs.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -610,21 +600,19 @@ def run_pipeline(config: dict, out, stages) -> tuple[dict, list[str]]:
     hashes: dict[str, str] = {}
     stage_outputs: dict[str, list[str]] = {}
     reused = []
-    for stage in stages:
+    for stage in ALL_STAGES:
         files = ctx.listed_stage_outputs(stage)
-        if files:
-            written = {name: ctx.previous_outputs[name] for name in files}
-            reused.append(stage)
-        else:
+        if stage in stages and not files:
             written = STAGE_FUNCS[stage](ctx)
             ctx.current_sha256.update(written)
+        elif files is not None:
+            written = {name: ctx.previous_outputs[name] for name in files}
+            if stage in stages:
+                reused.append(stage)
+        else:
+            continue
         hashes.update(written)
         stage_outputs[stage] = sorted(written)
-    # The stages and files of earlier runs of this config stay listed while their bytes are unchanged.
-    for stage in ALL_STAGES:
-        if stage not in stage_outputs and (files := ctx.listed_stage_outputs(stage)) is not None:
-            stage_outputs[stage] = files
-    hashes.update({name: h for name, h in ctx.previous_outputs.items() if name not in hashes and ctx.is_listed(name)})
     manifest = {
         "config": config,
         "config_sha256": sha256_of(config),

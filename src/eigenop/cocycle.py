@@ -64,11 +64,10 @@ def continuous_w(
     The flow is computed once, here. A tensor mode is the product of its
     per-axis factors e^{i k z_d}, so the points-by-modes evaluation matrix
     is never formed: the per-axis factors are built once, and each field
-    contracts the coefficients one axis at a time. At s = 0 the map is
-    synthesis on the grid.
+    contracts the coefficients one axis at a time. Every s takes this
+    path: fiber_flow at s = 0 returns the nodes exactly, and the grid
+    need not resolve the modes, as no transform is taken.
     """
-    if s == 0.0:
-        return lambda u_coeffs: synthesize(u_coeffs, fiber_basis, fiber_grid)
     targets = system.fiber_flow(s, y, fiber_grid.nodes, steps_per_unit_time)
     # factors[d][k + K_d, p] = e^{i k z_d} at flowed point p.
     factors = [np.exp(1j * np.outer(np.arange(-k, k + 1), targets[:, d])) for d, k in enumerate(fiber_basis.cutoffs)]

@@ -318,6 +318,38 @@ def test_main_exit_code_on_d_larger_than_the_basis(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["all", "cocycle-field"])
+def test_main_exit_code_on_grid_points_below_the_band(command, tmp_path, capsys):
+    raw = {**_small_vortex_config(), "grid": {"points": [5, 4, 5]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == "config error: grid.points: grid of 4 points aliases modes at cutoff 2 (need >= 5)\n"
+    assert list(out.iterdir()) == []
+
+
+def test_fields_at_zero_time_on_a_field_grid_coarser_than_the_band(tmp_path):
+    raw = _small_vortex_config()
+    raw["evaluation"] = {**raw["evaluation"], "s": 0, "field_grid": [4, 4]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    # At s = 0 the field is the projected test vector evaluated at the nodes.
+    basis = TruncatedBasis((2, 2, 2), ("base", "fiber", "fiber"))
+    vecs = read_matrix(out / "leading_vectors.matrix.json")["entries"]
+    nodes = Grid((4, 4)).nodes
+    for d in (1, 2):
+        q = build_test_vector(vecs, basis, 0.4, d)
+        sub = oseledets.restrict_at_base(vecs, basis, 0.4, d)
+        expected = evaluation_matrix(basis.fiber_subbasis(), nodes) @ (sub.projection @ q)
+        table = np.loadtxt(out / f"field_d{d}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, :2], nodes)
+        assert np.max(np.abs(table[:, 2] + 1j * table[:, 3] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -520,21 +552,35 @@ def _count_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def test_cached_spectrum_is_reused(tmp_path, monkeypatch):
+def test_cached_leading_vectors_are_reused(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
     cli.run_pipeline(cfg, out, ("eig",))
-    solved = cli.PipelineContext(cfg, tmp_path / "empty").sorted_spectrum
-    # A second context over the same directory must rebuild the report,
-    # bit for bit, from spectrum.json and leading_vectors.matrix.json.
+    solved = cli.PipelineContext(cfg, tmp_path / "empty").leading_vectors
+    # A second context over the same directory must read the leading
+    # vectors back from leading_vectors.matrix.json, bit for bit.
     calls = _count_eigensolves(monkeypatch)
-    cached = cli.PipelineContext(cfg, out).sorted_spectrum
+    cached = cli.PipelineContext(cfg, out).leading_vectors
     assert calls == []
-    for name in ("eigenvalues", "eigenvectors", "residuals"):
-        assert getattr(cached, name).shape == getattr(solved, name).shape, name
-        assert getattr(cached, name).tobytes() == getattr(solved, name).tobytes(), name
-    assert (cached.tolerance, cached.sort_rule, cached.source) == (solved.tolerance, solved.sort_rule, solved.source)
-    assert cached.meta == solved.meta
+    assert cached.shape == solved.shape
+    assert cached.tobytes() == solved.tobytes()
+
+
+def test_a_dropped_eig_record_is_not_read_back(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_rotation_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["stage_outputs"]["eig"]
+    path.write_text(json.dumps(manifest))
+    # outputs still lists both files of the eig stage with their current sha256.
+    for name in ("spectrum.json", "leading_vectors.matrix.json"):
+        assert manifest["outputs"][name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    calls = _count_eigensolves(monkeypatch)
+    ctx = cli.PipelineContext(cfg, out)
+    assert ctx.leading_vectors.shape == (ctx.basis.size, 3)
+    assert len(calls) == 1
 
 
 def test_all_assembles_the_product_space_generator_once(tmp_path, monkeypatch):
@@ -552,7 +598,7 @@ def test_cache_ignored_when_config_changes(tmp_path, monkeypatch):
     other = cli.resolve_config(_small_rotation_config())
     other["evaluation"]["y"] = 1.0
     calls = _count_eigensolves(monkeypatch)
-    assert cli.PipelineContext(other, out).sorted_spectrum is not None
+    assert cli.PipelineContext(other, out).leading_vectors is not None
     assert len(calls) == 1
 
 
@@ -585,7 +631,7 @@ def test_cache_ignores_a_spectrum_whose_bytes_changed(filename, tmp_path, monkey
     # Same content, other bytes: the cache must not trust an unlisted hash.
     path.write_text(path.read_text().replace("{", "{ ", 1))
     calls = _count_eigensolves(monkeypatch)
-    assert cli.PipelineContext(cfg, out).sorted_spectrum is not None
+    assert cli.PipelineContext(cfg, out).leading_vectors is not None
     assert len(calls) == 1
 
 
@@ -615,7 +661,7 @@ def test_cache_ignores_a_spectrum_another_package_version_wrote(tmp_path, monkey
     manifest["versions"]["package"] = "0.0.0"
     path.write_text(json.dumps(manifest))
     calls = _count_eigensolves(monkeypatch)
-    assert cli.PipelineContext(cfg, out).sorted_spectrum is not None
+    assert cli.PipelineContext(cfg, out).leading_vectors is not None
     assert len(calls) == 1
 
 
@@ -641,14 +687,36 @@ def test_stage_by_stage_reruns_solve_once_and_list_every_file(tmp_path, monkeypa
         assert path_out.read_bytes() == (fresh / path_out.name).read_bytes(), path_out.name
 
 
-def test_manifest_drops_a_carried_file_whose_bytes_changed(tmp_path):
+def test_manifest_drops_the_whole_record_of_a_file_whose_bytes_changed(tmp_path):
     cfg = cli.resolve_config(_small_rotation_config())
     out = tmp_path / "run"
     cli.run_pipeline(cfg, out, cli.ALL_STAGES)
     (out / "spectrum.json").write_text("{}")
     (out / "generator.matrix.json").unlink()
-    manifest, _ = cli.run_pipeline(cfg, out, ("eigenop",))
-    assert set(manifest["outputs"]) == {"eigenoperator_spectrum.json", "leading_vectors.matrix.json", "subspace_d1.matrix.json"}
+    manifest, reused = cli.run_pipeline(cfg, out, ("eigenop",))
+    assert reused == ["eigenop"]
+    # leading_vectors.matrix.json is unchanged, but it goes with the eig record.
+    assert manifest["stage_outputs"] == {
+        "oseledets": ["subspace_d1.matrix.json"],
+        "eigenop": ["eigenoperator_spectrum.json"],
+        "cocycle-field": [],
+    }
+    assert set(manifest["outputs"]) == {"eigenoperator_spectrum.json", "subspace_d1.matrix.json"}
+
+
+def test_single_stage_runs_on_a_corrupted_directory_keep_stage_outputs_a_partition_of_outputs(tmp_path):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    first, _ = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    for corrupted in sorted(first["outputs"]):
+        (out / corrupted).write_text("{}")
+        for stage in cli.ALL_STAGES:
+            manifest, _ = cli.run_pipeline(cfg, out, (stage,))
+            names = [name for files in manifest["stage_outputs"].values() for name in files]
+            assert sorted(names) == sorted(manifest["outputs"]), (corrupted, stage)
+            for name, recorded in manifest["outputs"].items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == recorded, (corrupted, stage, name)
+    assert (manifest["outputs"], manifest["stage_outputs"]) == (first["outputs"], first["stage_outputs"])
 
 
 def test_rerun_into_same_directory_reproduces_every_artifact(tmp_path):
@@ -778,6 +846,23 @@ def test_a_rewritten_subspace_reruns_oseledets_only(tmp_path, monkeypatch):
     assert path.read_bytes() == original
     assert (out / "manifest.json").read_bytes() == first
 
+
+
+def test_a_spectrum_the_run_solved_is_not_read_back(tmp_path, monkeypatch):
+    cfg = cli.resolve_config(_small_vortex_config())
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    for name in ("spectrum.json", "subspace_d2.matrix.json"):
+        path = out / name
+        path.write_text(path.read_text().replace("{", "{ ", 1))
+    reads, solved = [], _count_eigensolves(monkeypatch)
+    original = cli.read_matrix
+    monkeypatch.setattr(cli, "read_matrix", lambda path: reads.append(path) or original(path))
+    # eig writes back the bytes its kept record lists, and oseledets then
+    # takes the leading vectors from that solve, not from the file.
+    _, reused = cli.run_pipeline(cfg, out, cli.ALL_STAGES)
+    assert reused == ["assemble", "eigenop", "cocycle-field"]
+    assert (len(solved), reads) == (1, [])
 
 @pytest.mark.parametrize("key", ["numpy", "source_sha256"])
 def test_no_reuse_when_the_manifest_versions_differ(key, tmp_path, monkeypatch):

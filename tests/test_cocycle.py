@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenop.basis import Grid, TruncatedBasis, default_grid
+from eigenop.basis import Grid, TruncatedBasis, default_grid, evaluation_matrix
 from eigenop.cocycle import (
     build_test_vector,
     continuous_w,
@@ -13,7 +13,7 @@ from eigenop.cocycle import (
 )
 from eigenop.generator import assemble_fiber_koopman, unitarity_residual
 from eigenop.oseledets import FiberSubspace
-from eigenop.systems import make_rotation, make_torus_translation
+from eigenop.systems import make_gaussian_vortex, make_rotation, make_torus_translation
 
 ALPHA = 0.7
 BETA = 0.5
@@ -84,6 +84,19 @@ def test_continuous_w_apply_zero_time_is_synthesis():
     u = rng.standard_normal(fib.size) + 1j * rng.standard_normal(fib.size)
     field = continuous_w(sys_, 0.1, 0.0, fib, fgrid)(u)
     direct = np.exp(1j * fgrid.nodes[:, 0][:, None] * fib.modes[:, 0]) @ u
+    assert np.max(np.abs(field.values.ravel() - direct)) < 1e-12
+
+
+def test_continuous_w_at_zero_time_needs_no_alias_free_grid():
+    # Evaluation at points takes no transform, so a grid coarser than the
+    # band is fine: 4 points per axis against 2K + 1 = 5 modes.
+    sys_ = make_gaussian_vortex()
+    fib = TruncatedBasis((2, 2), ("fiber", "fiber"))
+    fgrid = Grid((4, 4))
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal(fib.size) + 1j * rng.standard_normal(fib.size)
+    field = continuous_w(sys_, 0.4, 0.0, fib, fgrid)(u)
+    direct = evaluation_matrix(fib, fgrid.nodes) @ u
     assert np.max(np.abs(field.values.ravel() - direct)) < 1e-12
 
 
