@@ -31,7 +31,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import __version__
-from .basis import AliasingError, Grid, TruncatedBasis, default_grid
+from .basis import Grid, TruncatedBasis, default_grid
 from .cocycle import build_test_vector, continuous_w, hatw_field
 from .eigenoperator import CONTINUOUS_N, DISCRETE_M, continuous_eigenoperator, discrete_eigenoperator_spectrum
 from .generator import SmoothingWeights, assemble_generator, smoothed_generator
@@ -242,6 +242,15 @@ def resolve_config(raw: dict) -> dict:
         dec["n_leading"] = needed
     elif dec["n_leading"] < needed:
         raise ConfigError(f"decomposition.n_leading must be at least max(d_values + [subspace_rank]) = {needed}")
+    # Checked here rather than where the grid is built, so that a command
+    # which never builds it rejects the config too.
+    points, cutoffs = cfg["grid"]["points"], cfg["truncation"]["cutoffs"]
+    if points is not None:
+        if len(points) != len(cutoffs):
+            raise ConfigError(f"grid.points has {len(points)} entries, truncation.cutoffs has {len(cutoffs)}")
+        for p, k in zip(points, cutoffs):
+            if p < 2 * k + 1:
+                raise ConfigError(f"grid.points: grid of {p} points aliases modes at cutoff {k} (need >= {2 * k + 1})")
     return cfg
 
 
@@ -331,15 +340,8 @@ class PipelineContext:
     @cached_property
     def grid(self) -> Grid:
         points = self.config["grid"]["points"]
-        if points is not None:
-            if len(points) != self.basis.ndim:
-                raise ConfigError("grid points length must match the cutoffs")
-            g = Grid(tuple(points))
-            try:
-                g.check_no_aliasing(self.basis)
-            except AliasingError as exc:
-                raise ConfigError(f"grid.points: {exc}") from exc
-            return g
+        if points is not None:  # resolve_config checked them against the cutoffs
+            return Grid(tuple(points))
         return default_grid(self.basis, self.config["grid"]["multiplier"])
 
     @cached_property

@@ -88,7 +88,8 @@ class BlockOperator:
         out = np.zeros((max(stop - start, 0), len(self)), dtype=complex)
         for b, B in zip(self.blocks, self.matrices):
             lo, hi = np.searchsorted(b, (start, stop))
-            out[np.ix_(b[lo:hi] - start, b)] = B[lo:hi]
+            if lo < hi:
+                out[(b[lo:hi] - start)[:, None], b] = B[lo:hi]
         return out
 
 

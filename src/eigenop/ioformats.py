@@ -12,7 +12,11 @@ digits. Heatmaps: binary PPM (P6) with a symmetric diverging
 scale about zero; the normalization constant lands in a sidecar JSON.
 All writers are deterministic: identical inputs give identical bytes,
 and each returns the sha256 of the bytes it wrote, so no artifact has to
-be read back to be hashed.
+be read back to be hashed. A matrix document of more than one payload
+chunk (_PAYLOAD_CHUNK entries, about 2 MB of base64) is hashed by one
+helper thread, which calls only hashlib, while the writing thread writes
+each chunk and encodes the next; every other write, and file_sha256,
+hashes on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import threading
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -50,10 +56,69 @@ def _sha256_chunks(chunks, sink=None) -> str:
     return digest.hexdigest()
 
 
-def _write(path, chunks) -> str:
-    """Write the byte chunks to path; return the sha256 of the file."""
-    with open(path, "wb") as fh:
-        return _sha256_chunks(chunks, fh.write)
+class _HashBehind:
+    """One helper thread that adds chunks to a digest while the caller goes on.
+
+    The caller waits for one chunk's hash before it hands over the next,
+    so that at most two chunks are in flight: the one being hashed and
+    the one being built. The helper calls nothing but hashlib.
+    """
+
+    def __init__(self, digest):
+        self._todo, self._done = SimpleQueue(), SimpleQueue()
+        self._busy = False
+        # A daemon, so that a helper left running by a fault cannot keep the process alive.
+        self._thread = threading.Thread(target=self._run, args=(digest,), daemon=True)
+        self._thread.start()
+
+    def _run(self, digest):
+        for chunk in iter(self._todo.get, None):
+            try:
+                digest.update(chunk)
+            except Exception as exc:  # raised again by the caller's next wait
+                self._done.put(exc)
+                return
+            self._done.put(None)
+
+    def wait(self):
+        """Return once the last chunk handed over is hashed."""
+        if self._busy:
+            self._busy = False
+            error = self._done.get()
+            if error is not None:
+                raise error
+
+    def hash(self, chunk):
+        self._todo.put(chunk)
+        self._busy = True
+
+    def close(self):
+        """End the helper thread, after the chunk it holds, if any."""
+        self._todo.put(None)
+        self._thread.join()
+
+
+def _write(path, chunks, hash_behind=False) -> str:
+    """Write the byte chunks to path; return the sha256 of the file.
+
+    With hash_behind, a helper thread hashes each chunk while this thread
+    writes it and builds the next.
+    """
+    if not hash_behind:
+        with open(path, "wb") as fh:
+            return _sha256_chunks(chunks, fh.write)
+    digest = hashlib.sha256()
+    helper = _HashBehind(digest)
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                helper.wait()
+                helper.hash(chunk)
+                fh.write(chunk)
+            helper.wait()
+    finally:
+        helper.close()
+    return digest.hexdigest()
 
 
 def file_sha256(path) -> str:
@@ -66,7 +131,7 @@ def file_sha256(path) -> str:
 # whole rows of a multiple of 3 entries, so it is a multiple of 48 bytes:
 # its groups of 3 entries start at 48-byte boundaries of the matrix, and
 # the chunks' encodings, unpadded, concatenate to the whole encoding.
-_PAYLOAD_CHUNK = 3 << 16
+_PAYLOAD_CHUNK = 3 << 15
 
 
 def encode_matrix(entries: np.ndarray) -> memoryview:
@@ -80,7 +145,7 @@ def encode_matrix(entries: np.ndarray) -> memoryview:
     flat = np.ascontiguousarray(entries, dtype="<c16").reshape(-1)
     whole = flat.size - flat.size % 3
     words = flat[:whole].view("<u8").reshape(-1, 6)
-    live = np.flatnonzero(np.bitwise_or.reduce(words, axis=1))
+    live = np.flatnonzero(words[:, 0] | words[:, 1] | words[:, 2] | words[:, 3] | words[:, 4] | words[:, 5])
     tail = base64.b64encode(flat[whole:])
     out = np.full(64 * len(words) + len(tail), ord("A"), dtype=np.uint8)
     groups = out[: 64 * len(words)].reshape(-1, 64)
@@ -126,7 +191,7 @@ def write_matrix(path, entries, rows: dict, cols: dict, provenance: str, meta: d
             yield encode_matrix(entries[start : start + step])
         yield tail.encode("ascii")
 
-    return _write(path, chunks())
+    return _write(path, chunks(), hash_behind=shape[0] > step)
 
 
 def read_matrix(path) -> dict:

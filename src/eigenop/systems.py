@@ -72,18 +72,17 @@ class DiscreteSkewMap:
         return orbit
 
 
-def fiber_velocity_from_stream(dstream_dz1, dstream_dz2):
+def fiber_velocity_from_stream(partials):
     """Velocity (-dz2 ζ, dz1 ζ) from analytic stream-function partials.
 
-    Each partial takes (y, z) with z of shape (..., 2) and returns values
-    of shape (...).
+    partials takes (y, z) with z of shape (..., 2) and returns the pair
+    (dz1 ζ, dz2 ζ), each of shape (...), so that factors the two share
+    are evaluated once per call.
     """
 
     def velocity(y, z):
-        z = np.asarray(z, dtype=float)
-        v1 = -dstream_dz2(y, z)
-        v2 = dstream_dz1(y, z)
-        return np.stack([v1, v2], axis=-1)
+        dz1, dz2 = partials(y, np.asarray(z, dtype=float))
+        return np.stack([-dz2, dz1], axis=-1)
 
     return velocity
 
@@ -155,14 +154,9 @@ def make_rotation(alpha: float = 0.7, beta: float = 0.5) -> ContinuousSkewSystem
 def make_gaussian_vortex(kappa: float = 0.5) -> ContinuousSkewSystem:
     """Moving vortex on T x T^2 with stream function exp(kappa*(cos(z1-y)+cos z2))."""
 
-    def stream(y, z):
-        return np.exp(kappa * (np.cos(z[..., 0] - y) + np.cos(z[..., 1])))
-
-    def dz1(y, z):
-        return -kappa * np.sin(z[..., 0] - y) * stream(y, z)
-
-    def dz2(y, z):
-        return -kappa * np.sin(z[..., 1]) * stream(y, z)
+    def partials(y, z):
+        stream = np.exp(kappa * (np.cos(z[..., 0] - y) + np.cos(z[..., 1])))
+        return -kappa * np.sin(z[..., 0] - y) * stream, -kappa * np.sin(z[..., 1]) * stream
 
     def base_velocity(y):
         return np.ones_like(np.asarray(y, dtype=float))
@@ -171,7 +165,7 @@ def make_gaussian_vortex(kappa: float = 0.5) -> ContinuousSkewSystem:
         name="gaussian_vortex",
         fiber_dim=2,
         base_velocity=base_velocity,
-        fiber_velocity=fiber_velocity_from_stream(dz1, dz2),
+        fiber_velocity=fiber_velocity_from_stream(partials),
         closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
         parameters={"kappa": kappa},
     )
@@ -207,22 +201,18 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
     c3 = params["c3"]
     sigma = tuple(params["sigma"])
 
-    def dz1(y, z):
+    def partials(y, z):
         z1, z2 = z[..., 0], z[..., 1]
-        sech2 = 1.0 / np.cosh(z2 / L) ** 2
-        out = np.zeros_like(z1)
+        jet = z2 / L
+        sech2 = 1.0 / np.cosh(jet) ** 2
+        tanh = np.tanh(jet)
+        dz1 = np.zeros_like(z1)
+        dz2 = c3 - U0 * sech2
         for Ai, ki, si in zip(A, kk, sigma):
-            out = out - Ai * U0 * L * sech2 * ki * np.sin(ki * z1 - si * y)
-        return out
-
-    def dz2(y, z):
-        z1, z2 = z[..., 0], z[..., 1]
-        sech2 = 1.0 / np.cosh(z2 / L) ** 2
-        tanh = np.tanh(z2 / L)
-        out = c3 - U0 * sech2
-        for Ai, ki, si in zip(A, kk, sigma):
-            out = out - 2.0 * Ai * U0 * sech2 * tanh * np.cos(ki * z1 - si * y)
-        return out
+            phase = ki * z1 - si * y
+            dz1 = dz1 - Ai * U0 * L * sech2 * ki * np.sin(phase)
+            dz2 = dz2 - 2.0 * Ai * U0 * sech2 * tanh * np.cos(phase)
+        return dz1, dz2
 
     def base_velocity(y):
         return np.ones_like(np.asarray(y, dtype=float))
@@ -231,7 +221,7 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
         name="stratospheric",
         fiber_dim=2,
         base_velocity=base_velocity,
-        fiber_velocity=fiber_velocity_from_stream(dz1, dz2),
+        fiber_velocity=fiber_velocity_from_stream(partials),
         closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
         parameters=params,
     )

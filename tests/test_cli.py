@@ -293,6 +293,16 @@ def test_main_exit_code_on_wrong_cutoff_count(tmp_path):
     assert code == cli.EXIT_SCHEMA
 
 
+def test_a_wrong_cutoff_count_with_grid_points_names_both_keys(tmp_path, capsys):
+    # The grid.points length is checked when the config is read, before the
+    # system's cutoff count is, so the message names both keys.
+    raw = {**_small_vortex_config(), "truncation": {"cutoffs": [2, 2]}, "grid": {"points": [5, 5, 5]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == "config error: grid.points has 3 entries, truncation.cutoffs has 2\n"
+
+
 def test_main_exit_code_on_torus_translation_cutoff_count(tmp_path, capsys):
     # The torus translation's fiber is one circle: base plus one fiber cutoff.
     raw = _small_discrete_config()
@@ -327,7 +337,27 @@ def test_main_exit_code_on_grid_points_below_the_band(command, tmp_path, capsys)
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err == "config error: grid.points: grid of 4 points aliases modes at cutoff 2 (need >= 5)\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([4, 4], "grid.points: grid of 4 points aliases modes at cutoff 3 (need >= 7)"),
+        ([40], "grid.points has 1 entries, truncation.cutoffs has 2"),
+    ],
+    ids=["aliasing", "length"],
+)
+@pytest.mark.parametrize("command", cli.ALL_STAGES + ("all",))
+def test_every_command_rejects_grid_points_that_do_not_fit_the_cutoffs(command, points, message, tmp_path, capsys):
+    # cocycle-field never builds rotation's grid: its 1-d fiber writes no field.
+    raw = {**_small_rotation_config(), "grid": {"points": points}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_fields_at_zero_time_on_a_field_grid_coarser_than_the_band(tmp_path):

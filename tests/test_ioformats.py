@@ -1,8 +1,11 @@
 """Tests for on-disk formats: matrices, CSV fields, PPM heatmaps."""
 
 import base64
+import errno
 import hashlib
+import io
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -223,6 +226,99 @@ def test_writing_the_vortex_generator_holds_a_few_chunks_in_memory(tmp_path):
     # The payload alone is 4/3 of 16 N^2 bytes, 103 MB at N = 2197.
     assert (tmp_path / "g.json").stat().st_size > op.shape[0] ** 2 * 16 * 4 / 3
     assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _record_thread_starts(monkeypatch) -> list:
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+# (400, 401) gives two payload chunks, so the helper hashes all four
+# chunks, head and tail included; a _PAYLOAD_CHUNK of 21 entries gives 136.
+@pytest.mark.parametrize("chunk, count", [(None, 4), (3 * 7, 136)], ids=["default", "small-chunks"])
+def test_a_matrix_hashed_behind_the_writer_writes_the_reference(tmp_path, monkeypatch, chunk, count):
+    if chunk is not None:
+        monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", chunk)
+    entries = _fill("dense", (400, 401), np.random.default_rng(7))
+    entries.flat[1] = complex(-0.0, 5e-324)
+    handed = []
+    original = ioformats._HashBehind.hash
+
+    def recording(helper, chunk):
+        # Busy means the last chunk's hash was not waited for, so more
+        # than two chunks could be in flight.
+        handed.append(helper._busy)
+        original(helper, chunk)
+
+    monkeypatch.setattr(ioformats._HashBehind, "hash", recording)
+    started = _record_thread_starts(monkeypatch)
+    before = threading.active_count()
+    _assert_writes_the_reference(tmp_path, entries)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+    assert handed == [False] * count
+
+
+class _DiskFull(io.BytesIO):
+    """A file whose writes fail, as on a full disk, once it holds 1 MiB."""
+
+    def write(self, data):
+        if self.tell() >= 1 << 20:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+class _FailingRows:
+    """An operator whose rows from `fail_at` on cannot be built."""
+
+    shape = (600, 600)
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+
+    def __getitem__(self, rows):
+        if rows.stop > self.fail_at:
+            raise RuntimeError("row building failed")
+        return np.ones((rows.stop - rows.start, self.shape[1]), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [(np.ones((600, 600), dtype=complex), OSError), (_FailingRows(300), RuntimeError)],
+    ids=["write-fails", "source-fails"],
+)
+def test_a_failed_write_raises_and_ends_the_helper(tmp_path, monkeypatch, entries, error):
+    monkeypatch.setattr(ioformats, "open", lambda path, mode: _DiskFull(), raising=False)
+    started = _record_thread_starts(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(error):
+        write_matrix(tmp_path / "m.json", entries, {"kind": "test"}, {"columns": 600}, "projection", {})
+    # The helper held a chunk when the error came, and was joined.
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_single_chunk_writes_start_no_thread(tmp_path, monkeypatch):
+    # A 240 x 240 matrix is one payload chunk of 1.2 MB, and a 128 x 128
+    # field CSV, the bundled field_grid, is one chunk of about 1.5 MB: no
+    # next chunk is built while either would be hashed.
+    started = _record_thread_starts(monkeypatch)
+    frame = _fill("dense", (240, 240), np.random.default_rng(1))
+    write_matrix(tmp_path / "frame.json", frame, {"kind": "test"}, {"columns": 240}, "projection", {})
+    write_json(tmp_path / "doc.json", {"values": complex_list(frame[0])})
+    sample = FieldSample(Grid((128, 128)), frame.ravel()[: 128 * 128].reshape(128, 128))
+    write_field_csv(tmp_path / "field.csv", sample)
+    write_heatmap_ppm(tmp_path / "field.ppm", sample)
+    assert started == []
+    assert min((tmp_path / name).stat().st_size for name in ("frame.json", "field.csv")) > 1 << 20
 
 
 def _reference_write_field_csv(path, sample):

@@ -63,13 +63,10 @@ def test_validate_system_flags_broken_stream_pair():
     # A sign error in one partial destroys incompressibility.
     good = make_gaussian_vortex()
 
-    def bad_dz1(y, z):
-        return np.cos(z[..., 0] - y)
+    def bad_partials(y, z):
+        return np.cos(z[..., 0] - y), np.cos(z[..., 0] - y) * z[..., 1]
 
-    def bad_dz2(y, z):
-        return np.cos(z[..., 0] - y) * z[..., 1]
-
-    broken = replace(good, fiber_velocity=fiber_velocity_from_stream(bad_dz1, bad_dz2))
+    broken = replace(good, fiber_velocity=fiber_velocity_from_stream(bad_partials))
     report = validate_system(broken)
     names = {c["name"]: c for c in report["checks"]}
     assert not names["fiber_divergence_free"]["passed"]
