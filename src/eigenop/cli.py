@@ -5,13 +5,14 @@ eigenop, cocycle-field), the whole pipeline (all), or the acceptance
 suite (validate). Configs are JSON, schema-checked with unknown keys
 rejected, and with them every key the named system never reads; every
 omitted default is resolved before anything runs and recorded in the
-output manifest; smoothing weights that underflow to 0 are a config
-error, found before the generator is assembled. Reruns of the same
-config produce byte-identical artifacts. The stage is the only unit of
-reuse: a rerun into the same directory, for the same config, versions,
-package source and BLAS thread settings, keeps each stage record whose
-files are unchanged. Its stage is not run, and a stage that does run
-reads the leading vectors back from a kept eig record instead of solving.
+output manifest; every command checks the system, the basis and the
+smoothing weights (none may underflow to 0) before it makes the output
+directory. Reruns of the same config produce byte-identical artifacts.
+The stage is the only unit of reuse: a rerun into the same directory,
+for the same config, versions, package source and BLAS thread settings,
+keeps each stage record whose files are unchanged. Its stage is not run,
+and a stage that does run reads the leading vectors back from a kept
+eig record instead of solving.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from copy import deepcopy
@@ -73,6 +75,9 @@ def _reads(names: list[str], sections: list[str], **keys: list[str]) -> dict:
         },
     }
 
+
+# Every section of SCHEMA: a continuous system reads some key of each.
+CONTINUOUS_SECTIONS = ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation"]
 
 SCHEMA = {
     "type": "object",
@@ -142,7 +147,6 @@ SCHEMA = {
                 "s": {"type": "number", "default": 0.0},
                 "i": {"type": "integer", "default": 1},
                 "y_sample_count": {"type": "integer", "minimum": 1, "default": 64},
-                "steps_per_unit_time": {"type": "integer", "minimum": 1, "default": 200},
                 "field_grid": {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 4},
@@ -152,19 +156,12 @@ SCHEMA = {
                 },
             },
         },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "formats": {"type": "array", "items": {"enum": ["csv", "ppm"]}, "default": ["csv", "ppm"]},
-            },
-        },
     },
     # The keys each registered system reads: a config naming it may set no
     # other. A torus map builds its fiber grid from the multiplier alone, and
-    # rotation's 1-d fiber writes no field. cyclic_group reads no
-    # truncation.cutoffs, which stay accepted while the benchmark's cyclic
-    # config passes them.
+    # rotation's 1-d fiber writes no field. cyclic_group reads no cutoff and
+    # torus_translation no base cutoff; both stay accepted while the
+    # benchmark's configs pass them.
     "allOf": [
         _reads(["cyclic_group"], ["system", "truncation", "evaluation"], evaluation=["y", "i", "y_sample_count"]),
         _reads(
@@ -173,16 +170,8 @@ SCHEMA = {
             grid=["multiplier"],
             evaluation=["y", "i", "y_sample_count"],
         ),
-        _reads(
-            ["rotation"],
-            ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation"],
-            evaluation=["y", "s"],
-        ),
-        _reads(
-            ["gaussian_vortex", "stratospheric"],
-            ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation", "output"],
-            evaluation=["y", "s", "steps_per_unit_time", "field_grid"],
-        ),
+        _reads(["rotation"], CONTINUOUS_SECTIONS, evaluation=["y", "s"]),
+        _reads(["gaussian_vortex", "stratospheric"], CONTINUOUS_SECTIONS, evaluation=["y", "s", "field_grid"]),
     ],
 }
 
@@ -242,6 +231,9 @@ def resolve_config(raw: dict) -> dict:
         dec["n_leading"] = needed
     elif dec["n_leading"] < needed:
         raise ConfigError(f"decomposition.n_leading must be at least max(d_values + [subspace_rank]) = {needed}")
+    size = math.prod(2 * k + 1 for k in cfg["truncation"]["cutoffs"])
+    if needed > size:
+        raise ConfigError(f"max(d_values + [subspace_rank]) = {needed} exceeds the basis size {size}")
     # Checked here rather than where the grid is built, so that a command
     # which never builds it rejects the config too.
     points, cutoffs = cfg["grid"]["points"], cfg["truncation"]["cutoffs"]
@@ -330,12 +322,7 @@ class PipelineContext:
             if len(cutoffs) != 1 + fiber_dim:
                 raise ConfigError(f"system '{self.system.name}' needs {1 + fiber_dim} cutoffs, got {len(cutoffs)}")
         roles = ("base",) + ("fiber",) * (len(cutoffs) - 1)
-        basis = TruncatedBasis(cutoffs, roles)
-        dec = self.config["decomposition"]
-        needed = max(dec["d_values"] + [dec["subspace_rank"]])
-        if self.is_continuous and needed > basis.size:
-            raise ConfigError(f"max(d_values + [subspace_rank]) = {needed} exceeds the basis size {basis.size}")
-        return basis
+        return TruncatedBasis(cutoffs, roles)
 
     @cached_property
     def grid(self) -> Grid:
@@ -360,7 +347,7 @@ class PipelineContext:
 
     @cached_property
     def operator_for_spectra(self):
-        """diag(w) V, or V unsmoothed; the weights are built, and checked, before V is assembled."""
+        """diag(w) V, or V unsmoothed."""
         if self.weights is None:
             return self.generator_matrix
         return smoothed_generator(self.generator_matrix, self.weights)
@@ -446,7 +433,6 @@ def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
     if not ctx.is_continuous:
         ctx.stage_notes.append("assemble skipped: discrete map has no flow generator")
         return {}
-    # The weights come first, so weights that underflow stop the run before assembly.
     operators = {} if ctx.weights is None else {"smoothed_generator.matrix.json": ctx.operator_for_spectra}
     operators["generator.matrix.json"] = ctx.generator_matrix
     return {
@@ -562,19 +548,16 @@ def stage_cocycle_field(ctx: PipelineContext) -> dict[str, str]:
     ystar = ctx.system.advanced_base_point(s, y)
     fib = ctx.basis.fiber_subbasis()
     fgrid = Grid(tuple(ev["field_grid"]))
-    formats = ctx.config["output"]["formats"]
     written = {}
     # The time-s flow from y is the same for every d.
-    w = continuous_w(ctx.system, y, s, fib, fgrid, ev["steps_per_unit_time"])
+    w = continuous_w(ctx.system, y, s, fib, fgrid)
     for d in ctx.config["decomposition"]["d_values"]:
         q = build_test_vector(ctx.leading_vectors, ctx.basis, y, d)
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
         field = hatw_field(sub, q, w)
-        if "csv" in formats:
-            written[f"field_d{d}.csv"] = write_field_csv(ctx.out / f"field_d{d}.csv", field)
-        if "ppm" in formats:
-            image, sidecar = write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
-            written[f"field_d{d}.ppm"], written[f"field_d{d}.ppm.json"] = image, sidecar
+        written[f"field_d{d}.csv"] = write_field_csv(ctx.out / f"field_d{d}.csv", field)
+        image, sidecar = write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
+        written[f"field_d{d}.ppm"], written[f"field_d{d}.ppm.json"] = image, sidecar
     return written
 
 
@@ -597,8 +580,10 @@ def run_pipeline(config: dict, out, stages) -> tuple[dict, list[str]]:
     stage that writes nothing, and so only leaves a note, runs.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     ctx = PipelineContext(config, out)
+    # Checked whichever stages run, so every command rejects the same configs, and before mkdir.
+    ctx.system, ctx.basis, ctx.weights
+    out.mkdir(parents=True, exist_ok=True)
     hashes: dict[str, str] = {}
     stage_outputs: dict[str, list[str]] = {}
     reused = []

@@ -57,18 +57,18 @@ def continuous_w(
     s: float,
     fiber_basis: TruncatedBasis,
     fiber_grid: Grid,
-    steps_per_unit_time: int = 200,
 ) -> Callable[[np.ndarray], FieldSample]:
     """The map u -> (w_s u)(y, .) on the fiber grid: u evaluated at the flowed points.
 
-    The flow is computed once, here. A tensor mode is the product of its
+    The flow is computed once, here, by system.fiber_flow (closed form, or
+    RK4 at the step rate systems declares). A tensor mode is the product of its
     per-axis factors e^{i k z_d}, so the points-by-modes evaluation matrix
     is never formed: the per-axis factors are built once, and each field
     contracts the coefficients one axis at a time. Every s takes this
     path: fiber_flow at s = 0 returns the nodes exactly, and the grid
     need not resolve the modes, as no transform is taken.
     """
-    targets = system.fiber_flow(s, y, fiber_grid.nodes, steps_per_unit_time)
+    targets = system.fiber_flow(s, y, fiber_grid.nodes)
     # factors[d][k + K_d, p] = e^{i k z_d} at flowed point p.
     factors = [np.exp(1j * np.outer(np.arange(-k, k + 1), targets[:, d])) for d, k in enumerate(fiber_basis.cutoffs)]
     shape = tuple(2 * k + 1 for k in fiber_basis.cutoffs)

@@ -8,12 +8,17 @@ base rotation of finite period and a fiber translation.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# RK4 steps per unit of flow time, for a fiber flow with no closed form.
+RK4_STEPS_PER_UNIT_TIME = 200
 
 
 class IntegrationError(RuntimeError):
@@ -40,15 +45,15 @@ class ContinuousSkewSystem:
         """h_s(y), the time-s base flow of one point, wrapped to [0, 2pi)."""
         return float(np.mod(self.base_flow(s, np.asarray(float(y))), TWO_PI))
 
-    def fiber_flow(self, s: float, y: float, z, steps_per_unit_time: int = 200) -> np.ndarray:
+    def fiber_flow(self, s: float, y: float, z) -> np.ndarray:
         """Fiber points z, shape (n, fiber_dim), moved by the time-s flow from base point y.
 
-        Closed form when available, else RK4 with round(|s| * steps_per_unit_time)
-        steps, at least one.
+        Closed form when available, else RK4 with
+        round(|s| * RK4_STEPS_PER_UNIT_TIME) steps, at least one.
         """
         if self.closed_form_fiber_flow is not None:
             return np.atleast_2d(self.closed_form_fiber_flow(float(s), float(y), z))
-        steps = max(1, int(round(abs(s) * steps_per_unit_time)))
+        steps = max(1, int(round(abs(s) * RK4_STEPS_PER_UNIT_TIME)))
         return np.atleast_2d(flow_fiber(self, float(y), z, float(s), steps=steps))
 
 
@@ -87,7 +92,7 @@ def fiber_velocity_from_stream(partials):
     return velocity
 
 
-def flow_fiber(system: ContinuousSkewSystem, y: float, z, s: float, steps: int = 100):
+def flow_fiber(system: ContinuousSkewSystem, y: float, z, s: float, steps: int):
     """Fiber component of the time-s flow by fixed-step RK4 on coupled (y, z).
 
     z may be a single point (fiber_dim,) or a batch (n, fiber_dim) sharing
@@ -122,19 +127,29 @@ def flow_fiber(system: ContinuousSkewSystem, y: float, z, s: float, steps: int =
 # continuous built-ins
 
 
+def _check_real(**values):
+    # A comparison, not a float conversion, so that an int beyond the float range fails too.
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _unit_base_velocity(y):
+    return np.ones_like(np.asarray(y, dtype=float))
+
+
+def _unit_base_flow(s, y):
+    return np.asarray(y, dtype=float) + s
+
+
 def make_rotation(alpha: float = 0.7, beta: float = 0.5) -> ContinuousSkewSystem:
     """dy/dt = 1, dz/dt = alpha*(1 + beta*cos y) on T x T, with closed flows."""
-
-    def base_velocity(y):
-        return np.ones_like(np.asarray(y, dtype=float))
+    _check_real(alpha=alpha, beta=beta)
 
     def fiber_velocity(y, z):
         z = np.asarray(z, dtype=float)
         v = alpha * (1.0 + beta * np.cos(y))
         return np.broadcast_to(np.asarray(v)[..., None], z.shape).copy()
-
-    def base_flow(s, y):
-        return np.asarray(y, dtype=float) + s
 
     def fiber_flow(s, y, z):
         shift = alpha * (s + beta * (np.sin(y + s) - np.sin(y)))
@@ -143,9 +158,9 @@ def make_rotation(alpha: float = 0.7, beta: float = 0.5) -> ContinuousSkewSystem
     return ContinuousSkewSystem(
         name="rotation",
         fiber_dim=1,
-        base_velocity=base_velocity,
+        base_velocity=_unit_base_velocity,
         fiber_velocity=fiber_velocity,
-        closed_form_base_flow=base_flow,
+        closed_form_base_flow=_unit_base_flow,
         closed_form_fiber_flow=fiber_flow,
         parameters={"alpha": alpha, "beta": beta},
     )
@@ -153,20 +168,18 @@ def make_rotation(alpha: float = 0.7, beta: float = 0.5) -> ContinuousSkewSystem
 
 def make_gaussian_vortex(kappa: float = 0.5) -> ContinuousSkewSystem:
     """Moving vortex on T x T^2 with stream function exp(kappa*(cos(z1-y)+cos z2))."""
+    _check_real(kappa=kappa)
 
     def partials(y, z):
         stream = np.exp(kappa * (np.cos(z[..., 0] - y) + np.cos(z[..., 1])))
         return -kappa * np.sin(z[..., 0] - y) * stream, -kappa * np.sin(z[..., 1]) * stream
 
-    def base_velocity(y):
-        return np.ones_like(np.asarray(y, dtype=float))
-
     return ContinuousSkewSystem(
         name="gaussian_vortex",
         fiber_dim=2,
-        base_velocity=base_velocity,
+        base_velocity=_unit_base_velocity,
         fiber_velocity=fiber_velocity_from_stream(partials),
-        closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
+        closed_form_base_flow=_unit_base_flow,
         parameters={"kappa": kappa},
     )
 
@@ -191,9 +204,11 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
         raise ValueError(f"unknown stratospheric parameters: {', '.join(unknown)}")
     params = dict(STRATOSPHERIC_DEFAULTS)
     params.update(overrides)
+    _check_real(L=params["L"], U0=params["U0"], c3=params["c3"])
     for name in ("A", "k", "sigma"):
         if np.shape(params[name]) != (3,):
             raise ValueError(f"stratospheric parameter {name} needs 3 values, one per wave, got {params[name]!r}")
+        _check_real(**{f"{name}[{i}]": value for i, value in enumerate(params[name])})
     L = params["L"]
     A = tuple(params["A"])
     kk = tuple(params["k"])
@@ -214,15 +229,12 @@ def make_stratospheric(**overrides) -> ContinuousSkewSystem:
             dz2 = dz2 - 2.0 * Ai * U0 * sech2 * tanh * np.cos(phase)
         return dz1, dz2
 
-    def base_velocity(y):
-        return np.ones_like(np.asarray(y, dtype=float))
-
     return ContinuousSkewSystem(
         name="stratospheric",
         fiber_dim=2,
-        base_velocity=base_velocity,
+        base_velocity=_unit_base_velocity,
         fiber_velocity=fiber_velocity_from_stream(partials),
-        closed_form_base_flow=lambda s, y: np.asarray(y, dtype=float) + s,
+        closed_form_base_flow=_unit_base_flow,
         parameters=params,
     )
 

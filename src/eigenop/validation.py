@@ -30,7 +30,7 @@ from .generator import SmoothingWeights, assemble_generator, skew_symmetry_resid
 from .oracles import peter_weyl_blockdiag, rotation_oracle, s3_table
 from .oseledets import FiberSubspace, completeness_defect, equivariance_residual, periodic_setup
 from .spectra import eig, eig_matrix, match_multisets
-from .systems import make_cyclic_group, make_rotation, make_torus_translation
+from .systems import RK4_STEPS_PER_UNIT_TIME, make_cyclic_group, make_rotation, make_torus_translation
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,7 +112,7 @@ def check_cocycle_closed_form():
         j = int(rng.integers(1, 4))
         u = np.zeros(fib.size, dtype=complex)
         u[fib.index_of((j,))] = 1.0
-        field = continuous_w(numeric, y, s, fib, grid, steps_per_unit_time=200)(u)
+        field = continuous_w(numeric, y, s, fib, grid)(u)
         _, phase = rotation_oracle(ALPHA, BETA, 0, j, y, s)
         expected = np.exp(1j * j * grid.nodes[:, 0]) * phase
         worst = max(worst, float(np.max(np.abs(field.values.ravel() - expected))))
@@ -120,7 +120,7 @@ def check_cocycle_closed_form():
         3,
         "cocycle phase closed form",
         worst <= 1e-8,
-        f"max grid error {worst:.2e} (tol 1e-8) over 20 random (y, s, j) at 200 steps/unit",
+        f"max grid error {worst:.2e} (tol 1e-8) over 20 random (y, s, j) at {RK4_STEPS_PER_UNIT_TIME} steps/unit",
     )
 
 

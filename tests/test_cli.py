@@ -40,7 +40,6 @@ def test_resolve_config_fills_defaults():
     cfg = cli.resolve_config(_small_rotation_config())
     assert cfg["grid"]["multiplier"] == 4
     assert cfg["spectra"]["tol"] == 1e-6
-    assert cfg["evaluation"]["steps_per_unit_time"] == 200
     assert cfg["smoothing"] is None
     assert cfg["decomposition"]["n_leading"] == 3
 
@@ -64,12 +63,12 @@ def test_resolved_key_tree_is_the_schema_property_tree():
     cfg = cli.resolve_config(minimal)
     _assert_keys_follow_schema(cfg, cli.SCHEMA)
     assert cfg["smoothing"] is None and cfg["grid"]["points"] is None
-    assert cfg["output"]["formats"] == ["csv", "ppm"]
+    assert cfg["evaluation"]["field_grid"] == [128, 128]
     smoothed = cli.resolve_config({**minimal, "smoothing": {"tau": 0.1, "p": 0.1}})
     _assert_keys_follow_schema(smoothed, cli.SCHEMA)
     # Defaults are copied, never shared with the schema.
-    cfg["output"]["formats"].append("x")
-    assert cli.resolve_config(minimal)["output"]["formats"] == ["csv", "ppm"]
+    cfg["evaluation"]["field_grid"].append(4)
+    assert cli.resolve_config(minimal)["evaluation"]["field_grid"] == [128, 128]
 
 
 # Small evaluation settings of the keys each registered system reads.
@@ -92,12 +91,18 @@ def _minimal_config(name):
     }
 
 
+# Keys that are no longer settable; each exits 2 for every system. Their
+# values are the ones they once defaulted to.
+REMOVED_KEYS = {
+    "output": ("output", {"formats": ["csv", "ppm"]}, "'output'"),
+    "steps": ("evaluation", {"steps_per_unit_time": 200}, "at evaluation: 'steps_per_unit_time'"),
+}
+
+
 @pytest.mark.parametrize(
     "name, section, entry, named",
     [
         ("rotation", "decomposition", {"bin_count": 2}, "'bin_count'"),
-        ("gaussian_vortex", "output", {"formats": ["csv", "json"]}, "'json'"),
-        ("gaussian_vortex", "output", {"formats": ["matrix"]}, "'matrix'"),
         ("torus_translation", "smoothing", {"tau": 0.1, "p": 0.1}, "'smoothing'"),
         ("torus_translation", "spectra", {"tol": 1e-3}, "'spectra'"),
         ("torus_translation", "grid", {"points": [9, 9]}, "at grid: 'points'"),
@@ -105,18 +110,15 @@ def _minimal_config(name):
         ("cyclic_group", "grid", {"multiplier": 9}, "'grid'"),
         ("cyclic_group", "decomposition", {"d_values": [1]}, "'decomposition'"),
         ("rotation", "evaluation", {"field_grid": [8, 8]}, "at evaluation: 'field_grid'"),
-        ("rotation", "evaluation", {"steps_per_unit_time": 50}, "at evaluation: 'steps_per_unit_time'"),
-        ("rotation", "output", {"formats": ["csv"]}, "'output'"),
         ("gaussian_vortex", "evaluation", {"i": 1}, "at evaluation: 'i'"),
         ("stratospheric", "evaluation", {"y_sample_count": 4}, "at evaluation: 'y_sample_count'"),
         ("gaussian_vortex", "smoothing", {"tau": 0.1, "p": 0.1, "rule": "power_law"}, "'rule'"),
         ("stratospheric", "smoothing", {"tau": 0.1, "p": 0.1, "symmetric": False}, "'symmetric'"),
         ("rotation", "spectra", {"sort_target": [1e-10, 0.0]}, "'sort_target'"),
+        *[(name, *removed) for name in SMALL_EVALUATION for removed in REMOVED_KEYS.values()],
     ],
     ids=[
         "bin_count",
-        "formats-json",
-        "formats-matrix",
         "torus-smoothing",
         "torus-spectra",
         "torus-grid-points",
@@ -124,13 +126,12 @@ def _minimal_config(name):
         "cyclic-grid",
         "cyclic-decomposition",
         "rotation-field_grid",
-        "rotation-steps",
-        "rotation-output",
         "vortex-i",
         "stratospheric-y_sample_count",
         "smoothing-rule",
         "smoothing-symmetric",
         "spectra-sort_target",
+        *[f"{name}-{key}" for name in SMALL_EVALUATION for key in REMOVED_KEYS],
     ],
 )
 def test_main_exit_code_on_keys_nothing_reads(name, section, entry, named, tmp_path, capsys):
@@ -281,7 +282,7 @@ def test_main_exit_code_on_a_gtilde_that_is_no_number(system, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert "gtilde must be a number or a function of y" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_main_exit_code_on_wrong_cutoff_count(tmp_path):
@@ -325,7 +326,7 @@ def test_main_exit_code_on_d_larger_than_the_basis(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert "exceeds the basis size 27" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["all", "cocycle-field"])
@@ -354,6 +355,33 @@ def test_every_command_rejects_grid_points_that_do_not_fit_the_cutoffs(command, 
     raw = {**_small_rotation_config(), "grid": {"points": points}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"truncation": {"cutoffs": [3, 3, 3]}}, "system 'rotation' needs 2 cutoffs, got 3"),
+        (
+            {"truncation": {"cutoffs": [1, 1]}, "decomposition": {"d_values": [20]}},
+            "max(d_values + [subspace_rank]) = 20 exceeds the basis size 9",
+        ),
+        ({"smoothing": {"tau": 1000, "p": 1}}, "smoothing tau = 1000, p = 1 underflows 48 of 49 weights to 0"),
+        (
+            {"system": {"name": "rotation", "params": {"alpha": "x"}}},
+            "cannot instantiate system 'rotation': alpha must be a finite real number, got 'x'",
+        ),
+    ],
+    ids=["cutoff-count", "d-above-the-basis", "weights-underflow", "alpha-not-a-number"],
+)
+@pytest.mark.parametrize("command", cli.ALL_STAGES + ("all",))
+def test_every_command_rejects_a_config_before_it_makes_the_directory(command, change, message, tmp_path, capsys):
+    # No stage reads rotation's basis or weights under cocycle-field: its 1-d fiber writes no field.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_small_rotation_config(), **change}))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -398,7 +426,7 @@ def test_main_exit_code_on_discrete_params_that_are_not_positive_integers(system
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert "must be a positive integer" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_main_exit_code_on_unknown_stratospheric_params(tmp_path, capsys):
@@ -411,7 +439,7 @@ def test_main_exit_code_on_unknown_stratospheric_params(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert "unknown stratospheric parameters: bogus, sigmaa" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -424,7 +452,7 @@ def test_main_exit_code_on_stratospheric_wave_lists_of_the_wrong_length(key, val
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
     assert f"stratospheric parameter {key} needs 3 values" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_importing_the_cli_does_not_import_scipy():
@@ -764,7 +792,7 @@ def _small_vortex_config():
         "truncation": {"cutoffs": [2, 2, 2]},
         "smoothing": {"tau": 0.1, "p": 0.1},
         "decomposition": {"d_values": [1, 2], "subspace_rank": 1, "n_leading": 4},
-        "evaluation": {"y": 0.4, "s": 0.1, "field_grid": [16, 16], "steps_per_unit_time": 200},
+        "evaluation": {"y": 0.4, "s": 0.1, "field_grid": [16, 16]},
     }
 
 
@@ -796,7 +824,7 @@ def test_cocycle_fields_match_a_flow_per_d(tmp_path):
     for d in (1, 2):
         q = build_test_vector(vecs, basis, y, d)
         sub = oseledets.restrict_at_base(vecs, basis, ystar, d)
-        targets = systems.flow_fiber(system, y, nodes, s, steps=20)  # round(s * steps_per_unit_time)
+        targets = systems.flow_fiber(system, y, nodes, s, steps=20)  # round(s * RK4_STEPS_PER_UNIT_TIME)
         expected = evaluation_matrix(fib, targets) @ (sub.projection @ q)
         table = np.loadtxt(out / f"field_d{d}.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, :2], nodes)

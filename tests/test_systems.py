@@ -107,6 +107,32 @@ def test_stratospheric_parameters():
     assert p["sigma"] == (-2.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (make_rotation, "alpha"),
+        (make_rotation, "beta"),
+        (make_gaussian_vortex, "kappa"),
+        (make_stratospheric, "L"),
+        (make_stratospheric, "U0"),
+        (make_stratospheric, "c3"),
+    ],
+    ids=["alpha", "beta", "kappa", "L", "U0", "c3"],
+)
+@pytest.mark.parametrize("value", ["x", True, None, float("nan"), 10**400], ids=["str", "bool", "none", "nan", "huge"])
+def test_continuous_parameters_must_be_finite_real_numbers(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("key", ["A", "k", "sigma"])
+def test_stratospheric_wave_entries_must_be_finite_real_numbers(key):
+    values = list(make_stratospheric().parameters[key])
+    values[1] = "x"
+    with pytest.raises(ValueError, match=rf"^{key}\[1\] must be a finite real number, got 'x'"):
+        make_stratospheric(**{key: values})
+
+
 def test_torus_translation_orbit_and_period():
     map_ = make_torus_translation(4)
     orbit = map_.base_orbit(0.3)
