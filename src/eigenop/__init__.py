@@ -18,6 +18,7 @@ __all__ = [
     "cocycle",
     "oracles",
     "ioformats",
+    "ftoa",
     "validation",
     "cli",
 ]

@@ -7,9 +7,14 @@ Every 3 entries are 48 bytes and encode to 64 characters, so the encoder
 passes only the groups with a set bit through base64 and writes 64 'A's
 for each all-zero group; generator documents are mostly such groups.
 The decoder gives back every entry bit for bit, signed zeros included.
-Field CSV: header `z1,z2,re,im`, row-major node order, 17 significant
-digits. Heatmaps: binary PPM (P6) with a symmetric diverging
-scale about zero; the normalization constant lands in a sidecar JSON.
+Field CSV: header `z1,z2,re,im`, row-major node order, each value as
+'%.17g' writes it, a chunk of rows at a time. ftoa builds the text of a
+finite x with 2**-36 <= |x| < 2**51 in numpy from exact integer digits,
+rounded half to even as Python's dtoa rounds; it writes zeros as "0" and
+"-0" and formats any other value on its own with '%.17g'. Heatmaps:
+binary PPM (P6) with a symmetric diverging scale about zero; the
+normalization constant lands in a sidecar JSON. Both field writers raise
+FloatingPointError on a non-finite value before they open the file.
 All writers are deterministic: identical inputs give identical bytes,
 and each returns the sha256 of the bytes it wrote, so no artifact has to
 be read back to be hashed. A matrix document of more than one payload
@@ -26,7 +31,6 @@ import hashlib
 import json
 import threading
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from queue import SimpleQueue
 
@@ -202,22 +206,74 @@ def read_matrix(path) -> dict:
     return doc
 
 
+# Rows formatted and written per chunk of a field CSV.
+_CSV_CHUNK = 2048
+
+
 @lru_cache(maxsize=4)
-def _node_prefixes(grid: Grid) -> tuple[str, ...]:
-    """The "z1,z2," start of every CSV row, formatted once per grid."""
-    nodes = grid.nodes
-    return tuple(map("{:.17g},{:.17g},".format, nodes[:, 0].tolist(), nodes[:, 1].tolist()))
+def _node_prefixes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The "z1,z2," start of every CSV row, once per grid: its bytes,
+    left-aligned in one row per node, and its length. The rows are
+    zero-padded to a multiple of 8 bytes, so that the 8-byte words of the
+    value text that follows them in a chunk are aligned.
+
+    Node (i, j) is the i-th value of the first axis and the j-th of the
+    second, so only the two axes are formatted.
+    """
+    from . import ftoa
+
+    n1, n2 = grid.points
+    text, keep = np.empty((n1 + n2, 1, ftoa.WIDTH), np.uint8), np.empty((n1 + n2, 1, ftoa.WIDTH), bool)
+    ftoa.format_columns(np.concatenate(grid.axes)[:, None], b",", text, keep)
+    length = keep.sum(axis=(1, 2))
+    left = np.zeros((n1 + n2, ftoa.WIDTH), np.uint8)
+    left[np.arange(ftoa.WIDTH) < length[:, None]] = text[keep]
+    first, second = length[:n1], length[n1:]
+    prefixes = np.zeros((n1, n2, -(-(first.max() + second.max()) // 8) * 8), np.uint8)
+    for end in np.unique(first):  # where the second coordinate starts
+        rows = first == end
+        prefixes[rows, :, :end] = left[:n1][rows, None, :end]
+        prefixes[rows, :, end : end + second.max()] = left[n1:, : second.max()]
+    return prefixes.reshape(n1 * n2, -1), (first[:, None] + second).ravel().astype(np.uint8)
+
+
+def _check_finite(sample: FieldSample, path):
+    if not np.isfinite(sample.values).all():
+        raise FloatingPointError(f"cannot write {Path(path).name}: the field has a non-finite value")
 
 
 def write_field_csv(path, sample: FieldSample) -> str:
-    """Two fiber coordinates per row; row-major over the grid."""
+    """Two fiber coordinates per row; row-major over the grid.
+
+    Each chunk of rows is one byte matrix, the cached coordinate prefix
+    beside the two value texts, compacted by one mask.
+    """
+    from . import ftoa  # on the first field written, see its docstring
+
     if sample.grid.ndim != 2:
         raise ValueError("field CSV export requires a 2-d fiber grid")
-    vals = sample.values.ravel()
-    prefixes = _node_prefixes(sample.grid)
-    # One %-format over every row; "%.17g" gives the same text as "{:.17g}".
-    cells = tuple(chain.from_iterable(zip(prefixes, vals.real.tolist(), vals.imag.tolist())))
-    return _write(path, [("z1,z2,re,im\n" + "%s%.17g,%.17g\n" * len(prefixes) % cells).encode("ascii")])
+    _check_finite(sample, path)
+    pairs = np.ascontiguousarray(sample.values).reshape(-1, 1).view(float)
+    prefixes, lengths = _node_prefixes(sample.grid)
+    width = prefixes.shape[1]
+    starts = np.arange(width) < np.arange(width + 1)[:, None]  # row n keeps the first n bytes
+
+    def chunks():
+        yield b"z1,z2,re,im\n"
+        # One byte matrix and mask, refilled for each chunk of rows.
+        text = np.empty((min(_CSV_CHUNK, len(pairs)), width + 2 * ftoa.WIDTH), np.uint8)
+        keep = np.empty(text.shape, bool)
+        for start in range(0, len(pairs), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            count = len(lengths[rows])
+            text[:count, :width] = prefixes[rows]
+            np.take(starts, lengths[rows], axis=0, out=keep[:count, :width], mode="clip")
+            # Views: splitting the contiguous last axis needs no copy.
+            values = (text[:count, width:].reshape(count, 2, ftoa.WIDTH), keep[:count, width:].reshape(count, 2, ftoa.WIDTH))
+            ftoa.format_columns(pairs[rows], b",\n", *values)
+            yield memoryview(text[:count][keep[:count]])
+
+    return _write(path, chunks())
 
 
 def _diverging_rgb(t: np.ndarray) -> np.ndarray:
@@ -239,6 +295,7 @@ def write_heatmap_ppm(path, sample: FieldSample) -> tuple[str, str]:
     """
     if sample.grid.ndim != 2:
         raise ValueError("heatmap export requires a 2-d fiber grid")
+    _check_finite(sample, path)
     data = sample.values.real
     vmax = float(np.max(np.abs(data)))
     scale = vmax if vmax > 0 else 1.0

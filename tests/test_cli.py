@@ -13,7 +13,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from eigenop import cli, eigenoperator, ioformats, oseledets, systems
-from eigenop.basis import Grid, TruncatedBasis, evaluation_matrix
+from eigenop.basis import FieldSample, Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
 from eigenop.spectra import COUPLING_RTOL, eig_matrix
@@ -1135,6 +1135,24 @@ def test_eigenop_stage_surfaces_numerical_failures(tmp_path, monkeypatch):
     path.write_text(json.dumps(_small_discrete_config()))
     code = cli.main(["all", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL
+
+
+def test_a_non_finite_field_exits_3_and_no_manifest_lists_a_field(tmp_path, monkeypatch, capsys):
+    original = cli.hatw_field
+
+    def nan_field(*args):
+        field = original(*args)
+        return FieldSample(field.grid, np.full(field.grid.shape, np.nan))
+
+    monkeypatch.setattr(cli, "hatw_field", nan_field)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_vortex_config()))
+    out = tmp_path / "out"
+    assert cli.main(["cocycle-field", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(out.glob("field_*"))
+    manifest = out / "manifest.json"
+    assert not manifest.exists() or not any(name.startswith("field_") for name in json.loads(manifest.read_text())["outputs"])
 
 
 def test_main_exits_3_when_the_dropped_coupling_bound_breaks_the_contract(tmp_path, monkeypatch, capsys):

@@ -5,8 +5,11 @@ import errno
 import hashlib
 import io
 import json
+import math
+import struct
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +345,137 @@ def test_field_csv_matches_the_row_at_a_time_reference(tmp_path):
         write_field_csv(tmp_path / f"new{k}.csv", sample)
         _reference_write_field_csv(tmp_path / f"old{k}.csv", sample)
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes(), k
+
+
+def _assert_field_csv_is_the_reference(tmp_path, values, shape):
+    sample = FieldSample(Grid(shape), np.asarray(values, dtype=float).view(complex).reshape(shape))
+    digest = write_field_csv(tmp_path / "new.csv", sample)
+    _reference_write_field_csv(tmp_path / "ref.csv", sample)
+    raw = (tmp_path / "new.csv").read_bytes()
+    assert raw.decode() == (tmp_path / "ref.csv").read_text()
+    assert digest == hashlib.sha256(raw).hexdigest()
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Any finite double, subnormals and signed zeros included; doubles of random
+# bit patterns, most of them outside the integer kernel's range; and doubles
+# inside it, 2**-36 <= |x| < 2**51.
+_FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.builds(math.copysign, st.floats(2.0**-36, 2.0**51, exclude_max=True), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.sampled_from([None, 1, 3]), st.data())
+def test_field_csv_matches_the_reference_for_any_finite_values(tmp_path_factory, n1, n2, chunk, data):
+    values = data.draw(st.lists(_FINITE_DOUBLES, min_size=2 * n1 * n2, max_size=2 * n1 * n2))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(ioformats, "_CSV_CHUNK", chunk)
+        _assert_field_csv_is_the_reference(tmp_path_factory.mktemp("f"), values, (n1, n2))
+
+
+def _csv_values(path):
+    return [line.split(",")[2:] for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # Exact ties at the 17th digit round half to even, as Python's dtoa does.
+        (123456789012345.625, "123456789012345.62"),
+        (123456789012345.875, "123456789012345.88"),
+        # Fixed notation from 1e-4 up to 1e17, exponent notation outside.
+        (9.9999999999999995e-05, "9.9999999999999991e-05"),
+        (1e-4, "0.0001"),
+        (1e-5, "1.0000000000000001e-05"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        # Three-digit exponents.
+        (1e-100, "1e-100"),
+        (1e200, "9.9999999999999997e+199"),
+        (5e-324, "4.9406564584124654e-324"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        # The edges of the integer kernel's range.
+        (2.0**-36, "1.4551915228366852e-11"),
+        (math.nextafter(2.0**-36, 0), "1.455191522836685e-11"),
+        (2.0**51, "2251799813685248"),
+        (math.nextafter(2.0**51, 0), "2251799813685247.8"),
+        (-0.0, "-0"),
+        (0.1, "0.10000000000000001"),
+    ],
+)
+def test_field_csv_writes_the_percent_g_text(tmp_path, value, text):
+    values = [value, -value] * 4
+    write_field_csv(tmp_path / "f.csv", FieldSample(Grid((2, 2)), np.array(values).view(complex).reshape(2, 2)))
+    assert "%.17g" % value == text
+    assert _csv_values(tmp_path / "f.csv") == [[text, "%.17g" % -value]] * 4
+
+
+def test_field_csv_rounds_every_kind_of_tie_half_to_even(tmp_path):
+    # q / 2**j with q odd and q * 5**j of 18 digits lies exactly halfway
+    # between two 17-digit decimals; j from 2 to 25 spans 1e-8 to 2e15.
+    rng = np.random.default_rng(11)
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        if low < high:
+            ties.extend(np.ldexp((rng.integers(low, high, 64) | 1).astype(float), -j))
+    assert all(Fraction(t) * 10 ** (16 - math.floor(math.log10(t))) % 1 == Fraction(1, 2) for t in ties)
+    values = np.concatenate([ties, -np.array(ties)])
+    _assert_field_csv_is_the_reference(tmp_path, values, (len(values) // 4, 2))
+
+
+def test_no_double_in_the_kernel_range_rounds_up_to_a_power_of_ten():
+    # The kernel keeps 17 digits without a carry: the largest double below
+    # each power of 10 in its range is more than half a 17th-digit unit below it.
+    for j in range(-11, 17):
+        power = Fraction(10) ** j
+        below = float(power) if Fraction(float(power)) < power else math.nextafter(float(power), 0)
+        assert power - Fraction(below) > Fraction(10) ** (j - 17) / 2
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (129, 3), (683, 3)])
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_field_csv_of_a_grid_that_is_no_multiple_of_the_chunk(tmp_path, monkeypatch, shape, chunk):
+    # (683, 3) is 2049 rows: one whole chunk of 2048 and one of a single row.
+    if chunk is not None:
+        monkeypatch.setattr(ioformats, "_CSV_CHUNK", chunk)
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(2 * shape[0] * shape[1]) * 10.0 ** rng.integers(-20, 20, 2 * shape[0] * shape[1])
+    _assert_field_csv_is_the_reference(tmp_path, values, shape)
+
+
+def test_writing_a_field_csv_holds_a_few_row_chunks_in_memory(tmp_path):
+    rng = np.random.default_rng(5)
+    sample = FieldSample(Grid((128, 128)), rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+    # The grid's coordinate prefixes are cached by the first field, as in a
+    # run that writes one field per d.
+    write_field_csv(tmp_path / "first.csv", sample)
+    tracemalloc.start()
+    try:
+        write_field_csv(tmp_path / "f.csv", sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The file is about 1.3 MB; as one str and its encoding it would take 3.7 MB.
+    assert (tmp_path / "f.csv").stat().st_size > 1 << 20
+    assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("writer", [write_field_csv, write_heatmap_ppm])
+def test_a_non_finite_field_raises_before_any_file_is_opened(tmp_path, writer, bad):
+    values = np.ones((4, 5), dtype=complex)
+    values[2, 3] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        writer(tmp_path / "field", FieldSample(Grid((4, 5)), values))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_field_csv_requires_two_dims(tmp_path):
