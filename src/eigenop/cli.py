@@ -2,17 +2,20 @@
 
 Subcommands run individual pipeline stages (assemble, eig, oseledets,
 eigenop, cocycle-field), the whole pipeline (all), or the acceptance
-suite (validate). Configs are JSON, schema-checked with unknown keys
-rejected, and with them every key the named system never reads; every
-omitted default is resolved before anything runs and recorded in the
-output manifest; every command checks the system, the basis and the
-smoothing weights (none may underflow to 0) before it makes the output
-directory. Reruns of the same config produce byte-identical artifacts.
-The stage is the only unit of reuse: a rerun into the same directory,
-for the same config, versions, package source and BLAS thread settings,
-keeps each stage record whose files are unchanged. Its stage is not run,
-and a stage that does run reads the leading vectors back from a kept
-eig record instead of solving.
+suite (validate). Configs are JSON, checked against two tables: SCHEMA,
+each key's type, bound and default, and READS, the keys each registered
+system reads. An undeclared key, a key the named system never reads, an
+unregistered system, a wrong type (an integer key takes no float, 1.0
+included, and a bool is no number), a value out of bounds and a list of
+the wrong length are rejected. Every omitted default is resolved before
+anything runs and recorded in the output manifest; every command checks
+the system, the basis and the smoothing weights (none may underflow to 0)
+before it makes the output directory. Reruns of the same config produce
+byte-identical artifacts. The stage is the only unit of reuse: a rerun
+into the same directory, for the same config, versions, package source
+and BLAS thread settings, keeps each stage record whose files are
+unchanged. Its stage is not run, and a stage that does run reads the
+leading vectors back from a kept eig record instead of solving.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__
 from .basis import Grid, TruncatedBasis, default_grid
@@ -58,148 +59,118 @@ EXIT_IO = 4
 ALL_STAGES = ("assemble", "eig", "oseledets", "eigenop", "cocycle-field")
 
 
-def _reads(names: list[str], sections: list[str], **keys: list[str]) -> dict:
-    """The rule that a config naming a system in names sets only the given sections and keys.
+# The default of a key that a config must set.
+REQUIRED = object()
 
-    keys maps a section to the only keys it may hold. A config without a
-    system name matches no rule, so its error names the missing key.
-    """
-    return {
-        "if": {
-            "required": ["system"],
-            "properties": {"system": {"required": ["name"], "properties": {"name": {"enum": names}}}},
-        },
-        "then": {
-            "propertyNames": {"enum": sections},
-            "properties": {section: {"propertyNames": {"enum": listed}} for section, listed in keys.items()},
-        },
-    }
-
-
-# Every section of SCHEMA: a continuous system reads some key of each.
-CONTINUOUS_SECTIONS = ["system", "truncation", "grid", "smoothing", "spectra", "decomposition", "evaluation"]
-
+# section -> key -> (type, bound, default). A type is int, float, str or dict,
+# or (list, entry type, least length, greatest length); bool is neither int
+# nor float, and a float key takes an int too. A bound (">", x) or (">=", x)
+# holds of a number and of each entry of a list. An absent key resolves to a
+# deep copy of its default; an absent section resolves to its defaults, except
+# smoothing, which resolves to null (no smoothing).
 SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system", "truncation"],
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object", "default": {}},
-            },
-        },
-        "truncation": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["cutoffs"],
-            "properties": {
-                "cutoffs": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "multiplier": {"type": "integer", "minimum": 1, "default": 4},
-                "points": {"type": "array", "items": {"type": "integer", "minimum": 3}, "default": None},
-            },
-        },
-        "smoothing": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["tau", "p"],
-            "default": None,
-            "properties": {
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "p": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "spectra": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
-            },
-        },
-        "decomposition": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d_values": {"type": "array", "items": {"type": "integer", "minimum": 1}, "default": [1]},
-                "subspace_rank": {"type": "integer", "minimum": 1, "default": 1},
-                "n_leading": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "description": "default and minimum: max(d_values + [subspace_rank])",
-                },
-            },
-        },
-        "evaluation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "y": {"type": "number", "default": 0.0},
-                "s": {"type": "number", "default": 0.0},
-                "i": {"type": "integer", "default": 1},
-                "y_sample_count": {"type": "integer", "minimum": 1, "default": 64},
-                "field_grid": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 4},
-                    "minItems": 2,
-                    "maxItems": 2,
-                    "default": [128, 128],
-                },
-            },
-        },
+    "system": {"name": (str, None, REQUIRED), "params": (dict, None, {})},
+    "truncation": {"cutoffs": ((list, int, 1, math.inf), (">=", 1), REQUIRED)},
+    "grid": {"multiplier": (int, (">=", 1), 4), "points": ((list, int, 0, math.inf), (">=", 3), None)},
+    "smoothing": {"tau": (float, (">", 0), REQUIRED), "p": (float, (">", 0), REQUIRED)},
+    "spectra": {"tol": (float, (">", 0), 1e-6)},
+    "decomposition": {
+        "d_values": ((list, int, 0, math.inf), (">=", 1), [1]),
+        "subspace_rank": (int, (">=", 1), 1),
+        # None resolves to max(d_values + [subspace_rank]), which is also its minimum.
+        "n_leading": (int, (">=", 1), None),
     },
-    # The keys each registered system reads: a config naming it may set no
-    # other. A torus map builds its fiber grid from the multiplier alone, and
-    # rotation's 1-d fiber writes no field. cyclic_group reads no cutoff and
-    # torus_translation no base cutoff; both stay accepted while the
-    # benchmark's configs pass them.
-    "allOf": [
-        _reads(["cyclic_group"], ["system", "truncation", "evaluation"], evaluation=["y", "i", "y_sample_count"]),
-        _reads(
-            ["torus_translation"],
-            ["system", "truncation", "grid", "evaluation"],
-            grid=["multiplier"],
-            evaluation=["y", "i", "y_sample_count"],
-        ),
-        _reads(["rotation"], CONTINUOUS_SECTIONS, evaluation=["y", "s"]),
-        _reads(["gaussian_vortex", "stratospheric"], CONTINUOUS_SECTIONS, evaluation=["y", "s", "field_grid"]),
-    ],
+    "evaluation": {
+        "y": (float, None, 0.0),
+        "s": (float, None, 0.0),
+        "i": (int, None, 1),
+        "y_sample_count": (int, (">=", 1), 64),
+        "field_grid": ((list, int, 2, 2), (">=", 4), [128, 128]),
+    },
 }
 
+# The sections and keys each registered system reads: a config naming it may
+# set no other. A continuous system reads every key but some of evaluation's.
+# A torus map builds its fiber grid from the multiplier alone, and rotation's
+# 1-d fiber writes no field. cyclic_group reads no cutoff and torus_translation
+# no base cutoff; both stay accepted while the benchmark's configs pass them.
+_EVERY_KEY = {section: tuple(keys) for section, keys in SCHEMA.items()}
+_DISCRETE = {"system": _EVERY_KEY["system"], "truncation": _EVERY_KEY["truncation"]}
+READS = {
+    "cyclic_group": {**_DISCRETE, "evaluation": ("y", "i", "y_sample_count")},
+    "torus_translation": {**_DISCRETE, "grid": ("multiplier",), "evaluation": ("y", "i", "y_sample_count")},
+    "rotation": {**_EVERY_KEY, "evaluation": ("y", "s")},
+    "gaussian_vortex": {**_EVERY_KEY, "evaluation": ("y", "s", "field_grid")},
+    "stratospheric": {**_EVERY_KEY, "evaluation": ("y", "s", "field_grid")},
+}
 
-# SCHEMA is a constant, so it is checked against its metaschema by the
-# tests rather than on every resolve.
-SCHEMA_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+_JSON_TYPES = {int: "integer", float: "number", str: "string", dict: "object", list: "array"}
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _fill_defaults(schema: dict, value):
-    """A deep copy of value with every absent property set to its schema default.
+def _violation(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config schema violation{f' at {path}' if path else ''}: {message}")
 
-    An absent key without a "default" resolves to None, except a section,
-    which is filled from {}.
+
+def _check_value(path: str, value, kind, bound):
+    """Raise the violation of the first entry of value that is not of kind or breaks bound."""
+    if isinstance(kind, tuple):
+        _, entry, least, most = kind
+        _check_value(path, value, list, None)
+        if not least <= len(value) <= most:
+            needs = f"exactly {least}" if least == most else f"at least {least}"
+            raise _violation(path, f"{value!r} has {len(value)} entries, needs {needs}")
+        for index, item in enumerate(value):
+            _check_value(f"{path}.{index}", item, entry, bound)
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise _violation(path, f"{value!r} is not of type {_JSON_TYPES[kind]!r}")
+    if bound is not None and not (value > bound[1] if bound[0] == ">" else value >= bound[1]):
+        raise _violation(path, f"{value!r} is not {bound[0]} {bound[1]}")
+
+
+def _checked(raw: dict) -> dict:
+    """raw with every default filled in, as deep copies, if SCHEMA and READS admit it.
+
+    The system section is checked first, since what else a config may set
+    depends on its system's name.
     """
-    if "properties" not in schema:
-        return deepcopy(value)
-    filled = {}
-    for key, sub in schema["properties"].items():
-        if key in value or ("properties" in sub and "default" not in sub):
-            filled[key] = _fill_defaults(sub, value.get(key, {}))
-        else:
-            filled[key] = deepcopy(sub.get("default"))
-    return filled
+    for section in raw:
+        if section not in SCHEMA:
+            raise _violation("", f"{section!r} is not a declared section")
+    cfg, name, reads = {}, None, None
+    for section, keys in SCHEMA.items():
+        if section in raw:
+            if reads is not None and section not in reads:
+                raise _violation("", f"{section!r} is not read by system {name!r}")
+            _check_value(section, raw[section], dict, None)
+        elif section == "smoothing":
+            cfg[section] = None
+            continue
+        elif any(default is REQUIRED for *_, default in keys.values()):
+            raise _violation("", f"{section!r} is a required property")
+        value = raw.get(section, {})
+        for key in value:
+            if key not in keys:
+                raise _violation(section, f"{key!r} is not a declared key")
+            if reads is not None and key not in reads[section]:
+                raise _violation(section, f"{key!r} is not read by system {name!r}")
+        cfg[section] = {}
+        for key, (kind, bound, default) in keys.items():
+            if key in value:
+                _check_value(f"{section}.{key}", value[key], kind, bound)
+            elif default is REQUIRED:
+                raise _violation(section, f"{key!r} is a required property")
+            cfg[section][key] = deepcopy(value.get(key, default))
+        if section == "system":
+            name = cfg["system"]["name"]
+            if name not in READS:
+                raise _violation("system.name", f"{name!r} is not a registered system: {', '.join(READS)}")
+            reads = READS[name]
+    return cfg
 
 
 def _non_finite_path(value, path: str = "config") -> str | None:
@@ -216,15 +187,11 @@ def _non_finite_path(value, path: str = "config") -> str | None:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate against the schema and fill in every default."""
+    """Check raw against SCHEMA, READS and the cross-key rules, and fill in every default."""
     where = _non_finite_path(raw)
     if where is not None:
         raise ConfigError(f"{where} is not a finite float")
-    error = best_match(SCHEMA_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        at = f" at {'.'.join(map(str, error.absolute_path))}" if error.absolute_path else ""
-        raise ConfigError(f"config schema violation{at}: {error.message}")
-    cfg = _fill_defaults(SCHEMA, raw)
+    cfg = _checked(raw)
     dec = cfg["decomposition"]
     needed = max(dec["d_values"] + [dec["subspace_rank"]])
     if dec["n_leading"] is None:

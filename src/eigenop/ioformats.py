@@ -51,12 +51,17 @@ def sha256_of(obj) -> str:
 
 
 def _sha256_chunks(chunks, sink=None) -> str:
-    """sha256 of the concatenated byte chunks, each passed on to sink when given."""
+    """sha256 of the concatenated byte chunks, each passed on to sink when given.
+
+    Each chunk is let go before the next is asked for, so a generator of
+    chunks holds only the one it builds.
+    """
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
         if sink is not None:
             sink(chunk)
+        del chunk
     return digest.hexdigest()
 
 

@@ -9,6 +9,7 @@ import math
 import struct
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,8 +312,8 @@ def test_a_failed_write_raises_and_ends_the_helper(tmp_path, monkeypatch, entrie
 
 def test_single_chunk_writes_start_no_thread(tmp_path, monkeypatch):
     # A 240 x 240 matrix is one payload chunk of 1.2 MB, and a 128 x 128
-    # field CSV, the bundled field_grid, is one chunk of about 1.5 MB: no
-    # next chunk is built while either would be hashed.
+    # field CSV, the bundled field_grid, is 8 chunks of 2048 rows, each
+    # hashed on the writing thread before the next is built.
     started = _record_thread_starts(monkeypatch)
     frame = _fill("dense", (240, 240), np.random.default_rng(1))
     write_matrix(tmp_path / "frame.json", frame, {"kind": "test"}, {"columns": 240}, "projection", {})
@@ -322,6 +323,26 @@ def test_single_chunk_writes_start_no_thread(tmp_path, monkeypatch):
     write_heatmap_ppm(tmp_path / "field.ppm", sample)
     assert started == []
     assert min((tmp_path / name).stat().st_size for name in ("frame.json", "field.csv")) > 1 << 20
+
+
+def test_a_written_chunk_is_let_go_before_the_next_is_built(tmp_path):
+    released = []
+    refs = []
+
+    def build(k):
+        chunk = np.full(1000, k, np.uint8)
+        refs.append(weakref.ref(chunk))
+        return chunk
+
+    def chunks():
+        for k in range(4):
+            released.append(all(ref() is None for ref in refs))
+            yield build(k)  # the generator keeps no reference to what it yields
+
+    digest = ioformats._write(tmp_path / "chunks.bin", chunks())
+    expected = b"".join(bytes([k]) * 1000 for k in range(4))
+    assert released == [True] * 4
+    assert (tmp_path / "chunks.bin").read_bytes() == expected and digest == hashlib.sha256(expected).hexdigest()
 
 
 def _reference_write_field_csv(path, sample):
