@@ -168,19 +168,6 @@ class FieldSample:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.weight))
 
 
-def analyze(sample: FieldSample, basis: TruncatedBasis) -> np.ndarray:
-    """Quadrature Fourier coefficients of a grid sample, one per basis mode.
-
-    Exact for trigonometric polynomials within the grid's alias-free band.
-    """
-    sample.grid.check_no_aliasing(basis)
-    spec = np.fft.fftn(sample.values) / sample.grid.size
-    idx = tuple(
-        np.mod(basis.modes[:, d], sample.grid.points[d]) for d in range(basis.ndim)
-    )
-    return np.ascontiguousarray(spec[idx])
-
-
 def synthesize(coeffs: np.ndarray, basis: TruncatedBasis, grid: Grid) -> FieldSample:
     """Pointwise sum of coefficient-weighted modes on the grid."""
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -201,9 +188,3 @@ def evaluation_matrix(basis: TruncatedBasis, points: np.ndarray) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return np.exp(1j * (points @ basis.modes.T.astype(float)))
-
-
-def sample_function(fn, grid: Grid) -> FieldSample:
-    """Sample fn(points) -> values on the grid (fn takes an (n, D) array)."""
-    vals = np.asarray(fn(grid.nodes), dtype=complex)
-    return FieldSample(grid, vals.reshape(grid.shape))

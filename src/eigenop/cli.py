@@ -334,9 +334,17 @@ class PipelineContext:
         cached = None if "sorted_spectrum" in vars(self) else self._load_cached()
         return self.sorted_spectrum.eigenvectors if cached is None else cached
 
+    @cached_property
+    def fiber_basis(self) -> TruncatedBasis:
+        return self.basis.fiber_subbasis()
+
+    @cached_property
+    def fiber_grid(self) -> Grid:
+        """A torus map's fiber grid, from the multiplier alone."""
+        return default_grid(self.fiber_basis, self.config["grid"]["multiplier"])
+
     def periodic_setup_at(self, y: float) -> PeriodicSetup:
-        fib = self.basis.fiber_subbasis()
-        return periodic_setup(self.system, y, fib, default_grid(fib, self.config["grid"]["multiplier"]))
+        return periodic_setup(self.system, y, self.fiber_basis, self.fiber_grid)
 
     @cached_property
     def periodic_setup(self) -> PeriodicSetup:
@@ -432,15 +440,9 @@ def stage_oseledets(ctx: PipelineContext) -> dict[str, str]:
         y = float(ctx.config["evaluation"]["y"])
         for d in ctx.config["decomposition"]["d_values"]:
             sub = restrict_at_base(ctx.leading_vectors, ctx.basis, y, d)
-            fname = f"subspace_d{d}.matrix.json"
-            written[fname] = write_matrix(
-                ctx.out / fname,
-                sub.frame,
-                ctx.basis.fiber_subbasis().describe(),
-                {"columns": sub.dim},
-                "projection",
-                {"y": y, "effective_rank": sub.dim, "requested": d},
-            )
+            fname, meta = f"subspace_d{d}.matrix.json", {"y": y, "effective_rank": sub.dim, "requested": d}
+            desc = ctx.fiber_basis.describe()
+            written[fname] = write_matrix(ctx.out / fname, sub.frame, desc, {"columns": sub.dim}, "projection", meta)
         return written
     setup = ctx.periodic_setup
     n = ctx.system.base_period
@@ -451,24 +453,14 @@ def stage_oseledets(ctx: PipelineContext) -> dict[str, str]:
         "equivariance_residuals": [],
     }
     for bi, family in enumerate(setup.families):
-        worst = 0.0
-        for m in range(n):
-            worst = max(worst, equivariance_residual(family[(m + 1) % n], family[m], setup.transfers[m]))
-        report["equivariance_residuals"].append(worst)
+        residuals = (equivariance_residual(family[(m + 1) % n], family[m], setup.transfers[m]) for m in range(n))
+        report["equivariance_residuals"].append(max(0.0, *residuals))
         for m, sub in enumerate(family):
             fname = f"subspace_bin{bi}_orbit{m}.matrix.json"
-            if ctx.system.fiber_kind == "torus":
-                desc = ctx.basis.fiber_subbasis().describe()
-            else:
-                desc = {"kind": "cyclic-delta", "size": int(sub.frame.shape[0])}
-            written[fname] = write_matrix(
-                ctx.out / fname,
-                sub.frame,
-                desc,
-                {"columns": sub.dim},
-                "projection",
-                {"y": sub.y, "bin": setup.bins[bi].describe(), "orbit_index": m},
-            )
+            meta = {"y": sub.y, "bin": setup.bins[bi].describe(), "orbit_index": m}
+            torus = ctx.system.fiber_kind == "torus"
+            desc = ctx.fiber_basis.describe() if torus else {"kind": "cyclic-delta", "size": int(sub.frame.shape[0])}
+            written[fname] = write_matrix(ctx.out / fname, sub.frame, desc, {"columns": sub.dim}, "projection", meta)
     written["bins.json"] = write_json(ctx.out / "bins.json", report)
     return written
 
@@ -513,11 +505,9 @@ def stage_cocycle_field(ctx: PipelineContext) -> dict[str, str]:
     ev = ctx.config["evaluation"]
     y, s = float(ev["y"]), float(ev["s"])
     ystar = ctx.system.advanced_base_point(s, y)
-    fib = ctx.basis.fiber_subbasis()
-    fgrid = Grid(tuple(ev["field_grid"]))
     written = {}
     # The time-s flow from y is the same for every d.
-    w = continuous_w(ctx.system, y, s, fib, fgrid)
+    w = continuous_w(ctx.system, y, s, ctx.fiber_basis, Grid(tuple(ev["field_grid"])))
     for d in ctx.config["decomposition"]["d_values"]:
         q = build_test_vector(ctx.leading_vectors, ctx.basis, y, d)
         sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
@@ -590,7 +580,9 @@ def cmd_validate(args) -> int:
     return 0 if summary["all_passed"] else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on the first main call: building it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="eigenop",
         description="Spectral decomposition of skew-product dynamical systems",
@@ -602,7 +594,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory")
     pv = sub.add_parser("validate", help="run the full closed-form acceptance suite")
     pv.add_argument("--out", default=None, help="directory for the JSON summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         return cmd_validate(args)

@@ -201,12 +201,13 @@ def discrete_eigenoperator_spectrum(setups, i: int, bin_count: int) -> list[dict
     """Per-bin aggregated spectra of the frame-compressed multipliers over y samples.
 
     setups yields one PeriodicSetup per y-sample and is read lazily, one
-    setup at a time. The setup's transfers[i mod n] is the transfer at
-    h^i(y); each setup updates every bin's aggregate, and bin b takes the
-    setup's family min(b, count - 1). The compression maps the subspace
-    at h^{i+1}(y) into the one at h^i(y). A bin whose subspace dimension
-    drifts across samples gets an {"i", "error"} entry and stops
-    aggregating; no further setup is read once every bin has one.
+    setup at a time. Of each, only transfers[i mod n], the transfer at
+    h^i(y), and the frames at h^i(y) and h^{i+1}(y) are read; bin b takes
+    the setup's bin min(b, count - 1), and the compression maps its
+    subspace at h^{i+1}(y) into the one at h^i(y). Bins of one dimension
+    are compressed and solved as one stack. A bin whose dimension drifts
+    across samples gets an {"i", "error"} entry and stops aggregating; no
+    further setup is read once every bin has one.
     """
     per_sample: list[list[np.ndarray]] = [[] for _ in range(bin_count)]
     dims: list = [None] * bin_count
@@ -215,21 +216,22 @@ def discrete_eigenoperator_spectrum(setups, i: int, bin_count: int) -> list[dict
     for setup in setups:
         y_samples.append(setup.y)
         n = len(setup.transfers)
-        U = setup.transfers[i % n]
-        fams = setup.families
+        U, frames = setup.transfers[i % n], setup.frames((i % n, (i + 1) % n))
+        groups: dict[int, list] = {}
         for b in range(bin_count):
             if b in errors:
                 continue
-            family = fams[min(b, len(fams) - 1)]
-            sub_w = family[i % n]
-            sub_hw = family[(i + 1) % n]
-            if dims[b] is None:
-                dims[b] = sub_w.dim
-            if sub_w.dim != dims[b] or sub_hw.dim != dims[b]:
-                errors[b] = f"subspace dimension varies across samples ({sub_w.dim} vs {dims[b]})"
+            F_w, F_hw = frames[min(b, len(frames) - 1)]
+            dims[b] = F_w.shape[1] if dims[b] is None else dims[b]
+            if F_w.shape[1] != dims[b] or F_hw.shape[1] != dims[b]:
+                errors[b] = f"subspace dimension varies across samples ({F_w.shape[1]} vs {dims[b]})"
                 continue
-            C = sub_w.frame.conj().T @ U @ sub_hw.frame
-            per_sample[b].append(np.linalg.eigvals(C))
+            groups.setdefault(dims[b], []).append((b, F_w, F_hw))
+        for group in groups.values():
+            members, F_w, F_hw = zip(*group)
+            C = np.stack(F_w).conj().transpose(0, 2, 1) @ U @ np.stack(F_hw)
+            for b, values in zip(members, np.linalg.eigvals(C)):
+                per_sample[b].append(values)
         if len(errors) == bin_count:
             break
     return [

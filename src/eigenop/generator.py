@@ -24,7 +24,7 @@ every other dense matrix, are plain arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -280,12 +280,17 @@ def assemble_fiber_koopman(
     if map_.fiber_kind != "torus":
         raise ValueError("grid-based fiber Koopman requires a torus fiber")
     fiber_grid.check_no_aliasing(fiber_basis)
-    nodes = fiber_grid.nodes
-    targets = np.atleast_2d(map_.fiber_map(y, nodes))
     # Row m': quadrature of conj(mode_m') * e^{i m.targets} over nodes.
-    phases = evaluation_matrix(fiber_basis, targets)  # (nodes, N)
-    conj_rows = np.exp(-1j * (nodes @ fiber_basis.modes.T.astype(float)))  # (nodes, N)
-    return (conj_rows.T @ phases) * fiber_grid.weight
+    phases = evaluation_matrix(fiber_basis, np.atleast_2d(map_.fiber_map(y, fiber_grid.nodes)))  # (nodes, N)
+    return (_conjugate_mode_rows(fiber_basis, fiber_grid).T @ phases) * fiber_grid.weight
+
+
+@lru_cache(maxsize=1)
+def _conjugate_mode_rows(fiber_basis: TruncatedBasis, fiber_grid: Grid) -> np.ndarray:
+    """(nodes, N) conjugate modes at the grid nodes. They do not depend on y, and one entry keeps a run's."""
+    rows = np.exp(-1j * (fiber_grid.nodes @ fiber_basis.modes.T.astype(float)))
+    rows.setflags(write=False)
+    return rows
 
 
 def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:
@@ -294,10 +299,8 @@ def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:
         raise ValueError("cyclic fiber required")
     m = map_.fiber_size
     U = np.zeros((m, m), dtype=complex)
-    for w in range(m):
-        target = int(map_.fiber_map(y, w))
-        # (U f)(w) = f(g(y, w)) in the delta basis.
-        U[w, target] = 1.0
+    # (U f)(w) = f(g(y, w)) in the delta basis.
+    U[np.arange(m), map_.fiber_map(y, np.arange(m))] = 1.0
     return U
 
 

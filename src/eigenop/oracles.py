@@ -1,9 +1,9 @@
 """Closed-form reference values used as ground truth by the test suites.
 
 Everything here is analytic: elementary functions, finite group algebra,
-and exact representation theory for the shipped groups (cyclic groups
-and the symmetric group on three letters). No numerics beyond dense
-linear algebra on tiny matrices.
+and exact representation theory for the shipped group, the symmetric
+group on three letters. No numerics beyond dense linear algebra on tiny
+matrices.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ class GroupTable:
             and worst < 1e-12
         )
         return checks
-
-
-def cyclic_group_table(m: int) -> GroupTable:
-    """Z_m with its m characters."""
-    elements = tuple(range(m))
-    product = {(a, b): (a + b) % m for a in elements for b in elements}
-    inverse = {a: (-a) % m for a in elements}
-    irreps = {}
-    for chi in range(m):
-        mats = {a: np.array([[np.exp(2j * np.pi * chi * a / m)]]) for a in elements}
-        irreps[f"chi{chi}"] = (1, mats)
-    return GroupTable(elements, product, inverse, 0, irreps)
 
 
 def s3_table() -> GroupTable:

@@ -10,14 +10,16 @@ diagonalized once: the n-th roots of its eigenvalues give the isolating
 bins, and its eigenvectors, carried backward along the orbit, give an
 equivariant subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition at a base point: orbit,
-transfers, the one monodromy eigensolve, isolating bins and families,
-which depend on that point only. orthonormalize is the one Gram-Schmidt
-routine and works on a stack of column arrays: a restriction passes a
-stack of one, and a periodic setup passes every (bin, orbit point) block
-at once. Either way a FiberSubspace is a base point and an orthonormal
-frame, whose column count is its dim. A PeriodicSetup is what every
-discrete consumer reads: the cocycle, the multiplier and the aggregate
-over y-samples all take their transfers from it.
+transfers, the one monodromy eigensolve, isolating bins and each bin's
+carried eigenvectors, which depend on that point only. orthonormalize is
+the one Gram-Schmidt routine and works on a stack of column arrays: a
+restriction passes a stack of one, and a periodic setup passes, in one
+call, the (bin, orbit point) blocks that are read: two orbit points per
+y-sample for the aggregate, every one for the families that
+stage_oseledets and validation read. A FiberSubspace is a base point
+and an orthonormal frame, whose column count is its dim. A PeriodicSetup
+is what every discrete consumer reads: the cocycle, the multiplier and
+the aggregate over y-samples all take their transfers from it.
 """
 
 from __future__ import annotations
@@ -115,6 +117,23 @@ def check_bin_family(bins: list[SpectralBin]):
     for (a0, b0), (a1, b1) in zip(arcs[:-1], arcs[1:]):
         if abs(b0 - a1) > 1e-12:
             raise ValueError("bin family must be disjoint and gap-free")
+
+
+def _bin_tests(bins: list[SpectralBin], principal: np.ndarray, phases: np.ndarray):
+    """SpectralBin.contains and the boundary test of every bin at once.
+
+    members[b, k] is bins[b].contains(principal[k]), and near[b] whether
+    bins[b].boundary_distance of some entry of phases is below BOUNDARY_TOL.
+    """
+    arcs = np.array([arc for b in bins for arc in b.arcs])
+    owner = np.repeat(np.eye(len(bins), dtype=bool), [len(b.arcs) for b in bins], axis=0)  # (arcs, bins)
+    members = (((arcs[:, 0] <= principal[:, None]) & (principal[:, None] < arcs[:, 1])) @ owner).T
+    # The 0/2pi seam is an edge only of a bin that owns one side of it.
+    ends = arcs == [0.0, TWO_PI]
+    seam = (ends.T @ owner).all(axis=0)
+    d = np.abs(phases.reshape(-1, 1) - arcs.ravel())
+    close = (np.minimum(d, TWO_PI - d) < BOUNDARY_TOL).any(axis=0).reshape(-1, 2) & ~(ends & (owner @ seam)[:, None])
+    return members, close.any(axis=1) @ owner
 
 
 def isolating_bins(mu: np.ndarray, n: int) -> list[SpectralBin]:
@@ -283,19 +302,15 @@ def restrict_at_base(
 
 
 def periodic_subspaces(
-    map_: DiscreteSkewMap,
-    y: float,
-    transfers: list[np.ndarray],
-    mu: np.ndarray,
-    vectors: np.ndarray,
-    bins: list[SpectralBin],
-) -> list[list[FiberSubspace]]:
-    """Equivariant subspace families along a periodic base orbit.
+    map_: DiscreteSkewMap, y: float, transfers: list[np.ndarray], mu: np.ndarray, vectors: np.ndarray, bins: list
+) -> np.ndarray:
+    """Each bin's eigenvectors carried along a periodic base orbit.
 
     transfers[p] is the fiber transfer matrix T_p at h^p(y), p = 0..n-1,
     and mu, vectors are the eigendecomposition of the monodromy
-    M = T_0 T_1 ... T_{n-1}. Returns one family per bin; family[p] lives
-    at h^p(y), so family[0] is the subspace at y itself.
+    M = T_0 T_1 ... T_{n-1}. Returns a zero-padded (bins, n, N, width)
+    stack whose block [b, p] spans bin b's subspace at h^p(y); a
+    PeriodicSetup orthonormalizes the blocks that are read.
 
     An eigenvector z_0 of M with principal n-th root lambda of its mu is
     carried backward along the orbit, z_p = T_p z_{p+1} / lambda for
@@ -313,29 +328,22 @@ def periodic_subspaces(
     live = np.abs(mu) > 0.5**n
     mu, vectors = mu[live], vectors[:, live]
     phases = _root_phases(mu, n)
-    for b in bins:
-        if np.any(b.boundary_distance(phases) < BOUNDARY_TOL):
-            warnings.warn(
-                f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {b.describe()}",
-                BinBoundaryWarning,
-                stacklevel=2,
-            )
+    members, near = _bin_tests(bins, phases[:, 0], phases)
+    for b in np.flatnonzero(near):
+        message = f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {bins[b].describe()}"
+        warnings.warn(message, BinBoundaryWarning, stacklevel=2)
     lam = np.abs(mu) ** (1.0 / n) * np.exp(1j * phases[:, 0])
     z = np.empty((n,) + vectors.shape, dtype=complex)
     z[0] = vectors
     for p in range(n - 1, 0, -1):
         z[p] = transfers[p] @ z[(p + 1) % n] / lam
-    members = [b.contains(phases[:, 0]) for b in bins]
-    # One zero-padded stack of every bin's columns: stack[b, p] holds bin
-    # b's z_p, so one orthonormalize call serves them all.
-    stack = np.zeros((len(bins), n, len(vectors), max(int(m.sum()) for m in members)), dtype=complex)
-    for slot, m in zip(stack, members):
-        slot[..., : m.sum()] = z[:, :, m]
-    frames = orthonormalize(stack.reshape(len(bins) * n, len(vectors), -1))
-    orbit = map_.base_orbit(y)
-    return [
-        [FiberSubspace(float(orbit[p]), frames[bi * n + p]) for p in range(n)] for bi in range(len(bins))
-    ]
+    # Bin b's k-th member goes to column k of stack[b, p], for every p.
+    counts = members.sum(axis=1)
+    owner, member = np.nonzero(members)
+    column = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    stack = np.zeros((len(bins), n, len(vectors), counts.max()), dtype=complex)
+    stack[owner, :, :, column] = np.moveaxis(z[:, :, member], -1, 0)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -343,23 +351,33 @@ class PeriodicSetup:
     """Discrete decomposition along the periodic base orbit of one base point.
 
     transfers[m] is the fiber transfer matrix at orbit[m] = h^m(y), and
-    families[b][m] is bins[b]'s subspace at orbit[m].
+    carried[b, m] spans bins[b]'s subspace at orbit[m]. Frames are built
+    when read: frames(points) orthonormalizes every bin's blocks at those
+    orbit points in one call, and families[b][m], bins[b]'s subspace at
+    orbit[m], is frames of every orbit point, built on first read.
     """
 
     y: float
     orbit: list
     transfers: list
     bins: list
-    families: list
+    carried: np.ndarray
+
+    def frames(self, points) -> list[list[np.ndarray]]:
+        """frames(points)[b][k] is an orthonormal frame of bins[b]'s subspace at orbit[points[k]]."""
+        blocks = self.carried[:, list(points)]
+        flat = orthonormalize(blocks.reshape((-1,) + blocks.shape[2:]))
+        return [flat[start : start + len(points)] for start in range(0, len(flat), len(points))]
+
+    @functools.cached_property
+    def families(self) -> list[list[FiberSubspace]]:
+        return [[FiberSubspace(w, f) for w, f in zip(self.orbit, fs)] for fs in self.frames(range(len(self.orbit)))]
 
 
 def periodic_setup(
-    map_: DiscreteSkewMap,
-    y: float,
-    fiber_basis: Optional[TruncatedBasis] = None,
-    fiber_grid: Optional[Grid] = None,
+    map_: DiscreteSkewMap, y: float, fiber_basis: Optional[TruncatedBasis] = None, fiber_grid: Optional[Grid] = None
 ) -> PeriodicSetup:
-    """Transfers, isolating bins and equivariant families at base point y.
+    """Transfers, isolating bins and carried eigenvectors at base point y; no frame is built yet.
 
     A torus fiber needs fiber_basis and fiber_grid for its transfer
     matrices; a cyclic fiber uses the delta basis and ignores them.
@@ -376,8 +394,7 @@ def periodic_setup(
     transfers = [transfer(w) for w in orbit]
     mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
     bins = isolating_bins(mu, map_.base_period)
-    families = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
-    return PeriodicSetup(float(y), orbit, transfers, bins, families)
+    return PeriodicSetup(float(y), orbit, transfers, bins, periodic_subspaces(map_, y, transfers, mu, vectors, bins))
 
 
 def equivariance_residual(

@@ -10,14 +10,32 @@ from eigenop.basis import (
     FieldSample,
     Grid,
     TruncatedBasis,
-    analyze,
     default_grid,
     evaluation_matrix,
-    sample_function,
     synthesize,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+# The quadrature inverse of synthesize and a grid sampler, which only the round-trip tests use.
+def analyze(sample: FieldSample, basis: TruncatedBasis) -> np.ndarray:
+    """Quadrature Fourier coefficients of a grid sample, one per basis mode.
+
+    Exact for trigonometric polynomials within the grid's alias-free band.
+    """
+    sample.grid.check_no_aliasing(basis)
+    spec = np.fft.fftn(sample.values) / sample.grid.size
+    idx = tuple(
+        np.mod(basis.modes[:, d], sample.grid.points[d]) for d in range(basis.ndim)
+    )
+    return np.ascontiguousarray(spec[idx])
+
+
+def sample_function(fn, grid: Grid) -> FieldSample:
+    """Sample fn(points) -> values on the grid (fn takes an (n, D) array)."""
+    vals = np.asarray(fn(grid.nodes), dtype=complex)
+    return FieldSample(grid, vals.reshape(grid.shape))
 
 
 def test_mode_order_is_lexicographic_most_significant_first():

@@ -1,5 +1,6 @@
 """Tests for the configuration schema, pipeline stages, and CLI entry."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenop import cli, eigenoperator, ioformats, oseledets, systems
+from eigenop import cli, eigenoperator, generator, ioformats, oseledets, systems
 from eigenop.basis import FieldSample, Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
@@ -512,6 +513,36 @@ def test_importing_the_cli_does_not_import_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]; "
+        "import eigenop.cli; print(len(built))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "0"
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_rotation_config()))
+    for _ in range(2):
+        assert cli.main(["assemble", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    # One top-level parser, and no subcommand's parser built twice.
+    assert built.count("eigenop") == 1
+    assert len(built) == len(set(built)) > 1
 
 
 def test_spectrum_keeps_every_value_and_the_leading_vectors():
@@ -1151,6 +1182,23 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
     cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
     # The evaluation point once, shared by two stages, then each sample in order.
     assert calls == [0.3] + np.linspace(0.0, 2 * np.pi, 8, endpoint=False).tolist()
+
+
+def test_a_torus_run_builds_the_conjugate_mode_rows_once(tmp_path, monkeypatch):
+    transfers = []
+    original = oseledets.assemble_fiber_koopman
+
+    def counting(map_, y, *args):
+        transfers.append(y)
+        return original(map_, y, *args)
+
+    monkeypatch.setattr(oseledets, "assemble_fiber_koopman", counting)
+    generator._conjugate_mode_rows.cache_clear()
+    cli.run_pipeline(cli.resolve_config(_small_discrete_config()), tmp_path / "run", cli.ALL_STAGES)
+    info = generator._conjugate_mode_rows.cache_info()
+    # The evaluation point and 4 samples, 4 transfers each, read rows built once.
+    assert len(transfers) == 4 * 5
+    assert (info.misses, info.hits) == (1, len(transfers) - 1)
 
 
 @pytest.mark.parametrize("name", sorted({**systems.CONTINUOUS_BUILTINS, **systems.DISCRETE_BUILTINS}))

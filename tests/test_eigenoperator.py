@@ -196,6 +196,16 @@ def test_discrete_multiplier_needs_full_family():
         discrete_multiplier(_orbit_transfers(map_, 0.3, fib, fgrid), family, 1)
 
 
+def _carried(families):
+    """A setup's carried stack whose frames are the given families' frames, one family per bin."""
+    width = max(sub.dim for family in families for sub in family)
+    stack = np.zeros((len(families), len(families[0]), families[0][0].frame.shape[0], width), dtype=complex)
+    for b, family in enumerate(families):
+        for p, sub in enumerate(family):
+            stack[b, p, :, : sub.dim] = sub.frame
+    return stack
+
+
 def _family_setups(map_, fib, fgrid, family_fn, ys):
     """Setups at ys, built lazily, that carry the given families, one per bin; calls lists each y set up."""
     calls = []
@@ -203,7 +213,8 @@ def _family_setups(map_, fib, fgrid, family_fn, ys):
     def setups():
         for y in ys:
             calls.append(y)
-            yield PeriodicSetup(y, map_.base_orbit(y), _orbit_transfers(map_, y, fib, fgrid), [], family_fn(y))
+            transfers = _orbit_transfers(map_, y, fib, fgrid)
+            yield PeriodicSetup(y, map_.base_orbit(y), transfers, [], _carried(family_fn(y)))
 
     return setups(), calls
 
@@ -303,6 +314,42 @@ def test_discrete_eigenoperator_spectrum_matches_per_bin_reference(kind):
             assert entry["y_samples"] == ys.tolist()
     if kind == "torus":
         assert all(expected is not None for expected in ref)
+
+
+@pytest.mark.parametrize("i", [1, 3, -1, 5])
+def test_mixed_dimension_bins_match_the_per_bin_reference(i):
+    # gtilde = pi/4 at fiber cutoff 4 splits the 9 modes into bins of
+    # dimension 5 and 4, compressed as two stacks of different widths.
+    map_ = make_torus_translation(4, gtilde=np.pi / 4)
+    fib = TruncatedBasis((4,), ("fiber",))
+    fgrid = default_grid(fib)
+    setup_at = lambda y: periodic_setup(map_, y, fib, fgrid)
+    ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    got = discrete_eigenoperator_spectrum((setup_at(y) for y in ys), i, 2)
+    assert [entry["dimension"] for entry in got] == [5, 4]
+    transfer_at = lambda w: assemble_fiber_koopman(map_, w, fib, fgrid)
+    assert [entry["eigenvalues"] for entry in got] == _per_bin_reference([setup_at(y) for y in ys], i, 2, transfer_at)
+
+
+def test_the_aggregate_orthonormalizes_two_orbit_points_per_sample(monkeypatch):
+    blocks = []
+    original = oseledets.orthonormalize
+
+    def counting(stack):
+        blocks.append(len(stack))
+        return original(stack)
+
+    monkeypatch.setattr(oseledets, "orthonormalize", counting)
+    map_ = make_torus_translation(4, gtilde=0.7)
+    fib = TruncatedBasis((4,), ("fiber",))
+    fgrid = default_grid(fib)
+    setups = [periodic_setup(map_, y, fib, fgrid) for y in np.linspace(0.0, TWO_PI, 8, endpoint=False)]
+    # A setup builds no frame; the aggregate asks each for the blocks of
+    # every bin at h^i(y) and h^{i+1}(y), in one call, and for no others.
+    assert blocks == []
+    discrete_eigenoperator_spectrum(iter(setups), 1, len(setups[0].bins))
+    assert blocks == [2 * len(setup.bins) for setup in setups]
+    assert all(len(setup.bins) > 1 for setup in setups)
 
 
 @pytest.mark.parametrize("i", [1, 3, -1, 5])

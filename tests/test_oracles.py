@@ -4,12 +4,24 @@ import numpy as np
 import pytest
 
 from eigenop.oracles import (
-    cyclic_group_table,
+    GroupTable,
     peter_weyl_blockdiag,
     right_translation_koopman,
     rotation_oracle,
     s3_table,
 )
+
+
+def cyclic_group_table(m: int) -> GroupTable:
+    """Z_m with its m characters."""
+    elements = tuple(range(m))
+    product = {(a, b): (a + b) % m for a in elements for b in elements}
+    inverse = {a: (-a) % m for a in elements}
+    irreps = {}
+    for chi in range(m):
+        mats = {a: np.array([[np.exp(2j * np.pi * chi * a / m)]]) for a in elements}
+        irreps[f"chi{chi}"] = (1, mats)
+    return GroupTable(elements, product, inverse, 0, irreps)
 
 
 def test_cyclic_group_table_axioms():

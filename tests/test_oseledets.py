@@ -12,9 +12,11 @@ from eigenop import oseledets
 from eigenop.basis import TruncatedBasis, default_grid
 from eigenop.generator import assemble_fiber_koopman, cyclic_fiber_koopman
 from eigenop.oseledets import (
+    BOUNDARY_TOL,
     RANK_THRESHOLD,
     BinBoundaryWarning,
     FiberSubspace,
+    PeriodicSetup,
     SpectralBin,
     arc_bin,
     check_bin_family,
@@ -22,6 +24,7 @@ from eigenop.oseledets import (
     equivariance_residual,
     isolating_bins,
     orthonormalize,
+    _bin_tests,
     _fold,
     _root_phases,
     periodic_setup,
@@ -312,6 +315,12 @@ def _block_reference(transfers):
     return bins, [[_reference_mgs(blocks[p - 1][:, b.contains(phases)]) for p in range(n)] for b in bins]
 
 
+def _families(map_, y, transfers, mu, vectors, bins):
+    """Every orbit point's frames, as a setup built from these parts gives them."""
+    carried = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
+    return PeriodicSetup(float(y), map_.base_orbit(y), transfers, bins, carried).families
+
+
 def _decomposition(transfers):
     """Eigenvalues and eigenvectors of the monodromy transfers[0] @ ... @ transfers[-1]."""
     return np.linalg.eig(functools.reduce(np.matmul, transfers))
@@ -352,7 +361,7 @@ def test_monodromy_setup_matches_the_block_reference(case):
     n = len(transfers)
     mu, vectors = _decomposition(transfers)
     bins = isolating_bins(mu, n)
-    families = periodic_subspaces(map_, y, transfers, mu, vectors, bins)
+    families = _families(map_, y, transfers, mu, vectors, bins)
     ref_bins, ref_frames = _block_reference(transfers)
     assert len(bins) == len(ref_bins) > 1
     # The same arcs, matched as sets: only the listing order may differ.
@@ -414,7 +423,7 @@ def test_periodic_subspaces_equivariant_and_complete():
     bins = isolating_bins(values, map_.base_period)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, transfers, values, vectors, bins)
+        families = _families(map_, y0, transfers, values, vectors, bins)
     n = map_.base_period
     for family in families:
         assert family[0].y == pytest.approx(y0)
@@ -432,7 +441,7 @@ def test_periodic_subspaces_cyclic_fiber():
     bins = isolating_bins(values, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinBoundaryWarning)
-        families = periodic_subspaces(map_, y0, transfers, values, vectors, bins)
+        families = _families(map_, y0, transfers, values, vectors, bins)
     for m in range(3):
         assert completeness_defect([f[m] for f in families]) < 1e-10
 
@@ -453,6 +462,54 @@ def test_phase_near_an_interior_edge_warns():
     edge = np.pi / 2 + 5e-11
     with pytest.warns(BinBoundaryWarning):
         periodic_subspaces(map_, 0.3, transfers, *_decomposition(transfers), [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["edge", "seam", "free"]),
+            st.integers(min_value=0, max_value=99),
+            st.floats(-3 * BOUNDARY_TOL, 3 * BOUNDARY_TOL),
+            st.floats(0.0, TWO_PI, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+@example(2, [1.0, 2.5], [("seam", 0, 5e-11, 0.0), ("seam", 0, -5e-11, 0.0)], True)
+def test_every_bin_at_once_agrees_with_each_bin_alone(n, bin_angles, picks, conjugate):
+    # The bins come from isolating_bins; with each angle's conjugate, and
+    # no root at phase 0, a bin owns one side of the 0/2pi seam. Each
+    # eigenvalue mu = e^{i n phi} has an n-th root at phi, drawn near an
+    # edge, near the seam or anywhere on the circle.
+    angles = np.array(bin_angles + [-a for a in bin_angles] * conjugate)
+    bins = isolating_bins(np.exp(1j * angles), n)
+    edges = [e for b in bins for arc in b.arcs for e in arc]
+    phi = [
+        edges[k % len(edges)] + dx if kind == "edge" else dx if kind == "seam" else free
+        for kind, k, dx, free in picks
+    ]
+    mu = np.exp(1j * n * np.array(phi))
+    phases = _root_phases(mu, n)
+    members, near = _bin_tests(bins, phases[:, 0], phases)
+    for b, member, close in zip(bins, members, near):
+        assert member.tolist() == b.contains(phases[:, 0]).tolist()
+        assert close == np.any(b.boundary_distance(phases) < BOUNDARY_TOL)
+    # The same bins warn, in the same order.
+    expected = [
+        f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {b.describe()}"
+        for b in bins
+        if np.any(b.boundary_distance(phases) < BOUNDARY_TOL)
+    ]
+    transfers = [np.diag(mu)] + [np.eye(len(mu), dtype=complex)] * (n - 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        periodic_subspaces(make_torus_translation(n), 0.3, transfers, mu, np.eye(len(mu), dtype=complex), bins)
+    assert [str(w.message) for w in caught if w.category is BinBoundaryWarning] == expected
 
 
 def test_periodic_setup_matches_its_parts():
@@ -495,6 +552,9 @@ def test_periodic_setup_orthonormalizes_once(monkeypatch):
     map_ = make_torus_translation(4)
     fib = TruncatedBasis((3,), ("fiber",))
     setup = periodic_setup(map_, 0.3, fib, default_grid(fib))
+    # No frame is built before one is read, and families are built once.
+    assert calls == []
+    assert setup.families is setup.families
     # One stack entry per (bin, orbit point), each a fiber-sized block.
     assert len(calls) == 1
     assert calls[0][:2] == (len(setup.bins) * 4, fib.size)
@@ -517,7 +577,7 @@ def test_dead_monodromy_eigenvectors_join_no_family(dead):
     bins = isolating_bins(mu, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        families = periodic_subspaces(map_, 0.3, transfers, mu, vectors, bins)
+        families = _families(map_, 0.3, transfers, mu, vectors, bins)
     for p in range(3):
         members = [family[p] for family in families]
         assert sum(sub.dim for sub in members) == 4
