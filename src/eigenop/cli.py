@@ -266,6 +266,7 @@ class PipelineContext:
         self.stage_notes: list[str] = []
         # sha256 of each file of the directory as this run last saw it; None if unreadable.
         self.current_sha256: dict[str, str | None] = {}
+        self.setup_memo: dict = {}  # periodic_setup's transfers and decompositions, by content
 
     @cached_property
     def system(self):
@@ -344,7 +345,7 @@ class PipelineContext:
         return default_grid(self.fiber_basis, self.config["grid"]["multiplier"])
 
     def periodic_setup_at(self, y: float) -> PeriodicSetup:
-        return periodic_setup(self.system, y, self.fiber_basis, self.fiber_grid)
+        return periodic_setup(self.system, y, self.fiber_basis, self.fiber_grid, self.setup_memo)
 
     @cached_property
     def periodic_setup(self) -> PeriodicSetup:

@@ -202,36 +202,34 @@ def discrete_eigenoperator_spectrum(setups, i: int, bin_count: int) -> list[dict
 
     setups yields one PeriodicSetup per y-sample and is read lazily, one
     setup at a time. Of each, only transfers[i mod n], the transfer at
-    h^i(y), and the frames at h^i(y) and h^{i+1}(y) are read; bin b takes
-    the setup's bin min(b, count - 1), and the compression maps its
-    subspace at h^{i+1}(y) into the one at h^i(y). Bins of one dimension
-    are compressed and solved as one stack. A bin whose dimension drifts
-    across samples gets an {"i", "error"} entry and stops aggregating; no
+    h^i(y), and the frames at h^i(y) and h^{i+1}(y) are read, once per
+    setup key: a later sample of a key reuses their widths and compressed
+    eigenvalues. Bin b takes the setup's bin min(b, count - 1), and the
+    compression maps its subspace at h^{i+1}(y) into the one at h^i(y). A
+    bin whose dimension drifts across samples gets an {"i", "error"}
+    entry, naming the width that differs, and stops aggregating; no
     further setup is read once every bin has one.
     """
     per_sample: list[list[np.ndarray]] = [[] for _ in range(bin_count)]
     dims: list = [None] * bin_count
     errors: dict[int, str] = {}
-    y_samples = []
+    y_samples, seen = [], {}  # seen: setup key -> (width at h^i(y), width at h^{i+1}(y), eigenvalues) per bin read
     for setup in setups:
         y_samples.append(setup.y)
-        n = len(setup.transfers)
-        U, frames = setup.transfers[i % n], setup.frames((i % n, (i + 1) % n))
-        groups: dict[int, list] = {}
-        for b in range(bin_count):
-            if b in errors:
+        if (compressed := seen.get(setup.key)) is None:
+            n = len(setup.transfers)
+            U, frames = setup.transfers[i % n], setup.frames((i % n, (i + 1) % n))[:bin_count]
+            compressed = seen[setup.key] = [
+                (F_w.shape[1], F_hw.shape[1], np.linalg.eigvals(F_w.conj().T @ U @ F_hw) if F_w.shape == F_hw.shape else None)
+                for F_w, F_hw in frames
+            ]
+        for b in [b for b in range(bin_count) if b not in errors]:
+            width, next_width, values = compressed[min(b, len(compressed) - 1)]
+            dims[b] = width if dims[b] is None else dims[b]
+            if width != dims[b] or next_width != dims[b]:
+                errors[b] = f"subspace dimension varies across samples ({next_width if width == dims[b] else width} vs {dims[b]})"
                 continue
-            F_w, F_hw = frames[min(b, len(frames) - 1)]
-            dims[b] = F_w.shape[1] if dims[b] is None else dims[b]
-            if F_w.shape[1] != dims[b] or F_hw.shape[1] != dims[b]:
-                errors[b] = f"subspace dimension varies across samples ({F_w.shape[1]} vs {dims[b]})"
-                continue
-            groups.setdefault(dims[b], []).append((b, F_w, F_hw))
-        for group in groups.values():
-            members, F_w, F_hw = zip(*group)
-            C = np.stack(F_w).conj().transpose(0, 2, 1) @ U @ np.stack(F_hw)
-            for b, values in zip(members, np.linalg.eigvals(C)):
-                per_sample[b].append(values)
+            per_sample[b].append(values)
         if len(errors) == bin_count:
             break
     return [

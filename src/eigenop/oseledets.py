@@ -9,25 +9,24 @@ monodromy M = T_0 T_1 ... T_{n-1} of the per-step fiber transfers is
 diagonalized once: the n-th roots of its eigenvalues give the isolating
 bins, and its eigenvectors, carried backward along the orbit, give an
 equivariant subspace family along the whole base orbit. periodic_setup
-is the one place that builds this decomposition at a base point: orbit,
-transfers, the one monodromy eigensolve, isolating bins and each bin's
-carried eigenvectors, which depend on that point only. orthonormalize is
-the one Gram-Schmidt routine and works on a stack of column arrays: a
-restriction passes a stack of one, and a periodic setup passes, in one
-call, the (bin, orbit point) blocks that are read: two orbit points per
-y-sample for the aggregate, every one for the families that
-stage_oseledets and validation read. A FiberSubspace is a base point
-and an orthonormal frame, whose column count is its dim. A PeriodicSetup
-is what every discrete consumer reads: the cocycle, the multiplier and
-the aggregate over y-samples all take their transfers from it.
+is the one place that builds this decomposition: orbit, transfers,
+monodromy eigensolve, isolating bins and carried eigenvectors. They
+depend on the base point only through the fiber map's images along its
+orbit, so a memo that lives for one run (cli.PipelineContext.setup_memo)
+builds each transfer once per image and each decomposition once per
+orbit tuple of images, keyed on exact bytes. orthonormalize is the one
+Gram-Schmidt routine, on a stack of column arrays: a restriction passes
+one, and a periodic setup, in one call, the (bin, orbit point) blocks
+that are read. A FiberSubspace is a base point and an orthonormal frame.
+Every discrete consumer, the cocycle, the multiplier and the aggregate
+over y-samples, reads its transfers from a PeriodicSetup.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -351,10 +350,11 @@ class PeriodicSetup:
     """Discrete decomposition along the periodic base orbit of one base point.
 
     transfers[m] is the fiber transfer matrix at orbit[m] = h^m(y), and
-    carried[b, m] spans bins[b]'s subspace at orbit[m]. Frames are built
-    when read: frames(points) orthonormalizes every bin's blocks at those
-    orbit points in one call, and families[b][m], bins[b]'s subspace at
-    orbit[m], is frames of every orbit point, built on first read.
+    carried[b, m] spans bins[b]'s subspace at orbit[m]; setups of equal key
+    share them bit for bit. Frames are built when read: frames(points)
+    orthonormalizes every bin's blocks at those orbit points in one call,
+    and families[b][m], bins[b]'s subspace at orbit[m], is frames of every
+    orbit point, built on first read.
     """
 
     y: float
@@ -362,6 +362,7 @@ class PeriodicSetup:
     transfers: list
     bins: list
     carried: np.ndarray
+    key: object = field(default_factory=object)
 
     def frames(self, points) -> list[list[np.ndarray]]:
         """frames(points)[b][k] is an orthonormal frame of bins[b]'s subspace at orbit[points[k]]."""
@@ -375,26 +376,33 @@ class PeriodicSetup:
 
 
 def periodic_setup(
-    map_: DiscreteSkewMap, y: float, fiber_basis: Optional[TruncatedBasis] = None, fiber_grid: Optional[Grid] = None
+    map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis | None = None, fiber_grid: Grid | None = None, memo=None
 ) -> PeriodicSetup:
     """Transfers, isolating bins and carried eigenvectors at base point y; no frame is built yet.
 
     A torus fiber needs fiber_basis and fiber_grid for its transfer
-    matrices; a cyclic fiber uses the delta basis and ignores them.
+    matrices; a cyclic fiber uses the delta basis and ignores them. memo,
+    one run's dict, keys each transfer on the bytes of g(w, fiber points)
+    and each decomposition on the orbit's tuple of those keys.
     """
     if map_.fiber_kind == "torus":
         if fiber_basis is None or fiber_grid is None:
             raise ValueError("a torus fiber needs a fiber basis and grid")
-        transfer = lambda w: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid)
+        points, transfer = fiber_grid.nodes, lambda w, t: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid, t)
     elif map_.fiber_kind == "cyclic":
-        transfer = lambda w: cyclic_fiber_koopman(map_, w)
+        points, transfer = np.arange(map_.fiber_size), lambda w, t: cyclic_fiber_koopman(map_, w, t)
     else:
         raise ValueError(f"no periodic decomposition for fiber kind '{map_.fiber_kind}'")
+    memo = {} if memo is None else memo
     orbit = map_.base_orbit(y)
-    transfers = [transfer(w) for w in orbit]
-    mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
-    bins = isolating_bins(mu, map_.base_period)
-    return PeriodicSetup(float(y), orbit, transfers, bins, periodic_subspaces(map_, y, transfers, mu, vectors, bins))
+    images = [map_.fiber_map(w, points) for w in orbit]
+    key = tuple(t.tobytes() for t in images)
+    transfers = [memo[k] if k in memo else memo.setdefault(k, transfer(w, t)) for k, w, t in zip(key, orbit, images)]
+    if key not in memo:
+        mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
+        bins = isolating_bins(mu, map_.base_period)
+        memo[key] = bins, periodic_subspaces(map_, y, transfers, mu, vectors, bins)
+    return PeriodicSetup(float(y), orbit, transfers, *memo[key], key)
 
 
 def equivariance_residual(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenop import cli, eigenoperator, generator, ioformats, oseledets, systems
+from eigenop import cli, eigenoperator, ioformats, oseledets, systems
 from eigenop.basis import FieldSample, Grid, TruncatedBasis, evaluation_matrix
 from eigenop.cocycle import build_test_vector
 from eigenop.ioformats import read_matrix, sha256_of, write_matrix
@@ -1180,25 +1180,36 @@ def test_discrete_pipeline_sets_up_once_per_base_point(tmp_path, monkeypatch):
     raw = _small_discrete_config()
     raw["evaluation"]["y_sample_count"] = 8
     cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
-    # The evaluation point once, shared by two stages, then each sample in order.
-    assert calls == [0.3] + np.linspace(0.0, 2 * np.pi, 8, endpoint=False).tolist()
+    # A constant shift gives every base point the same transfers, so the
+    # evaluation point's decomposition is the only one: both stages and
+    # all 8 samples share it, and the aggregate still lists every sample.
+    assert calls == [0.3]
+    doc = json.loads((tmp_path / "run" / "eigenoperator_spectrum.json").read_text())
+    ys = np.linspace(0.0, 2 * np.pi, 8, endpoint=False).tolist()
+    assert all(entry["y_samples"] == ys for entry in doc["aggregated"])
 
 
 def test_a_torus_run_builds_the_conjugate_mode_rows_once(tmp_path, monkeypatch):
-    transfers = []
-    original = oseledets.assemble_fiber_koopman
+    transfers, solves = [], []
+    original, eig = oseledets.assemble_fiber_koopman, np.linalg.eig
 
     def counting(map_, y, *args):
         transfers.append(y)
         return original(map_, y, *args)
 
+    def counting_eig(a):
+        solves.append(np.shape(a))
+        return eig(a)
+
     monkeypatch.setattr(oseledets, "assemble_fiber_koopman", counting)
-    generator._conjugate_mode_rows.cache_clear()
-    cli.run_pipeline(cli.resolve_config(_small_discrete_config()), tmp_path / "run", cli.ALL_STAGES)
-    info = generator._conjugate_mode_rows.cache_info()
-    # The evaluation point and 4 samples, 4 transfers each, read rows built once.
-    assert len(transfers) == 4 * 5
-    assert (info.misses, info.hits) == (1, len(transfers) - 1)
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    raw = _small_discrete_config()
+    raw["evaluation"]["y_sample_count"] = 64
+    cli.run_pipeline(cli.resolve_config(raw), tmp_path / "run", cli.ALL_STAGES)
+    # The evaluation point and 64 samples share one transfer, which builds
+    # the conjugate mode rows, and one monodromy solve of the 7-mode fiber.
+    assert transfers == [0.3]
+    assert solves == [(7, 7)]
 
 
 @pytest.mark.parametrize("name", sorted({**systems.CONTINUOUS_BUILTINS, **systems.DISCRETE_BUILTINS}))

@@ -1,9 +1,14 @@
 """Tests for compressed eigenoperator matrices and their spectra."""
 
+import bisect
+import functools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenop import oseledets
 from eigenop.basis import TruncatedBasis, default_grid
@@ -19,7 +24,16 @@ from eigenop.eigenoperator import (
     _tolerance_union,
 )
 from eigenop.generator import assemble_fiber_koopman, assemble_generator, cyclic_fiber_koopman
-from eigenop.oseledets import FiberSubspace, PeriodicSetup, periodic_setup, restrict_coefficients
+from eigenop.ioformats import canonical_json
+from eigenop.oseledets import (
+    BinBoundaryWarning,
+    FiberSubspace,
+    PeriodicSetup,
+    isolating_bins,
+    periodic_setup,
+    periodic_subspaces,
+    restrict_coefficients,
+)
 from eigenop.spectra import eig_matrix, match_multisets
 from eigenop.systems import (
     make_cyclic_group,
@@ -264,6 +278,25 @@ def test_discrete_eigenoperator_spectrum_dimension_guard():
     assert calls == [0.5, 4.0]
 
 
+def test_a_drift_at_the_next_orbit_point_names_the_width_that_differs():
+    map_ = make_torus_translation(4)
+    fib = TruncatedBasis((2,), ("fiber",))
+    fgrid = default_grid(fib)
+    wide = np.zeros((fib.size, 2), dtype=complex)
+    wide[0, 0] = wide[1, 1] = 1.0
+
+    def family(y):
+        # Past pi only the frame at h^2(y), which i = 1 reads as h^{i+1}(y), widens.
+        subs = _family(map_, y, fib, fgrid)
+        if y > np.pi:
+            subs[2] = FiberSubspace(subs[2].y, wide)
+        return [subs]
+
+    setups, _ = _family_setups(map_, fib, fgrid, family, [0.5, 4.0])
+    (entry,) = discrete_eigenoperator_spectrum(setups, 1, 1)
+    assert entry == {"i": 1, "error": "subspace dimension varies across samples (2 vs 1)"}
+
+
 def _per_bin_reference(setups, i, bin_count, transfer_at, tol=1e-8):
     """Bin-outer aggregation from periodic setups' families; None marks drift.
 
@@ -340,7 +373,8 @@ def test_the_aggregate_orthonormalizes_two_orbit_points_per_sample(monkeypatch):
         return original(stack)
 
     monkeypatch.setattr(oseledets, "orthonormalize", counting)
-    map_ = make_torus_translation(4, gtilde=0.7)
+    # A shift that grows with y gives every sample its own decomposition.
+    map_ = make_torus_translation(4, gtilde=lambda y: 0.7 + 0.01 * y)
     fib = TruncatedBasis((4,), ("fiber",))
     fgrid = default_grid(fib)
     setups = [periodic_setup(map_, y, fib, fgrid) for y in np.linspace(0.0, TWO_PI, 8, endpoint=False)]
@@ -350,12 +384,17 @@ def test_the_aggregate_orthonormalizes_two_orbit_points_per_sample(monkeypatch):
     discrete_eigenoperator_spectrum(iter(setups), 1, len(setups[0].bins))
     assert blocks == [2 * len(setup.bins) for setup in setups]
     assert all(len(setup.bins) > 1 for setup in setups)
+    # Samples of one decomposition are read once.
+    blocks.clear()
+    discrete_eigenoperator_spectrum(iter(setups[:1] * 8), 1, len(setups[0].bins))
+    assert blocks == [2 * len(setups[0].bins)]
 
 
 @pytest.mark.parametrize("i", [1, 3, -1, 5])
 def test_discrete_aggregation_reuses_the_setup_transfer(i, monkeypatch):
-    # A setup assembles the 4 transfers along the orbit and the
-    # aggregation assembles none: the base has period 4.
+    # The constant shift gives every orbit point of every sample the same
+    # transfer: setups that share a memo assemble it once, at the first
+    # sample, and the aggregation assembles none.
     calls = []
     original = oseledets.assemble_fiber_koopman
 
@@ -367,13 +406,89 @@ def test_discrete_aggregation_reuses_the_setup_transfer(i, monkeypatch):
     map_ = make_torus_translation(4, gtilde=0.7)
     fib = TruncatedBasis((3,), ("fiber",))
     fgrid = default_grid(fib)
-    setup_at = lambda y: periodic_setup(map_, y, fib, fgrid)
+    memo = {}
     ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
-    bin_count = len(setup_at(0.3).bins)
-    calls.clear()
-    got = discrete_eigenoperator_spectrum((setup_at(y) for y in ys), i, bin_count)
-    assert len(calls) == 4 * len(ys)
-    # The setup's transfers[i mod n] is the transfer assembled at h^i(y), bit for bit.
+    setups = [periodic_setup(map_, y, fib, fgrid, memo) for y in ys]
+    bin_count = len(setups[0].bins)
+    got = discrete_eigenoperator_spectrum(iter(setups), i, bin_count)
+    assert calls == [ys[0]]
+    assert all(setup.transfers[m] is setups[0].transfers[0] for setup in setups for m in range(4))
+    # The shared transfer is the transfer assembled at h^i(y), bit for bit.
     transfer_at = lambda w: original(map_, w, fib, fgrid)
-    ref = _per_bin_reference([setup_at(y) for y in ys], i, bin_count, transfer_at)
+    ref = _per_bin_reference(setups, i, bin_count, transfer_at)
     assert [entry["eigenvalues"] for entry in got] == ref
+
+
+def _unshared_setup(map_, y, fib, fgrid):
+    """A setup built with nothing shared: each orbit point's transfer assembled, its own solve, a key of its own."""
+    orbit = map_.base_orbit(y)
+    if map_.fiber_kind == "torus":
+        transfers = [assemble_fiber_koopman(map_, w, fib, fgrid) for w in orbit]
+    else:
+        transfers = [cyclic_fiber_koopman(map_, w) for w in orbit]
+    mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
+    bins = isolating_bins(mu, map_.base_period)
+    return PeriodicSetup(float(y), orbit, transfers, bins, periodic_subspaces(map_, y, transfers, mu, vectors, bins))
+
+
+@pytest.mark.parametrize("i", [1, 3, -1, 5])
+@pytest.mark.parametrize("kind", ["torus", "cyclic"])
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, TWO_PI, exclude_max=True), st.integers(0, 2)), min_size=1, max_size=4),
+    st.integers(min_value=2, max_value=16),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+def test_shared_setups_aggregate_like_unshared_ones(kind, i, pieces, count, y0):
+    # gtilde is a step function of y: samples on one step share their
+    # transfers, and samples whose orbits see the same steps in the same
+    # order share their decomposition.
+    starts, values = zip(*sorted(pieces))
+    gtilde = lambda y: values[bisect.bisect_right(starts, y) - 1]
+    if kind == "torus":
+        map_ = make_torus_translation(4, gtilde=lambda y: (0.3, 0.7, 1.9)[gtilde(y)])
+        fib = TruncatedBasis((3,), ("fiber",))
+        fgrid = default_grid(fib)
+    else:
+        map_ = make_cyclic_group(6, 3, gtilde=lambda y: 1 + gtilde(y))
+        fib = fgrid = None
+    ys = np.linspace(0.0, TWO_PI, count, endpoint=False)
+    memo = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinBoundaryWarning)
+        bin_count = len(periodic_setup(map_, y0, fib, fgrid, memo).bins)
+        shared = discrete_eigenoperator_spectrum((periodic_setup(map_, y, fib, fgrid, memo) for y in ys), i, bin_count)
+        assert len(_unshared_setup(map_, y0, fib, fgrid).bins) == bin_count
+        unshared = discrete_eigenoperator_spectrum((_unshared_setup(map_, y, fib, fgrid) for y in ys), i, bin_count)
+    assert canonical_json(shared) == canonical_json(unshared)
+
+
+def test_the_aggregate_stops_decomposing_once_every_bin_has_drifted(monkeypatch):
+    decomposed, pulled = [], []
+    original = oseledets.periodic_subspaces
+
+    def counting(map_, y, *args):
+        decomposed.append(y)
+        return original(map_, y, *args)
+
+    monkeypatch.setattr(oseledets, "periodic_subspaces", counting)
+    # Some base points of cyclic_group(6, 3) have 3 bins of dimension 2,
+    # the others 6 of dimension 1, so all 3 bins of y = 0.5 drift.
+    map_ = make_cyclic_group(6, 3)
+    memo = {}
+    bin_count = len(periodic_setup(map_, 0.5, memo=memo).bins)
+    ys = np.linspace(0.0, TWO_PI, 16, endpoint=False).tolist()
+
+    def setups(ys):
+        for y in ys:
+            pulled.append(y)
+            yield periodic_setup(map_, y, memo=memo)
+
+    got = discrete_eigenoperator_spectrum(setups(ys), 1, bin_count)
+    assert bin_count == 3 and all(set(entry) == {"i", "error"} for entry in got)
+    # The last sample read is the one at which the last bin drifted, and
+    # no sample after it is set up or decomposed.
+    assert pulled == ys[: len(pulled)] and len(pulled) < len(ys)
+    before = discrete_eigenoperator_spectrum((periodic_setup(map_, y) for y in pulled[:-1]), 1, bin_count)
+    assert any("error" not in entry for entry in before)
+    assert decomposed[0] == 0.5 and set(decomposed[1:]) <= set(pulled)

@@ -464,6 +464,34 @@ def test_phase_near_an_interior_edge_warns():
         periodic_subspaces(map_, 0.3, transfers, *_decomposition(transfers), [arc_bin(0.0, edge), arc_bin(edge, TWO_PI)])
 
 
+def test_a_shared_near_boundary_decomposition_still_warns(monkeypatch):
+    calls = []
+    original = oseledets.periodic_subspaces
+
+    def counting(map_, y, *args):
+        calls.append(y)
+        return original(map_, y, *args)
+
+    # Mode 1's monodromy eigenvalue is e^{4 * 0.7 i}, whose principal fourth
+    # root has phase 0.7: an edge there is within BOUNDARY_TOL of it.
+    monkeypatch.setattr(oseledets, "periodic_subspaces", counting)
+    monkeypatch.setattr(oseledets, "isolating_bins", lambda mu, n: [arc_bin(0.0, 0.7), arc_bin(0.7, TWO_PI)])
+    map_ = make_torus_translation(4, gtilde=0.7)
+    fib = TruncatedBasis((2,), ("fiber",))
+    fgrid = default_grid(fib)
+    memo = {}
+    ys = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    with pytest.warns(BinBoundaryWarning) as caught:
+        setups = [periodic_setup(map_, y, fib, fgrid, memo) for y in ys]
+    # The 8 setups share the one decomposition, which warned for both bins when it was built.
+    bins = oseledets.isolating_bins(None, 4)
+    assert [str(w.message) for w in caught] == [
+        f"eigen-phase within {BOUNDARY_TOL:g} of a boundary of bin {b.describe()}" for b in bins
+    ]
+    assert calls == [ys[0]]
+    assert all(setup.carried is setups[0].carried for setup in setups)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),

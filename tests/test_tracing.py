@@ -6,11 +6,12 @@ them would otherwise show only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from eigenop import cli
+from eigenop import cli, oseledets
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +63,40 @@ def test_the_tracer_installs_and_uninstalls_against_the_package(tracing):
     assert {name: _resolve(name) for name in names} == originals
     assert cli.STAGE_FUNCS == stage_funcs
     assert cli.PipelineContext.__dict__["_load_cached"] is load_cached
+
+
+def test_the_traced_discrete_run_sees_one_periodic_subspaces_call_per_decomposition(tracing, tmp_path, monkeypatch):
+    # The tracer hooks periodic_subspaces by name and reads float(args["y"]),
+    # and it rewraps PipelineContext._load_cached.
+    assert "y" in inspect.signature(oseledets.periodic_subspaces).parameters
+    assert callable(cli.PipelineContext.__dict__["_load_cached"])
+    built = []
+    original = cli.periodic_setup
+
+    def recording(*args):
+        setup = original(*args)
+        built.append((tracer.invocation, setup.key, setup.y))
+        return setup
+
+    monkeypatch.setattr(cli, "periodic_setup", recording)
+    configs = [
+        {"system": {"name": "torus_translation", "params": {"n": 4, "gtilde": 0.7}}, "truncation": {"cutoffs": [3, 3]}},
+        {"system": {"name": "cyclic_group", "params": {"m": 6, "n": 3}}, "truncation": {"cutoffs": [4, 4]}},
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for k, raw in enumerate(configs):
+            tracer.invocation = k
+            raw["evaluation"] = {"y": 0.5, "i": 1, "y_sample_count": 16}
+            cli.run_pipeline(cli.resolve_config(raw), tmp_path / str(k), cli.ALL_STAGES)
+    finally:
+        tracer.uninstall()
+    first: dict = {}
+    for k, key, y in built:
+        first.setdefault((k, key), (k, y))
+    # One call per distinct decomposition of each run, with the y it was first built at.
+    assert tracer.summary()["oseledets.periodic_subspaces.calls"] == len(first)
+    assert tracer.distinct["base_points"] == set(first.values())
+    assert all(isinstance(y, float) for _, y in first.values())
+    assert len(built) > len(first) > 2
