@@ -274,26 +274,26 @@ def smoothed_generator(V: BlockOperator, w: SmoothingWeights) -> BlockOperator:
 
 
 def assemble_fiber_koopman(
-    map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis, fiber_grid: Grid, targets=None
+    map_: DiscreteSkewMap, y: float, fiber_basis: TruncatedBasis, fiber_grid: Grid
 ) -> np.ndarray:
-    """Matrix of u -> u(g(y, .)), one step of a torus-fiber map at base point y; targets, if given, is g(y, nodes)."""
+    """Matrix of u -> u(g(y, .)), one step of a torus-fiber map at base point y."""
     if map_.fiber_kind != "torus":
         raise ValueError("grid-based fiber Koopman requires a torus fiber")
     fiber_grid.check_no_aliasing(fiber_basis)
     # Row m': quadrature of conj(mode_m') * e^{i m.targets} over nodes; rows and phases are (nodes, N).
     rows = np.exp(-1j * (fiber_grid.nodes @ fiber_basis.modes.T.astype(float)))
-    phases = evaluation_matrix(fiber_basis, np.atleast_2d(map_.fiber_map(y, fiber_grid.nodes) if targets is None else targets))
+    phases = evaluation_matrix(fiber_basis, np.atleast_2d(map_.fiber_map(y, fiber_grid.nodes)))
     return (rows.T @ phases) * fiber_grid.weight
 
 
-def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float, targets=None) -> np.ndarray:
-    """Permutation Koopman matrix on delta functions of the cyclic fiber; targets, if given, is g(y, arange(m))."""
+def cyclic_fiber_koopman(map_: DiscreteSkewMap, y: float) -> np.ndarray:
+    """Permutation Koopman matrix on delta functions of the cyclic fiber."""
     if map_.fiber_kind != "cyclic":
         raise ValueError("cyclic fiber required")
     m = map_.fiber_size
     U = np.zeros((m, m), dtype=complex)
     # (U f)(w) = f(g(y, w)) in the delta basis.
-    U[np.arange(m), map_.fiber_map(y, np.arange(m)) if targets is None else targets] = 1.0
+    U[np.arange(m), map_.fiber_map(y, np.arange(m))] = 1.0
     return U
 
 

@@ -12,9 +12,8 @@ equivariant subspace family along the whole base orbit. periodic_setup
 is the one place that builds this decomposition: orbit, transfers,
 monodromy eigensolve, isolating bins and carried eigenvectors. They
 depend on the base point only through the fiber map's images along its
-orbit, so a memo that lives for one run (cli.PipelineContext.setup_memo)
-builds each transfer once per image and each decomposition once per
-orbit tuple of images, keyed on exact bytes. orthonormalize is the one
+orbit, so one run's memo (cli.PipelineContext.setup_memo) builds each
+once per exact content of what it reads. orthonormalize is the one
 Gram-Schmidt routine, on a stack of column arrays: a restriction passes
 one, and a periodic setup, in one call, the (bin, orbit point) blocks
 that are read. A FiberSubspace is a base point and an orthonormal frame.
@@ -382,22 +381,23 @@ def periodic_setup(
 
     A torus fiber needs fiber_basis and fiber_grid for its transfer
     matrices; a cyclic fiber uses the delta basis and ignores them. memo,
-    one run's dict, keys each transfer on the bytes of g(w, fiber points)
-    and each decomposition on the orbit's tuple of those keys.
+    a dict that lives for one run, keys each transfer on all it reads:
+    the fiber kind, basis and grid, and the dtype, shape and bytes of
+    g(w, fiber points). It keys each decomposition on the orbit's tuple
+    of transfer keys, so one memo may serve any maps, bases and grids.
     """
     if map_.fiber_kind == "torus":
         if fiber_basis is None or fiber_grid is None:
             raise ValueError("a torus fiber needs a fiber basis and grid")
-        points, transfer = fiber_grid.nodes, lambda w, t: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid, t)
+        points, transfer = fiber_grid.nodes, lambda w: assemble_fiber_koopman(map_, w, fiber_basis, fiber_grid)
     elif map_.fiber_kind == "cyclic":
-        points, transfer = np.arange(map_.fiber_size), lambda w, t: cyclic_fiber_koopman(map_, w, t)
+        points, transfer = np.arange(map_.fiber_size), lambda w: cyclic_fiber_koopman(map_, w)
     else:
         raise ValueError(f"no periodic decomposition for fiber kind '{map_.fiber_kind}'")
     memo = {} if memo is None else memo
-    orbit = map_.base_orbit(y)
-    images = [map_.fiber_map(w, points) for w in orbit]
-    key = tuple(t.tobytes() for t in images)
-    transfers = [memo[k] if k in memo else memo.setdefault(k, transfer(w, t)) for k, w, t in zip(key, orbit, images)]
+    orbit, context = map_.base_orbit(y), (map_.fiber_kind, fiber_basis, fiber_grid)
+    key = tuple((context, t.dtype.str, t.shape, t.tobytes()) for t in (map_.fiber_map(w, points) for w in orbit))
+    transfers = [memo[k] if k in memo else memo.setdefault(k, transfer(w)) for k, w in zip(key, orbit)]
     if key not in memo:
         mu, vectors = np.linalg.eig(functools.reduce(np.matmul, transfers))
         bins = isolating_bins(mu, map_.base_period)

@@ -1151,15 +1151,30 @@ def _floats_apart(doc):
 def test_discrete_bin_order_survives_a_roundoff_perturbation(tmp_path, monkeypatch):
     cfg = cli.resolve_config(_small_discrete_config())
     cli.run_pipeline(cfg, tmp_path / "plain", cli.ALL_STAGES)
-    rng = np.random.default_rng(0)
-    original = oseledets.assemble_fiber_koopman
+    make_system, assemble, assembled = cli.make_system, oseledets.assemble_fiber_koopman, []
 
-    def perturbed(*args):
-        transfer = original(*args)
-        return transfer * (1.0 + 1e-16 * rng.standard_normal(transfer.shape))
+    def perturbed(name, **params):
+        map_ = make_system(name, **params)
 
-    monkeypatch.setattr(oseledets, "assemble_fiber_koopman", perturbed)
+        def fiber_map(y, z):
+            # Each base point moves its images by its own random ulps, so the
+            # transfers at any two base points differ by roundoff.
+            image = map_.fiber_map(y, z)
+            ulps = np.random.default_rng(abs(hash(float(y)))).integers(-1, 2, image.shape)
+            return image + ulps * np.spacing(image)
+
+        return replace(map_, fiber_map=fiber_map)
+
+    def counting(map_, y, *args):
+        assembled.append(y)
+        return assemble(map_, y, *args)
+
+    monkeypatch.setattr(cli, "make_system", perturbed)
+    monkeypatch.setattr(oseledets, "assemble_fiber_koopman", counting)
     cli.run_pipeline(cfg, tmp_path / "perturbed", cli.ALL_STAGES)
+    # One transfer per distinct base point: 4 on the evaluation orbit and
+    # 4 on the orbit that the 4 samples, at multiples of pi/2, share.
+    assert len(set(assembled)) == len(assembled) == 8
     for name in ("bins.json", "eigenoperator_spectrum.json"):
         plain, bumped = (_floats_apart(json.loads((tmp_path / run / name).read_text())) for run in ("plain", "perturbed"))
         # Rounding moves last digits only: the same bins in the same order,

@@ -492,6 +492,21 @@ def test_a_shared_near_boundary_decomposition_still_warns(monkeypatch):
     assert all(setup.carried is setups[0].carried for setup in setups)
 
 
+def test_one_memo_keeps_setups_of_different_bases_and_grids_apart():
+    # The images of one map at one base point are the same bytes whatever
+    # the basis, so a key of the images alone would hand the second call
+    # the first call's 7-mode transfers.
+    map_ = make_torus_translation(4, gtilde=0.7)
+    big, small = TruncatedBasis((3,), ("fiber",)), TruncatedBasis((2,), ("fiber",))
+    memo, keys = {}, set()
+    for fib, fgrid in [(big, default_grid(big)), (small, default_grid(big)), (small, default_grid(small))]:
+        shared, alone = periodic_setup(map_, 0.3, fib, fgrid, memo), periodic_setup(map_, 0.3, fib, fgrid)
+        assert [t.tobytes() for t in shared.transfers] == [t.tobytes() for t in alone.transfers]
+        assert shared.carried.tobytes() == alone.carried.tobytes()
+        keys.add(shared.key)
+    assert len(keys) == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
