@@ -163,10 +163,6 @@ class FieldSample:
             values = values.reshape(self.grid.shape)
         object.__setattr__(self, "values", values)
 
-    def norm(self) -> float:
-        """L2 norm under the probability quadrature."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.weight))
-
 
 def synthesize(coeffs: np.ndarray, basis: TruncatedBasis, grid: Grid) -> FieldSample:
     """Pointwise sum of coefficient-weighted modes on the grid."""

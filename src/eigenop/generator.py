@@ -187,8 +187,8 @@ def assemble_generator(
 
     The basis must lead with one base factor followed by the fiber
     factors. The matrix is skew-Hermitian for any velocity, so a
-    compressible one shows in validate_system's fiber_divergence_free
-    check, not here.
+    compressible one is not flagged here; the tests check that every
+    built-in fiber velocity is divergence-free.
 
     The support S holds the mode differences s whose velocity coefficient
     exceeds COUPLING_RTOL times the largest; modes joined by S form
@@ -313,11 +313,3 @@ def skew_symmetry_residual(V: BlockOperator) -> float:
     inner[interior_band_slice(V.basis)] = True
     subs = [B[np.ix_(inner[b], inner[b])] for b, B in zip(V.blocks, V.matrices)]
     return max((float(np.linalg.norm(S + S.conj().T, ord=2)) for S in subs if S.size), default=0.0)
-
-
-def unitarity_residual(U: np.ndarray, basis: TruncatedBasis) -> float:
-    """Spectral norm of U*U - I restricted to the interior half band of basis."""
-    idx = interior_band_slice(basis)
-    gram = U.conj().T @ U
-    sub = gram[np.ix_(idx, idx)] - np.eye(len(idx))
-    return float(np.linalg.norm(sub, ord=2))

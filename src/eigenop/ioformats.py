@@ -17,22 +17,22 @@ normalization constant lands in a sidecar JSON. Both field writers raise
 FloatingPointError on a non-finite value before they open the file.
 All writers are deterministic: identical inputs give identical bytes,
 and each returns the sha256 of the bytes it wrote, so no artifact has to
-be read back to be hashed. A matrix document of more than one payload
-chunk (_PAYLOAD_CHUNK entries, about 2 MB of base64) is hashed by one
-helper thread, which calls only hashlib, while the writing thread writes
-each chunk and encodes the next; every other write, and file_sha256,
-hashes on the calling thread.
+be read back to be hashed. Every writer goes through one loop over its
+byte chunks, which writes and hashes each. For a matrix document of more
+than one payload chunk (_PAYLOAD_CHUNK entries, about 2 MB of base64) a
+thread pool of one worker does the hashing, while the writing thread
+writes each chunk and encodes the next; every other write hashes on the
+writing thread, and file_sha256 hashes its own reads.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
-import threading
 from functools import lru_cache
 from pathlib import Path
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -50,90 +50,44 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def _sha256_chunks(chunks, sink=None) -> str:
-    """sha256 of the concatenated byte chunks, each passed on to sink when given.
-
-    Each chunk is let go before the next is asked for, so a generator of
-    chunks holds only the one it builds.
-    """
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-        if sink is not None:
-            sink(chunk)
-        del chunk
-    return digest.hexdigest()
-
-
-class _HashBehind:
-    """One helper thread that adds chunks to a digest while the caller goes on.
-
-    The caller waits for one chunk's hash before it hands over the next,
-    so that at most two chunks are in flight: the one being hashed and
-    the one being built. The helper calls nothing but hashlib.
-    """
-
-    def __init__(self, digest):
-        self._todo, self._done = SimpleQueue(), SimpleQueue()
-        self._busy = False
-        # A daemon, so that a helper left running by a fault cannot keep the process alive.
-        self._thread = threading.Thread(target=self._run, args=(digest,), daemon=True)
-        self._thread.start()
-
-    def _run(self, digest):
-        for chunk in iter(self._todo.get, None):
-            try:
-                digest.update(chunk)
-            except Exception as exc:  # raised again by the caller's next wait
-                self._done.put(exc)
-                return
-            self._done.put(None)
-
-    def wait(self):
-        """Return once the last chunk handed over is hashed."""
-        if self._busy:
-            self._busy = False
-            error = self._done.get()
-            if error is not None:
-                raise error
-
-    def hash(self, chunk):
-        self._todo.put(chunk)
-        self._busy = True
-
-    def close(self):
-        """End the helper thread, after the chunk it holds, if any."""
-        self._todo.put(None)
-        self._thread.join()
-
-
 def _write(path, chunks, hash_behind=False) -> str:
     """Write the byte chunks to path; return the sha256 of the file.
 
-    With hash_behind, a helper thread hashes each chunk while this thread
-    writes it and builds the next.
+    Each chunk is let go before the next is asked for, so a generator of
+    chunks holds only the one it builds. With hash_behind, a pool of one
+    worker hashes each chunk while this thread writes it and builds the
+    next; the pool is handed a chunk only once the last one is hashed, so
+    at most two chunks are in flight, and the worker calls only hashlib.
     """
-    if not hash_behind:
-        with open(path, "wb") as fh:
-            return _sha256_chunks(chunks, fh.write)
-    digest = hashlib.sha256()
-    helper = _HashBehind(digest)
-    try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                helper.wait()
-                helper.hash(chunk)
-                fh.write(chunk)
-            helper.wait()
-    finally:
-        helper.close()
+    digest, hashed = hashlib.sha256(), None
+    if hash_behind:
+        from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
+
+        pool = ThreadPoolExecutor(1)
+    else:
+        pool = contextlib.nullcontext()
+    with pool, open(path, "wb") as fh:
+        for chunk in chunks:
+            if hash_behind:
+                if hashed is not None:
+                    hashed.result()
+                hashed = pool.submit(digest.update, chunk)
+            else:
+                digest.update(chunk)
+            fh.write(chunk)
+            del chunk
+        if hashed is not None:
+            hashed.result()
     return digest.hexdigest()
 
 
 def file_sha256(path) -> str:
     """sha256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return _sha256_chunks(iter(lambda: fh.read(1 << 20), b""))
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # Entries base64-encoded per write, about. Each chunk but the last is

@@ -35,37 +35,6 @@ class GroupTable:
     def index(self, element) -> int:
         return self.elements.index(element)
 
-    def validate(self) -> dict:
-        """Group axioms, irrep unitarity, and dimension completeness."""
-        checks = {}
-        ok = True
-        for a in self.elements:
-            ok &= self.product[(a, self.identity)] == a
-            ok &= self.product[(self.identity, a)] == a
-            ok &= self.product[(a, self.inverse[a])] == self.identity
-        checks["identity_and_inverses"] = bool(ok)
-        ok = True
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            ok &= self.product[(self.product[(a, b)], c)] == self.product[(a, self.product[(b, c)])]
-        checks["associativity"] = bool(ok)
-        checks["dimension_sum"] = sum(d * d for d, _ in self.irreps.values()) == self.order
-        worst = 0.0
-        for d, mats in self.irreps.values():
-            for a in self.elements:
-                m = np.asarray(mats[a])
-                worst = max(worst, float(np.linalg.norm(m.conj().T @ m - np.eye(d))))
-            for a, b in itertools.product(self.elements, repeat=2):
-                hom = np.asarray(mats[self.product[(a, b)]]) - np.asarray(mats[a]) @ np.asarray(mats[b])
-                worst = max(worst, float(np.linalg.norm(hom)))
-        checks["irrep_defect"] = worst
-        checks["passed"] = bool(
-            checks["identity_and_inverses"]
-            and checks["associativity"]
-            and checks["dimension_sum"]
-            and worst < 1e-12
-        )
-        return checks
-
 
 def s3_table() -> GroupTable:
     """Symmetric group on {0,1,2}: trivial, sign, and the real 2-dim irrep."""

@@ -267,10 +267,10 @@ def _step_gtilde(values, breaks):
 def make_torus_translation(n: int = 4, gtilde=0.7) -> DiscreteSkewMap:
     """h(y) = y + 2pi/n, g(y, z) = z + gtilde(y) on the circle fiber.
 
-    gtilde is a function of y or a constant real shift.
+    gtilde is a function of y or a constant real shift, not a bool.
     """
     _check_positive_int("n", n)
-    if np.isscalar(gtilde):
+    if isinstance(gtilde, numbers.Real) and not isinstance(gtilde, bool):
         shift = float(gtilde)
         gtilde = lambda y: shift
     elif not callable(gtilde):
@@ -295,17 +295,18 @@ def make_torus_translation(n: int = 4, gtilde=0.7) -> DiscreteSkewMap:
 def make_cyclic_group(m: int = 6, n: int = 3, gtilde=None) -> DiscreteSkewMap:
     """Fiber Z_m, g(y, z) = z + gtilde(y) mod m, periodic base of period n.
 
-    gtilde defaults to an integer-valued two-step function of y.
+    gtilde defaults to an integer-valued two-step function of y; a
+    constant shift is an integer, not a bool or a float.
     """
     _check_positive_int("m", m)
     _check_positive_int("n", n)
     if gtilde is None:
         gtilde = _step_gtilde([1, 2], [0.0, np.pi])
-    elif np.isscalar(gtilde):
+    elif isinstance(gtilde, (int, np.integer)) and not isinstance(gtilde, bool):
         val = int(gtilde)
         gtilde = lambda y: val
     elif not callable(gtilde):
-        raise TypeError(f"gtilde must be a number or a function of y, got {gtilde!r}")
+        raise TypeError(f"gtilde must be an integer or a function of y, got {gtilde!r}")
 
     def h(y):
         return np.mod(np.asarray(y, dtype=float) + TWO_PI / n, TWO_PI)
@@ -342,60 +343,3 @@ def make_system(name: str, **params):
     if name in DISCRETE_BUILTINS:
         return DISCRETE_BUILTINS[name](**params)
     raise KeyError(f"unknown system '{name}'")
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def _divergence_residual(system: ContinuousSkewSystem, y, z, eps=1e-5) -> float:
-    z = np.asarray(z, dtype=float)
-    div = 0.0
-    for d in range(system.fiber_dim):
-        zp = z.copy()
-        zm = z.copy()
-        zp[d] += eps
-        zm[d] -= eps
-        vp = system.fiber_velocity(y, zp[None, :])[0, d]
-        vm = system.fiber_velocity(y, zm[None, :])[0, d]
-        div += (vp - vm) / (2 * eps)
-    return abs(float(div))
-
-
-def validate_system(system) -> dict:
-    """Report-only consistency checks; never raises on failure."""
-    rng = np.random.default_rng(0)
-    checks = []
-
-    def record(name, residual, tol):
-        checks.append(
-            {"name": name, "residual": float(residual), "tolerance": tol, "passed": bool(residual <= tol)}
-        )
-
-    if isinstance(system, ContinuousSkewSystem):
-        worst = 0.0
-        for _ in range(10):
-            y = rng.uniform(0, TWO_PI)
-            z = rng.uniform(0, TWO_PI, size=system.fiber_dim)
-            worst = max(worst, _divergence_residual(system, y, z))
-        record("fiber_divergence_free", worst, 1e-6)
-
-        if system.closed_form_fiber_flow is not None:
-            worst = 0.0
-            for _ in range(5):
-                y = rng.uniform(0, TWO_PI)
-                z = rng.uniform(0, TWO_PI, size=system.fiber_dim)
-                s = 0.3
-                numeric = flow_fiber(system, y, z, s, steps=400)
-                exact = system.closed_form_fiber_flow(s, y, np.asarray(z))
-                worst = max(worst, float(np.max(np.abs(numeric - exact))))
-            record("closed_form_flow_agreement", worst, 1e-9)
-    elif isinstance(system, DiscreteSkewMap):
-        y0 = rng.uniform(0, TWO_PI)
-        y = y0
-        for _ in range(system.base_period):
-            y = float(system.base_map(y))
-        res = min(abs(y - y0), TWO_PI - abs(y - y0))
-        record("base_period", res, 1e-12)
-    report = {"system": system.name, "checks": checks, "all_passed": all(c["passed"] for c in checks)}
-    return report

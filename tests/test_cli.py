@@ -326,15 +326,27 @@ def test_main_exit_code_on_a_config_that_is_not_utf8(tmp_path, capsys):
         {"name": "torus_translation", "params": {"gtilde": None}},
         {"name": "torus_translation", "params": {"gtilde": [0.1, 0.2]}},
         {"name": "cyclic_group", "params": {"gtilde": [1, 2]}},
+        {"name": "torus_translation", "params": {"gtilde": True}},
+        {"name": "torus_translation", "params": {"gtilde": "2"}},
+        {"name": "torus_translation", "params": {"gtilde": "0.7"}},
+        {"name": "cyclic_group", "params": {"gtilde": True}},
+        {"name": "cyclic_group", "params": {"gtilde": "2"}},
+        {"name": "cyclic_group", "params": {"gtilde": 1.5}},
+        {"name": "cyclic_group", "params": {"gtilde": 2.0}},
     ],
-    ids=["torus-null", "torus-list", "cyclic-list"],
+    ids=[
+        "torus-null", "torus-list", "cyclic-list", "torus-bool", "torus-string", "torus-decimal-string",
+        "cyclic-bool", "cyclic-string", "cyclic-fraction", "cyclic-integral-float",
+    ],
 )
 def test_main_exit_code_on_a_gtilde_that_is_no_number(system, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**_small_discrete_config(), "system": system}))
     out = tmp_path / "out"
     assert cli.main(["all", "--config", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
-    assert "gtilde must be a number or a function of y" in capsys.readouterr().err
+    # A cyclic shift must also be an integer.
+    kind = "an integer" if system["name"] == "cyclic_group" else "a number"
+    assert f"gtilde must be {kind} or a function of y" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -509,7 +521,9 @@ def test_main_exit_code_on_stratospheric_wave_lists_of_the_wrong_length(key, val
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    code = "import sys, eigenop.cli; print([name for name in ('scipy', 'jsonschema') if name in sys.modules])"
+    # concurrent.futures, which imports logging, is imported only to hash a large document.
+    names = ("scipy", "jsonschema", "concurrent.futures", "logging")
+    code = f"import sys, eigenop.cli; print([name for name in {names!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"

@@ -11,9 +11,10 @@ from eigenop.cocycle import (
     hatw_field,
     koopman_correspondence_check,
 )
-from eigenop.generator import assemble_fiber_koopman, unitarity_residual
+from eigenop.generator import assemble_fiber_koopman
 from eigenop.oseledets import FiberSubspace
 from eigenop.systems import make_gaussian_vortex, make_rotation, make_torus_translation
+from test_generator import unitarity_residual
 
 ALPHA = 0.7
 BETA = 0.5

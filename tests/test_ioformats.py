@@ -10,6 +10,7 @@ import struct
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,22 +254,23 @@ def test_a_matrix_hashed_behind_the_writer_writes_the_reference(tmp_path, monkey
         monkeypatch.setattr(ioformats, "_PAYLOAD_CHUNK", chunk)
     entries = _fill("dense", (400, 401), np.random.default_rng(7))
     entries.flat[1] = complex(-0.0, 5e-324)
-    handed = []
-    original = ioformats._HashBehind.hash
+    handed, hashes = [], []
+    submit = ThreadPoolExecutor.submit
 
-    def recording(helper, chunk):
-        # Busy means the last chunk's hash was not waited for, so more
+    def recording(pool, fn, *args):
+        # A hash not done when the next chunk is handed over means more
         # than two chunks could be in flight.
-        handed.append(helper._busy)
-        original(helper, chunk)
+        handed.append(isinstance(fn.__self__, type(hashlib.sha256())) and all(f.done() for f in hashes))
+        hashes.append(submit(pool, fn, *args))
+        return hashes[-1]
 
-    monkeypatch.setattr(ioformats._HashBehind, "hash", recording)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
     started = _record_thread_starts(monkeypatch)
     before = threading.active_count()
     _assert_writes_the_reference(tmp_path, entries)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
-    assert handed == [False] * count
+    assert handed == [True] * count
 
 
 class _DiskFull(io.BytesIO):
