@@ -411,10 +411,14 @@ def stage_assemble(ctx: PipelineContext) -> dict[str, str]:
         return {}
     operators = {} if ctx.weights is None else {"smoothed_generator.matrix.json": ctx.operator_for_spectra}
     operators["generator.matrix.json"] = ctx.generator_matrix
-    return {
+    written = {
         fname: write_matrix(ctx.out / fname, op, op.basis.describe(), op.basis.describe(), op.provenance, op.meta)
         for fname, op in operators.items()
     }
+    # Later stages read only operator_for_spectra, which is V itself when unsmoothed.
+    ctx.operator_for_spectra
+    del ctx.generator_matrix
+    return written
 
 
 def stage_eig(ctx: PipelineContext) -> dict[str, str]:
@@ -503,16 +507,19 @@ def stage_cocycle_field(ctx: PipelineContext) -> dict[str, str]:
     if ctx.system.fiber_dim != 2:
         ctx.stage_notes.append("cocycle-field skipped: field export needs a 2-d fiber")
         return {}
+    d_values = ctx.config["decomposition"]["d_values"]
+    if not d_values:
+        ctx.stage_notes.append("cocycle-field skipped: decomposition.d_values is empty")
+        return {}
     ev = ctx.config["evaluation"]
     y, s = float(ev["y"]), float(ev["s"])
     ystar = ctx.system.advanced_base_point(s, y)
-    written = {}
-    # The time-s flow from y is the same for every d.
+    test_vectors = [build_test_vector(ctx.leading_vectors, ctx.basis, y, d) for d in d_values]
+    subspaces = [restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d) for d in d_values]
+    # The time-s flow from y is the same for every d, so one call transports every field.
     w = continuous_w(ctx.system, y, s, ctx.fiber_basis, Grid(tuple(ev["field_grid"])))
-    for d in ctx.config["decomposition"]["d_values"]:
-        q = build_test_vector(ctx.leading_vectors, ctx.basis, y, d)
-        sub = restrict_at_base(ctx.leading_vectors, ctx.basis, ystar, d)
-        field = hatw_field(sub, q, w)
+    written = {}
+    for d, field in zip(d_values, hatw_field(subspaces, test_vectors, w)):
         written[f"field_d{d}.csv"] = write_field_csv(ctx.out / f"field_d{d}.csv", field)
         image, sidecar = write_heatmap_ppm(ctx.out / f"field_d{d}.ppm", field)
         written[f"field_d{d}.ppm"], written[f"field_d{d}.ppm.json"] = image, sidecar

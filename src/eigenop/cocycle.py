@@ -5,9 +5,9 @@ transfers that a periodic setup holds along the orbit of y (adjoints for
 negative steps), so it assembles no transfer of its own. The
 continuous analogue applies the time-s fiber flow by pointwise
 composition, which avoids a second truncation: continuous_w flows the
-fiber grid once and builds the per-axis mode factors at the flowed
-points once, so each field it transports costs one contraction per
-fiber axis.
+fiber grid once, and transports a stack of fields over chunks of the
+flowed points, so only one chunk's per-axis mode factors are held at a
+time and each field costs one contraction per fiber axis and chunk.
 Projected cocycle fields drive the coherent-pattern figures, and a
 product-space consistency check ties the per-fiber route to the direct
 composition operator.
@@ -23,6 +23,11 @@ from .basis import FieldSample, Grid, TruncatedBasis, evaluation_matrix, synthes
 from .generator import assemble_fiber_koopman
 from .oseledets import FiberSubspace, restrict_coefficients
 from .systems import ContinuousSkewSystem, DiscreteSkewMap
+
+# Flowed points per chunk of a transported field. A power of two: every chunk
+# but the last spans whole column blocks of the BLAS matrix product, so each
+# point of a 2-d fiber gets the bits of one product over all the points.
+_FIELD_CHUNK = 2048
 
 
 def build_test_vector(sorted_eigvecs: np.ndarray, basis: TruncatedBasis, y: float, d: int) -> np.ndarray:
@@ -57,41 +62,59 @@ def continuous_w(
     s: float,
     fiber_basis: TruncatedBasis,
     fiber_grid: Grid,
-) -> Callable[[np.ndarray], FieldSample]:
+) -> Callable[[np.ndarray], FieldSample | list[FieldSample]]:
     """The map u -> (w_s u)(y, .) on the fiber grid: u evaluated at the flowed points.
 
     The flow is computed once, here, by system.fiber_flow (closed form, or
     RK4 at the step rate systems declares). A tensor mode is the product of its
     per-axis factors e^{i k z_d}, so the points-by-modes evaluation matrix
-    is never formed: the per-axis factors are built once, and each field
-    contracts the coefficients one axis at a time. Every s takes this
-    path: fiber_flow at s = 0 returns the nodes exactly, and the grid
-    need not resolve the modes, as no transform is taken.
+    is never formed: the per-axis factors are built for one chunk of
+    _FIELD_CHUNK flowed points at a time, and each field contracts its
+    coefficients one axis at a time. A vector of coefficients gives one
+    FieldSample; a stack of them, one row per field, gives a list. Every s
+    takes this path: fiber_flow at s = 0 returns the nodes exactly, and the
+    grid need not resolve the modes, as no transform is taken.
     """
     targets = system.fiber_flow(s, y, fiber_grid.nodes)
-    # factors[d][k + K_d, p] = e^{i k z_d} at flowed point p.
-    factors = [np.exp(1j * np.outer(np.arange(-k, k + 1), targets[:, d])) for d, k in enumerate(fiber_basis.cutoffs)]
     shape = tuple(2 * k + 1 for k in fiber_basis.cutoffs)
 
-    def apply(u_coeffs: np.ndarray) -> FieldSample:
-        # Lexicographic mode order, most significant axis first: the last
-        # axis is contracted first.
-        t = np.asarray(u_coeffs, dtype=complex).reshape(shape) @ factors[-1]
-        for f in reversed(factors[:-1]):
-            t = np.einsum("...ap,ap->...p", t, f)
-        return FieldSample(fiber_grid, t.reshape(fiber_grid.shape))
+    def apply(u_coeffs: np.ndarray) -> FieldSample | list[FieldSample]:
+        stack = np.asarray(u_coeffs, dtype=complex).reshape((-1,) + shape)
+        values = np.empty((len(stack), len(targets)), dtype=complex)
+        # A last chunk of one point joins the one before it: numpy would
+        # contract it by a matrix-vector product, whose bits differ.
+        ends = [*range(_FIELD_CHUNK, len(targets) - 1, _FIELD_CHUNK), len(targets)]
+        for start, stop in zip([0, *ends], ends):
+            values[:, start:stop] = _evaluate_at(stack, targets[start:stop], fiber_basis.cutoffs)
+        fields = [FieldSample(fiber_grid, row.reshape(fiber_grid.shape)) for row in values]
+        return fields[0] if np.ndim(u_coeffs) == 1 else fields
 
     return apply
 
 
+def _evaluate_at(stack: np.ndarray, points: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
+    """Row i: the field of coefficients stack[i] at points, from factors let go on return."""
+    # factors[d][k + K_d, p] = e^{i k z_d} at point p.
+    factors = [np.exp(1j * np.outer(np.arange(-k, k + 1), points[:, d])) for d, k in enumerate(cutoffs)]
+    out = np.empty((len(stack), len(points)), dtype=complex)
+    for row, u in zip(out, stack):
+        # Lexicographic mode order, most significant axis first: the last
+        # axis is contracted first.
+        t = u @ factors[-1]
+        for f in reversed(factors[:-1]):
+            t = np.einsum("...ap,ap->...p", t, f)
+        row[:] = t
+    return out
+
+
 def hatw_field(
-    subspace: FiberSubspace,
-    u_coeffs: np.ndarray,
-    w: Callable[[np.ndarray], FieldSample],
-) -> FieldSample:
-    """Projected cocycle field: project u onto the subspace at h_s(y),
-    then transport with w = continuous_w(system, y, s, ...)."""
-    return w(subspace.projection @ np.asarray(u_coeffs, dtype=complex))
+    subspaces: list[FiberSubspace],
+    u_coeffs: list[np.ndarray],
+    w: Callable[[np.ndarray], list[FieldSample]],
+) -> list[FieldSample]:
+    """Projected cocycle fields: project each u onto its subspace at h_s(y),
+    then transport them all in one call of w = continuous_w(system, y, s, ...)."""
+    return w(np.stack([sub.projection @ np.asarray(u, dtype=complex) for sub, u in zip(subspaces, u_coeffs)]))
 
 
 def koopman_correspondence_check(

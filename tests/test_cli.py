@@ -940,6 +940,23 @@ def test_cocycle_field_stage_flows_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_cocycle_field_with_no_d_values_flows_nothing_and_leaves_a_note(tmp_path, monkeypatch):
+    cfg = cli.resolve_config({**_small_vortex_config(), "decomposition": {"d_values": [], "subspace_rank": 1}})
+    calls = []
+    original = systems.ContinuousSkewSystem.fiber_flow
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(systems.ContinuousSkewSystem, "fiber_flow", counting)
+    out = tmp_path / "run"
+    manifest, _ = cli.run_pipeline(cfg, out, ("cocycle-field",))
+    assert calls == []
+    assert "cocycle-field skipped: decomposition.d_values is empty" in manifest["notes"]
+    assert manifest["outputs"] == {} and not list(out.glob("field_*"))
+
+
 def _count_stage_calls(monkeypatch) -> list:
     """Record the name of every stage function the pipeline calls."""
     calls = []
@@ -1280,11 +1297,10 @@ def test_eigenop_stage_surfaces_numerical_failures(tmp_path, monkeypatch):
 def test_a_non_finite_field_exits_3_and_no_manifest_lists_a_field(tmp_path, monkeypatch, capsys):
     original = cli.hatw_field
 
-    def nan_field(*args):
-        field = original(*args)
-        return FieldSample(field.grid, np.full(field.grid.shape, np.nan))
+    def nan_fields(*args):
+        return [FieldSample(field.grid, np.full(field.grid.shape, np.nan)) for field in original(*args)]
 
-    monkeypatch.setattr(cli, "hatw_field", nan_field)
+    monkeypatch.setattr(cli, "hatw_field", nan_fields)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_small_vortex_config()))
     out = tmp_path / "out"
